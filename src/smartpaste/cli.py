@@ -55,20 +55,11 @@ def _read_config_file(path: Optional[str]) -> Dict[str, str]:
     return out
 
 
-def _apply_threads(threads: Optional[int]):
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smartpaste",
         description="Data-flow-sensitive variable inference for pasted "
                     "snippets of MiniLang code.")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS/OpenMP thread pools")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")
@@ -318,7 +309,6 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except (CliError, CheckError, LexError, ParseError, VariantError,

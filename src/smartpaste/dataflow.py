@@ -221,11 +221,7 @@ def _solve(cfg: Cfg, occ: Dict[int, int], syms: List[int], ug: UseGraph,
         edges_in = cfg.preds
         seed_node = cfg.entry
     else:
-        edges_in = {n.id: [] for n in cfg.nodes}
-        for a, bs in cfg.succs.items():
-            for b in bs:
-                edges_in[a].append(b)
-        edges_in = {a: cfg.succs[a] for a in cfg.succs}
+        edges_in = cfg.succs
         seed_node = cfg.exit
 
     node_tokens = {n.id: (n.tokens if forward else list(reversed(n.tokens)))

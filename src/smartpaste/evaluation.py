@@ -7,9 +7,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import nn
 from .infer import icm
 from .models import Encoder, ModelParams
 from .taskgen import TaskInstance
@@ -37,19 +34,6 @@ class MetricsReport:
         return out
 
 
-def _ranked_candidates(enc: Encoder, ug, t: int,
-                       candidates: Sequence[int]) -> List[Tuple[int, float]]:
-    """Candidates with softmax probabilities, best first, ties toward the
-    lowest symbol id."""
-    c = enc.context_repr(t)
-    scores = np.array([nn.dot(c, enc.usage_repr(ug, t, v)).item()
-                       for v in candidates])
-    probs = nn.softmax_probs(scores)
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-probs[i], candidates[i]))
-    return [(candidates[i], float(probs[i])) for i in order]
-
-
 def _rank_of(ranked: List[Tuple[int, float]], truth: int) -> int:
     for r, (sid, _) in enumerate(ranked, start=1):
         if sid == truth:
@@ -75,8 +59,7 @@ def eval_per_placeholder(params: ModelParams,
     for item in items:
         enc = Encoder(params, item.instance.program,
                       placeholder_tokens=item.instance.placeholder_tokens)
-        ranked = _ranked_candidates(enc, cache.graph(item), item.token,
-                                    item.candidates)
+        ranked = enc.rank(cache.graph(item), item.token, item.candidates)
         rank = _rank_of(ranked, item.truth)
         hits += rank == 1
         mrr += 1.0 / rank
@@ -205,8 +188,8 @@ def eval_same_type(params: ModelParams, instances: Sequence[TaskInstance]
             continue
         enc = Encoder(params, item.instance.program,
                       placeholder_tokens=item.instance.placeholder_tokens)
-        ranked = _ranked_candidates(enc, cache.graph(item), item.token,
-                                    ph.same_type_candidates)
+        ranked = enc.rank(cache.graph(item), item.token,
+                          ph.same_type_candidates)
         credit, rr = _tie_credit(ranked, item.truth)
         hits += credit
         mrr += rr

@@ -8,9 +8,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import nn
 from .dataflow import Cfg, build_cfg, dataflow_uses
 from .minilang import ast
 from .minilang.checker import (CheckError, TypedProgram, check,
@@ -51,7 +48,7 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
     """Candidates ranked by conditional probability with every other
     placeholder bound per context_assignment; the usage relations are
     recomputed under that binding (the ranked placeholder itself is unbound).
-    Ties break toward the lowest symbol id."""
+    Ties break toward the lowest symbol id (`Encoder.rank`)."""
     t = ph.token_index
     override: Dict[int, Optional[int]] = {t: None}
     for other in inst.placeholders:
@@ -59,13 +56,7 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
             override[other.token_index] = \
                 context_assignment[other.token_index]
     ug = dataflow_uses(inst.program, override=override, cfgs=cfgs)
-    c = encoder.context_repr(t)
-    scores = np.array([nn.dot(c, encoder.usage_repr(ug, t, v)).item()
-                       for v in ph.candidates])
-    probs = nn.softmax_probs(scores)
-    order = sorted(range(len(ph.candidates)),
-                   key=lambda i: (-probs[i], ph.candidates[i]))
-    return [(ph.candidates[i], float(probs[i])) for i in order]
+    return encoder.rank(ug, t, ph.candidates)
 
 
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
@@ -93,13 +84,8 @@ def _independent_init(inst: TaskInstance, encoder: Encoder,
     ug = dataflow_uses(inst.program, override=override, cfgs=cfgs)
     init: Dict[int, int] = {}
     for ph in phs:
-        t = ph.token_index
-        c = encoder.context_repr(t)
-        scores = [nn.dot(c, encoder.usage_repr(ug, t, v)).item()
-                  for v in ph.candidates]
-        best = min(range(len(ph.candidates)),
-                   key=lambda i: (-scores[i], ph.candidates[i]))
-        init[t] = ph.candidates[best]
+        init[ph.token_index] = encoder.rank(ug, ph.token_index,
+                                            ph.candidates)[0][0]
     return init
 
 

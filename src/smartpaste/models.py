@@ -73,6 +73,10 @@ def build_vocab(instances) -> Tuple[List[str], List[str]]:
     return sorted(types), lexemes
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, str) for e in x)
+
+
 class ModelParams:
     """All learnable tensors for one model variant + context encoder."""
 
@@ -162,8 +166,22 @@ class ModelParams:
     @classmethod
     def load(cls, path: str) -> Tuple["ModelParams", dict]:
         loaded, cfg = nn.load_checkpoint(path)
-        params = cls(cfg["variant"], Hyper.from_dict(cfg["hyper"]),
-                     cfg["types"], cfg["lexemes"])
+        if not isinstance(cfg, dict):
+            raise ValueError("checkpoint config is not an object")
+        for key, ok in (("variant", lambda x: isinstance(x, str)),
+                        ("hyper", lambda x: isinstance(x, dict)),
+                        ("types", _is_str_list), ("lexemes", _is_str_list)):
+            if key not in cfg:
+                raise ValueError(f"checkpoint config has no {key!r}")
+            if not ok(cfg[key]):
+                raise ValueError(f"checkpoint config {key!r} is ill-typed: "
+                                 f"{cfg[key]!r:.60}")
+        try:
+            hyper = Hyper.from_dict(cfg["hyper"])
+        except TypeError as e:
+            raise ValueError(f"checkpoint config 'hyper' is ill-formed: "
+                             f"{e}") from e
+        params = cls(cfg["variant"], hyper, cfg["types"], cfg["lexemes"])
         named = params.named()
         if set(named) != set(loaded):
             missing = set(named) ^ set(loaded)
@@ -173,6 +191,28 @@ class ModelParams:
         return params, cfg
 
 
+class _TreeIndex:
+    """One direction's TreeGRU over all candidates of a placeholder, as
+    per-depth batches.  Columns of the state bank at depth d are the K type
+    representations (the leaves) followed by the node states of depth d - 1;
+    each depth lists its nodes' (child bank column, child context column)
+    edges, node by node, and where each node's edges start."""
+
+    def __init__(self, n_candidates: int):
+        self.k = n_candidates
+        self.levels: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+        self.roots: List[int] = []
+
+    def add_node(self, depth: int, edges: List[Tuple[int, int]]) -> int:
+        child_cols, ctx_cols, starts = self.levels.setdefault(
+            depth, ([], [], []))
+        starts.append(len(child_cols))
+        for child, ctx in edges:
+            child_cols.append(child)
+            ctx_cols.append(ctx)
+        return self.k + len(starts) - 1
+
+
 class Encoder:
     """Forward computation over one program view.
 
@@ -180,6 +220,15 @@ class Encoder:
     shows the PLACEHOLDER embedding regardless of its current assignment, so
     context vectors are cached for the encoder's lifetime.  The lexical and
     data-flow relations are supplied per call and do change during inference.
+
+    `usage_reprs` encodes all candidates of a placeholder at once.  A
+    structural walk first visits each candidate's chains and data-flow trees
+    in the order of the per-candidate recursion, resolving window tokens and
+    type representations as it goes: at training time type dropout draws
+    from `rng` on each symbol's first use, so that order fixes the draws.
+    The arithmetic then runs in column batches: every new context window in
+    one batch, and every tree depth of every candidate in one GRU step per
+    direction.  Training and inference share this path.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -193,6 +242,9 @@ class Encoder:
         self.training = training
         self.rng = rng if rng is not None else random.Random(0)
         self._ctx_cache: Dict[int, Tensor] = {}
+        # position -> its window's token representations, awaiting the next
+        # batched context computation
+        self._pending: Dict[int, List[Tensor]] = {}
         self._type_cache: Dict[int, Tensor] = {}
         self._zero = nn.constant(np.zeros(self.hyper.hidden))
 
@@ -235,34 +287,52 @@ class Encoder:
             return self.type_embed(tok.symbol)
         return embs.get(tok.text, embs[UNK])
 
-    def context_repr(self, t: int) -> Tensor:
-        """c(t) = W_C [f_prev(window before t), f_next(window after t)];
-        c(EPS) is the zero vector."""
-        if t == EPS:
-            return self._zero
-        if t in self._ctx_cache:
-            return self._ctx_cache[t]
+    def _request_context(self, t: int):
+        """Resolve the window of t's context; `_flush_contexts` computes it."""
+        if t == EPS or t in self._ctx_cache or t in self._pending:
+            return
         c = self.hyper.window
-        prev = [self.token_repr(t - c + i) for i in range(c)]
-        nxt = [self.token_repr(t + 1 + i) for i in range(c)]
+        self._pending[t] = [self.token_repr(t - c + i) for i in range(c)] \
+            + [self.token_repr(t + 1 + i) for i in range(c)]
+
+    def _flush_contexts(self):
+        """c(t) = W_C [f_prev(window before t), f_next(window after t)] for
+        every requested position, one column per position."""
+        if not self._pending:
+            return
+        positions = list(self._pending)
+        windows = list(self._pending.values())
+        self._pending = {}
+        c = self.hyper.window
+        slots = [nn.columns([w[i] for w in windows]) for i in range(2 * c)]
+        prev, nxt = slots[:c], slots[c:]
         p = self.params
         if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
-            fp = nn.matvec(p.pos_prev[0], prev[0])
+            fp = nn.matmul(p.pos_prev[0], prev[0])
             for i in range(1, c):
-                fp = nn.add(fp, nn.matvec(p.pos_prev[i], prev[i]))
-            fn = nn.matvec(p.pos_next[0], nxt[0])
+                fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
+            fn = nn.matmul(p.pos_next[0], nxt[0])
             for i in range(1, c):
-                fn = nn.add(fn, nn.matvec(p.pos_next[i], nxt[i]))
+                fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
         else:
-            fp = self._zero
+            zero = nn.constant(np.zeros((self.hyper.hidden, len(positions))))
+            fp = zero
             for x in prev:
                 fp = nn.gru_step(fp, x, p.ctx_gru_prev)
-            fn = self._zero
+            fn = zero
             for x in reversed(nxt):
                 fn = nn.gru_step(fn, x, p.ctx_gru_next)
-        out = nn.matvec(p.w_c, nn.concat([fp, fn]))
-        self._ctx_cache[t] = out
-        return out
+        block = nn.matmul(p.w_c, nn.concat([fp, fn]))
+        for j, t in enumerate(positions):
+            self._ctx_cache[t] = nn.gather(block, j)
+
+    def context_repr(self, t: int) -> Tensor:
+        """The context vector of position t; c(EPS) is the zero vector."""
+        if t == EPS:
+            return self._zero
+        self._request_context(t)
+        self._flush_contexts()
+        return self._ctx_cache[t]
 
     # -- usage representations --
 
@@ -282,82 +352,141 @@ class Encoder:
             chain.reverse()
         return chain
 
-    def _tree_state(self, ug: UseGraph, t: int, v: int, direction: str,
-                    cell: nn.GruCellParams) -> Tensor:
-        """Recursive TreeGRU over the bounded data-flow unrolling; leaves are
-        the type representation; children pooled by element-wise max."""
+    def _index_tree(self, ug: UseGraph, t: int, v: int, k: int,
+                    direction: str, index: _TreeIndex, use):
+        """Walk candidate k's bounded data-flow unrolling from t in the
+        order of the recursive TreeGRU (children sorted, each child's
+        subtree before its context) and add its nodes to `index`.  A node
+        at depth 0, at EPS or without children is the leaf: the type
+        representation.  Repeated (position, depth) subtrees are shared."""
         rel = ug.din if direction == "prev" else ug.dout
-        leaf = self.type_embed(v)
-        memo: Dict[Tuple[int, int], Tensor] = {}
+        memo: Dict[Tuple[int, int], int] = {}
 
-        def state(pos: int, depth: int) -> Tensor:
+        def state(pos: int, depth: int) -> int:
             if depth <= 0 or pos == EPS:
-                return leaf
+                return k
             children = sorted(rel(pos, v))
             if not children:
-                return leaf
+                return k
             key = (pos, depth)
-            if key in memo:
-                return memo[key]
-            pooled = nn.elementwise_max([
-                nn.gru_step(state(child, depth - 1),
-                            self.context_repr(child), cell)
-                for child in children])
-            memo[key] = pooled
-            return pooled
+            if key not in memo:
+                edges = []
+                for child in children:
+                    below = state(child, depth - 1)
+                    edges.append((below, use(child)))
+                memo[key] = index.add_node(depth, edges)
+            return memo[key]
 
-        return state(t, self.hyper.tree_depth)
+        index.roots.append(state(t, self.hyper.tree_depth))
 
-    def _avgg(self, ug: UseGraph, t: int, v: int) -> Tensor:
-        contexts = [self.context_repr(x)
-                    for x in self._lex_chain(ug, t, v, "prev")
-                    + self._lex_chain(ug, t, v, "next")]
-        base = self.type_embed(v)
-        if not contexts:
-            return base
-        return nn.add(base, nn.mean_of(contexts))
+    def _tree_states(self, leaves: Tensor, contexts: Tensor,
+                     index: _TreeIndex, cell: nn.GruCellParams) -> Tensor:
+        """TreeGRU root states, (H, K): one GRU step over all edges of a
+        depth, then each node's max over its children, deepest level
+        first."""
+        bank = leaves
+        for depth in sorted(index.levels):
+            child_cols, ctx_cols, starts = index.levels[depth]
+            edges = nn.gru_step(nn.gather(bank, child_cols),
+                                nn.gather(contexts, ctx_cols), cell)
+            bank = nn.columns([leaves, nn.segment_max(edges, starts)])
+        return nn.gather(bank, index.roots)
 
-    def _grug(self, ug: UseGraph, t: int, v: int) -> Tensor:
-        p = self.params
-        init = self.type_embed(v)
-        hp = init
-        for x in self._lex_chain(ug, t, v, "prev"):
-            hp = nn.gru_step(hp, self.context_repr(x), p.seq_gru_prev)
-        hn = init
-        for x in self._lex_chain(ug, t, v, "next"):
-            hn = nn.gru_step(hn, self.context_repr(x), p.seq_gru_next)
-        return nn.matvec(p.w_gru, nn.concat([hp, hn]))
+    def _chain_gru(self, init: Tensor, contexts: Tensor,
+                   chains: List[List[int]], cell: nn.GruCellParams
+                   ) -> Tensor:
+        """One GRU run per column along its chain of context columns, all
+        columns stepped together by step index; a column whose chain has
+        ended keeps its state."""
+        h = init
+        for s in range(max(map(len, chains), default=0)):
+            active = np.array([len(ch) > s for ch in chains])
+            x = nn.gather(contexts, [ch[s] if len(ch) > s else 0
+                                     for ch in chains])
+            stepped = nn.gru_step(h, x, cell)
+            if active.all():
+                h = stepped
+            else:
+                keep = np.broadcast_to(active.astype(float), h.shape)
+                h = nn.add(nn.mul(stepped, nn.constant(keep)),
+                           nn.mul(h, nn.constant(1.0 - keep)))
+        return h
 
-    def _grud(self, ug: UseGraph, t: int, v: int) -> Tensor:
-        p = self.params
-        hp = self._tree_state(ug, t, v, "prev", p.tree_gru_prev)
-        hn = self._tree_state(ug, t, v, "next", p.tree_gru_next)
-        return nn.matvec(p.w_d, nn.concat([hp, hn]))
+    def usage_reprs(self, ug: UseGraph, t: int,
+                    candidates: Sequence[int]) -> Tensor:
+        """Usage representations of the candidate symbols at token t, one
+        column per candidate: (H, K)."""
+        variant = self.params.variant
+        k_all = len(candidates)
+        ctx_cols: Dict[int, int] = {EPS: 0}  # position -> contexts column
 
-    def usage_repr(self, ug: UseGraph, t: int, v: int,
-                   variant: Optional[str] = None) -> Tensor:
-        variant = variant or self.params.variant
+        def use(x: int) -> int:
+            self._request_context(x)
+            return ctx_cols.setdefault(x, len(ctx_cols))
+
+        chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
+        trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
+        for k, v in enumerate(candidates):
+            if variant == "grug":  # its GRUs read the type before the chain
+                self.type_embed(v)
+            if variant in ("avgg", "grug", "hybrid"):
+                for d in ("prev", "next"):
+                    chains[d].append([use(x)
+                                      for x in self._lex_chain(ug, t, v, d)])
+            self.type_embed(v)
+            if variant in ("grud", "hybrid"):
+                for d in ("prev", "next"):
+                    self._index_tree(ug, t, v, k, d, trees[d], use)
+        self._flush_contexts()
+
+        leaves = nn.columns([self.type_embed(v) for v in candidates])
         if variant == "loc":
-            return self.type_embed(v)
-        if variant == "avgg":
-            return self._avgg(ug, t, v)
+            return leaves
+        contexts = nn.columns([self._zero] + [self._ctx_cache[x]
+                                              for x in list(ctx_cols)[1:]])
+        p = self.params
         if variant == "grug":
-            return self._grug(ug, t, v)
+            hp = self._chain_gru(leaves, contexts, chains["prev"],
+                                 p.seq_gru_prev)
+            hn = self._chain_gru(leaves, contexts, chains["next"],
+                                 p.seq_gru_next)
+            return nn.matmul(p.w_gru, nn.concat([hp, hn]))
+        if variant in ("avgg", "hybrid"):
+            mean = np.zeros((len(ctx_cols), k_all))
+            for k, (prev, nxt) in enumerate(zip(chains["prev"],
+                                                chains["next"])):
+                both = prev + nxt
+                if both:
+                    mean[both, k] = 1.0 / len(both)
+            avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
+            if variant == "avgg":
+                return avgg
+        hp = self._tree_states(leaves, contexts, trees["prev"],
+                               p.tree_gru_prev)
+        hn = self._tree_states(leaves, contexts, trees["next"],
+                               p.tree_gru_next)
+        grud = nn.matmul(p.w_d, nn.concat([hp, hn]))
         if variant == "grud":
-            return self._grud(ug, t, v)
-        if variant == "hybrid":
-            return nn.matvec(self.params.w_h,
-                             nn.concat([self._avgg(ug, t, v),
-                                        self._grud(ug, t, v)]))
-        raise VariantError(f"unknown variant {variant!r}")
+            return grud
+        return nn.matmul(p.w_h, nn.concat([avgg, grud]))
+
+    def usage_repr(self, ug: UseGraph, t: int, v: int) -> Tensor:
+        """The usage representation of one candidate v at token t."""
+        return nn.gather(self.usage_reprs(ug, t, [v]), 0)
 
     def score(self, t: int, ug: UseGraph, v: int) -> Tensor:
         return nn.dot(self.context_repr(t), self.usage_repr(ug, t, v))
 
-
-def score(c: Tensor, u: Tensor) -> Tensor:
-    """Inner product of a context and a usage representation."""
-    return nn.dot(c, u)
+    def rank(self, ug: UseGraph, t: int, candidates: Sequence[int]
+             ) -> List[Tuple[int, float]]:
+        """Candidates with the softmax of their scores c(t) . u(t, v), most
+        probable first; equal probabilities go to the lower symbol id."""
+        scores = nn.dot(self.context_repr(t),
+                        self.usage_reprs(ug, t, candidates)).data
+        probs = nn.softmax_probs(scores)
+        order = sorted(range(len(candidates)),
+                       key=lambda i: (-probs[i], candidates[i]))
+        return [(candidates[i], float(probs[i])) for i in order]
 
 
 def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,

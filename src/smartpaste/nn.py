@@ -1,5 +1,10 @@
 """Dense-tensor reverse-mode autodiff core: vector/matrix ops, GRU cell,
-element-wise max pooling, softmax cross-entropy, and Adam.
+element-wise and segment max pooling, softmax cross-entropy, and Adam.
+
+The ops the encoders use take a vector of shape (H,) or a column batch of
+shape (H, B), one example per column: `matmul`, `add_bias`, `gru_step` and
+the element-wise ops work on either, `gather`, `columns` and `segment_max`
+move and pool columns, and `dot` scores one vector against every column.
 
 Wide (float64) precision is the default; tests quote all tolerances at wide
 precision.  The tape is implicit: each Tensor records its parents and a
@@ -40,8 +45,12 @@ class Tensor:
                  name: str = ""):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(
-            p.requires_grad for p in parents)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
         self.name = name
@@ -55,8 +64,13 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy of its own: later gradients are added in place
+            self.grad = np.array(g, dtype=DTYPE)
+            if self.grad.shape != self.data.shape:
+                raise ShapeError(f"gradient {self.grad.shape} for "
+                                 f"{self.data.shape}")
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse sweep from this (scalar) tensor; visits each node once."""
@@ -151,32 +165,66 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(a.data * s, parents=(a,), backward=bw)
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: {w.shape} @ {x.shape}")
+def matmul(w: Tensor, x: Tensor) -> Tensor:
+    """W @ x for a vector x of shape (N,) or a column batch of shape (N, B)."""
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2) \
+            or w.shape[1] != x.shape[0]:
+        raise ShapeError(f"matmul: {w.shape} @ {x.shape}")
 
     def bw(g):
         if w.requires_grad:
-            w.accumulate(np.outer(g, x.data))
+            w.accumulate(np.outer(g, x.data) if x.data.ndim == 1
+                         else g @ x.data.T)
         if x.requires_grad:
             x.accumulate(w.data.T @ g)
 
     return Tensor(w.data @ x.data, parents=(w, x), backward=bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "dot")
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x + b, the (H,) bias b broadcast over the columns of an (H, B) x."""
+    if b.data.ndim != 1 or x.data.ndim not in (1, 2) \
+            or x.shape[0] != b.shape[0]:
+        raise ShapeError(f"add_bias: {x.shape} + {b.shape}")
+    batched = x.data.ndim == 2
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
+        if x.requires_grad:
+            x.accumulate(g)
         if b.requires_grad:
-            b.accumulate(g * a.data)
+            b.accumulate(g.sum(axis=1) if batched else g)
 
-    return Tensor(np.dot(a.data, b.data), parents=(a, b), backward=bw)
+    return Tensor(x.data + (b.data[:, None] if batched else b.data),
+                  parents=(x, b), backward=bw)
+
+
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    """a . b for two (H,) vectors; for an (H, K) b, the vector of the K
+    inner products of a with the columns of b."""
+    if a.data.ndim != 1 or b.data.ndim not in (1, 2) \
+            or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"dot: shape mismatch {a.shape} vs {b.shape}")
+    if b.data.ndim == 1:
+        def bw(g):
+            if a.requires_grad:
+                a.accumulate(g * b.data)
+            if b.requires_grad:
+                b.accumulate(g * a.data)
+
+        return Tensor(np.dot(a.data, b.data), parents=(a, b), backward=bw)
+
+    def bw_columns(g):
+        if a.requires_grad:
+            a.accumulate(b.data @ g)
+        if b.requires_grad:
+            b.accumulate(np.outer(a.data, g))
+
+    return Tensor(a.data @ b.data, parents=(a, b), backward=bw_columns)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack along the first axis: (H1,) + (H2,) -> (H1 + H2,), and
+    (H1, B) + (H2, B) -> (H1 + H2, B)."""
     if not parts:
         raise EmptyInput("concat of no tensors")
     sizes = [p.shape[0] for p in parts]
@@ -246,6 +294,80 @@ def elementwise_max(parts: Sequence[Tensor]) -> Tensor:
                 p.accumulate(g * (argmax == i))
 
     return Tensor(out, parents=tuple(parts), backward=bw)
+
+
+def columns(parts: Sequence[Tensor]) -> Tensor:
+    """Side-by-side stack of (H,) vectors (one column each) and (H, B)
+    batches: (H, total columns)."""
+    if not parts:
+        raise EmptyInput("columns of no tensors")
+    height = parts[0].shape[0]
+    offsets = [0]
+    for p in parts:
+        if p.data.ndim not in (1, 2) or p.shape[0] != height:
+            raise ShapeError(f"columns: {p.shape} next to height {height}")
+        offsets.append(offsets[-1] + (1 if p.data.ndim == 1 else p.shape[1]))
+    out = np.empty((height, offsets[-1]))
+    for p, lo, hi in zip(parts, offsets, offsets[1:]):
+        if p.data.ndim == 1:
+            out[:, lo] = p.data
+        else:
+            out[:, lo:hi] = p.data
+
+    def bw(g):
+        for p, lo, hi in zip(parts, offsets, offsets[1:]):
+            if p.requires_grad:
+                p.accumulate(g[:, lo] if p.data.ndim == 1 else g[:, lo:hi])
+
+    return Tensor(out, parents=tuple(parts), backward=bw)
+
+
+def gather(x: Tensor, index) -> Tensor:
+    """Columns of an (H, N) tensor: an int index gives that column as an
+    (H,) vector, a sequence of indices an (H, len(index)) batch.  Repeated
+    indices are allowed; their gradients add up in the source column."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"gather: needs an (H, N) tensor, got {x.shape}")
+    if not isinstance(index, (int, np.integer)):
+        index = np.asarray(index, dtype=np.intp)
+
+    def bw(g):
+        if x.requires_grad:
+            grad = np.zeros_like(x.data)
+            np.add.at(grad, (slice(None), index), g)
+            x.accumulate(grad)
+
+    return Tensor(x.data[:, index], parents=(x,), backward=bw)
+
+
+def segment_max(x: Tensor, starts: Sequence[int]) -> Tensor:
+    """Row-wise max over consecutive column segments of an (H, E) tensor;
+    segment s spans columns starts[s] up to starts[s + 1] (or E) and must
+    be non-empty.  The gradient routes to the argmax column per row, ties
+    resolved toward the lowest column, as in `elementwise_max`."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_max: needs an (H, E) tensor, got {x.shape}")
+    width = x.shape[1]
+    starts = np.asarray(starts, dtype=np.intp)
+    if not len(starts):
+        raise EmptyInput("segment_max of no segments")
+    bounds = np.append(starts, width)
+    if starts[0] != 0 or np.any(np.diff(bounds) <= 0):
+        raise ShapeError(f"segment_max: bad segment starts {starts.tolist()} "
+                         f"for {width} columns")
+    out = np.maximum.reduceat(x.data, starts, axis=1)
+
+    def bw(g):
+        if x.requires_grad:
+            segment = np.repeat(np.arange(len(starts)), np.diff(bounds))
+            is_max = x.data == out[:, segment]
+            first = np.minimum.reduceat(
+                np.where(is_max, np.arange(width), width), starts, axis=1)
+            grad = np.zeros_like(x.data)
+            np.put_along_axis(grad, first, g, axis=1)
+            x.accumulate(grad)
+
+    return Tensor(out, parents=(x,), backward=bw)
 
 
 def pack(scalars: Sequence[Tensor]) -> Tensor:
@@ -327,10 +449,12 @@ class GruCellParams:
 
 def gru_step(h: Tensor, x: Tensor, p: GruCellParams) -> Tensor:
     """z = s(Wz x + Uz h + bz); r = s(Wr x + Ur h + br);
-    hcand = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*hcand."""
-    z = sigmoid(add(add(matvec(p.wz, x), matvec(p.uz, h)), p.bz))
-    r = sigmoid(add(add(matvec(p.wr, x), matvec(p.ur, h)), p.br))
-    hcand = tanh(add(add(matvec(p.wh, x), matvec(p.uh, mul(r, h))), p.bh))
+    hcand = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*hcand.
+    h and x are (H,) vectors or (H, B) column batches."""
+    z = sigmoid(add_bias(add(matmul(p.wz, x), matmul(p.uz, h)), p.bz))
+    r = sigmoid(add_bias(add(matmul(p.wr, x), matmul(p.ur, h)), p.br))
+    hcand = tanh(add_bias(add(matmul(p.wh, x), matmul(p.uh, mul(r, h))),
+                          p.bh))
     one_minus_z = sub(constant(np.ones_like(z.data)), z)
     return add(mul(one_minus_z, h), mul(z, hcand))
 

@@ -89,23 +89,17 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    usages = []  # per item: (own candidate usage vectors, truth index)
-    truth_vecs = []
-    for item, enc in zip(batch, encoders):
-        ug = cache.graph(item)
-        vecs = [enc.usage_repr(ug, item.token, v) for v in item.candidates]
-        truth_idx = item.candidates.index(item.truth)
-        usages.append((vecs, truth_idx))
-        truth_vecs.append(vecs[truth_idx])
+    usages = [enc.usage_reprs(cache.graph(item), item.token, item.candidates)
+              for item, enc in zip(batch, encoders)]
+    truth_idx = [item.candidates.index(item.truth) for item in batch]
+    truth_vecs = [nn.gather(u, i) for u, i in zip(usages, truth_idx)]
 
     losses = []
     for i, (item, enc) in enumerate(zip(batch, encoders)):
-        c = enc.context_repr(item.token)
-        vecs, truth_idx = usages[i]
-        scored = [nn.dot(c, u) for u in vecs]
-        scored += [nn.dot(c, truth_vecs[j]) for j in range(len(batch))
-                   if j != i]
-        loss, _ = nn.softmax_xent(nn.pack(scored), truth_idx)
+        others = [truth_vecs[j] for j in range(len(batch)) if j != i]
+        scores = nn.dot(enc.context_repr(item.token),
+                        nn.columns([usages[i]] + others))
+        loss, _ = nn.softmax_xent(scores, truth_idx[i])
         losses.append(loss)
     total = nn.mean_of(losses) if len(losses) > 1 else losses[0]
     value = total.item()
@@ -122,8 +116,8 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
 def per_placeholder_accuracy(params: ModelParams,
                              items: Sequence[Item],
                              cache: Optional[ItemCache] = None) -> float:
-    """Fraction of items whose truth is the argmax over in-scope candidates,
-    every other placeholder held at truth; ties go to the lowest symbol id."""
+    """Fraction of items whose truth ranks first among in-scope candidates
+    (`Encoder.rank`), every other placeholder held at truth."""
     if not items:
         raise nn.EmptyInput("no items to evaluate")
     cache = cache if cache is not None else ItemCache()
@@ -131,14 +125,8 @@ def per_placeholder_accuracy(params: ModelParams,
     for item in items:
         enc = Encoder(params, item.instance.program,
                       placeholder_tokens=item.instance.placeholder_tokens)
-        ug = cache.graph(item)
-        c = enc.context_repr(item.token)
-        scores = [nn.dot(c, enc.usage_repr(ug, item.token, v)).item()
-                  for v in item.candidates]
-        best = min(range(len(item.candidates)),
-                   key=lambda i: (-scores[i], item.candidates[i]))
-        if item.candidates[best] == item.truth:
-            correct += 1
+        ranked = enc.rank(cache.graph(item), item.token, item.candidates)
+        correct += ranked[0][0] == item.truth
     return correct / len(items)
 
 

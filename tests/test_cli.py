@@ -203,6 +203,29 @@ class TestPaste:
                      workspace["model"]]) == 1
         assert "LINE:COL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("variant", None), ("hyper", None), ("types", None),
+        ("lexemes", None), ("variant", 3), ("hyper", [16]),
+        ("types", "int"), ("lexemes", [1, 2])])
+    def test_malformed_checkpoint_fails(self, workspace, tmp_path, capsys,
+                                        key, value):
+        with open(workspace["model"]) as f:
+            doc = json.load(f)
+        if value is None:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        target = tmp_path / "target.ml0"
+        snippet = tmp_path / "snippet.ml0"
+        target.write_text(TARGET)
+        snippet.write_text(SNIPPET)
+        assert main(["paste", "--target", str(target), "--snippet",
+                     str(snippet), "--at", "3:3", "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
 
 class TestDumps:
     def test_dump_dataflow(self, workspace, tmp_path, capsys):

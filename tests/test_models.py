@@ -8,11 +8,100 @@ import pytest
 from smartpaste import nn
 from smartpaste.dataflow import EPS, dataflow_uses
 from smartpaste.minilang import compile_source
-from smartpaste.minilang.checker import UNK_TYPE
-from smartpaste.models import (Encoder, Hyper, ModelParams, PAD, PLACEHOLDER,
-                               UNK, VARIANTS, VariantError, build_vocab,
-                               dump_usage_vectors)
+from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
+from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
+                               PAD, PLACEHOLDER, UNK, VARIANTS, VariantError,
+                               build_vocab, dump_usage_vectors)
 from smartpaste.taskgen import extract_instances
+
+from conftest import SUM_POSITIVE
+
+
+class PerVectorReference:
+    """The per-candidate forward over (H,) vectors that `usage_reprs`
+    batches: contexts one position at a time, chain GRUs one step at a time,
+    and the TreeGRU as a memoized recursion with element-wise max pooling.
+    Type representations come from the encoder (eval mode: no dropout)."""
+
+    def __init__(self, enc):
+        self.enc, self.p, self.hyper = enc, enc.params, enc.hyper
+        self.zero = nn.constant(np.zeros(self.hyper.hidden))
+        self.ctx = {}
+
+    def context(self, t):
+        if t == EPS:
+            return self.zero
+        if t not in self.ctx:
+            c, p = self.hyper.window, self.p
+            prev = [self.enc.token_repr(t - c + i) for i in range(c)]
+            nxt = [self.enc.token_repr(t + 1 + i) for i in range(c)]
+            if p.pos_prev is not None:
+                fp = nn.matmul(p.pos_prev[0], prev[0])
+                for i in range(1, c):
+                    fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
+                fn = nn.matmul(p.pos_next[0], nxt[0])
+                for i in range(1, c):
+                    fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
+            else:
+                fp = self.zero
+                for x in prev:
+                    fp = nn.gru_step(fp, x, p.ctx_gru_prev)
+                fn = self.zero
+                for x in reversed(nxt):
+                    fn = nn.gru_step(fn, x, p.ctx_gru_next)
+            self.ctx[t] = nn.matmul(p.w_c, nn.concat([fp, fn]))
+        return self.ctx[t]
+
+    def tree(self, ug, t, v, direction, cell):
+        rel = ug.din if direction == "prev" else ug.dout
+        leaf = self.enc.type_embed(v)
+        memo = {}
+
+        def state(pos, depth):
+            if depth <= 0 or pos == EPS:
+                return leaf
+            children = sorted(rel(pos, v))
+            if not children:
+                return leaf
+            if (pos, depth) not in memo:
+                memo[(pos, depth)] = nn.elementwise_max([
+                    nn.gru_step(state(child, depth - 1), self.context(child),
+                                cell)
+                    for child in children])
+            return memo[(pos, depth)]
+
+        return state(t, self.hyper.tree_depth)
+
+    def avgg(self, ug, t, v):
+        chain = self.enc._lex_chain(ug, t, v, "prev") \
+            + self.enc._lex_chain(ug, t, v, "next")
+        base = self.enc.type_embed(v)
+        if not chain:
+            return base
+        return nn.add(base, nn.mean_of([self.context(x) for x in chain]))
+
+    def grug(self, ug, t, v):
+        hp = hn = self.enc.type_embed(v)
+        for x in self.enc._lex_chain(ug, t, v, "prev"):
+            hp = nn.gru_step(hp, self.context(x), self.p.seq_gru_prev)
+        for x in self.enc._lex_chain(ug, t, v, "next"):
+            hn = nn.gru_step(hn, self.context(x), self.p.seq_gru_next)
+        return nn.matmul(self.p.w_gru, nn.concat([hp, hn]))
+
+    def grud(self, ug, t, v):
+        p = self.p
+        return nn.matmul(p.w_d, nn.concat([
+            self.tree(ug, t, v, "prev", p.tree_gru_prev),
+            self.tree(ug, t, v, "next", p.tree_gru_next)]))
+
+    def usage(self, ug, t, v):
+        variant = self.p.variant
+        if variant == "loc":
+            return self.enc.type_embed(v)
+        if variant == "hybrid":
+            return nn.matmul(self.p.w_h, nn.concat([self.avgg(ug, t, v),
+                                                    self.grud(ug, t, v)]))
+        return getattr(self, variant)(ug, t, v)
 
 LATTICE_SRC = """\
 type Base;
@@ -187,10 +276,135 @@ class TestVariants:
         enc = Encoder(params, prog)
         sid = prog.tokens[use].symbol
         u = enc.usage_repr(ug, use, sid)
-        manual = nn.matvec(params.w_h,
-                           nn.concat([enc._avgg(ug, use, sid),
-                                      enc._grud(ug, use, sid)]))
+        ref = PerVectorReference(enc)
+        manual = nn.matmul(params.w_h, nn.concat([ref.avgg(ug, use, sid),
+                                                  ref.grud(ug, use, sid)]))
         assert np.allclose(u.data, manual.data)
+
+
+# a loop with a branch, and two identical assignments whose definitions
+# both reach the final use (with zero context weights: equal child states)
+BATCH_PROGRAMS = [SUM_POSITIVE, """\
+int g(int a, int b, int n) {
+  int i = 0;
+  while (i < n) {
+    if (a > b) { a = a - b; } else { a = a - b; }
+    b = b + i;
+    i++;
+  }
+  return a + b;
+}
+"""]
+
+
+def _placeholder_views(src):
+    """(program, use graph with the token unbound, token, candidates) for
+    every non-defining variable use."""
+    prog = compile_source(src)
+    for tok in prog.tokens:
+        if tok.symbol is not None and not tok.is_def:
+            ug = dataflow_uses(prog, override={tok.index: None})
+            yield prog, ug, tok.index, sorted(vars_in_scope(prog, tok.index))
+
+
+def _grads(params, loss):
+    tensors = params.tensors()
+    for t in tensors:
+        t.zero_grad()
+    loss.backward()
+    out = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+           for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+    return out
+
+
+class TestBatchedUsage:
+    """`usage_reprs` over K candidates against K single-candidate calls and
+    against the per-vector recursion, values and gradients."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("depth", [1, 8])
+    @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("src", BATCH_PROGRAMS,
+                             ids=["sum_positive", "twin_defs"])
+    def test_matches_single_and_reference(self, src, variant, ctx_kind,
+                                          depth):
+        views = list(_placeholder_views(src))
+        types = ["int", "int[]"]
+        lexemes = sorted({t.text for t in views[0][0].tokens})
+        params = ModelParams(variant, Hyper(hidden=6, tree_depth=depth,
+                                            context_encoder=ctx_kind),
+                             types, lexemes, seed=3)
+        if src is not SUM_POSITIVE:
+            params.w_c.data[...] = 0.0  # every context is the zero vector
+        rng = np.random.default_rng(0)
+        for prog, ug, t, cands in views[::2]:
+            probe = nn.constant(rng.normal(size=6))
+            weights = nn.constant(rng.normal(size=len(cands)))
+
+            enc = Encoder(params, prog, placeholder_tokens=[t])
+            batched = enc.usage_reprs(ug, t, cands)
+            assert batched.shape == (6, len(cands))
+            g_batched = _grads(params, nn.dot(nn.dot(probe, batched),
+                                              weights))
+
+            enc = Encoder(params, prog, placeholder_tokens=[t])
+            singles = [enc.usage_repr(ug, t, v) for v in cands]
+            g_singles = _grads(params, nn.dot(
+                nn.pack([nn.dot(probe, u) for u in singles]), weights))
+
+            enc = Encoder(params, prog, placeholder_tokens=[t])
+            ref = PerVectorReference(enc)
+            reference = [ref.usage(ug, t, v) for v in cands]
+            g_reference = _grads(params, nn.dot(
+                nn.pack([nn.dot(probe, u) for u in reference]), weights))
+
+            want = np.stack([u.data for u in reference], axis=1)
+            assert np.abs(batched.data - want).max() <= self.TOL
+            assert np.abs(np.stack([u.data for u in singles], axis=1)
+                          - want).max() <= self.TOL
+            for a, b, c in zip(g_batched, g_singles, g_reference):
+                assert np.abs(a - c).max() <= self.TOL
+                assert np.abs(b - c).max() <= self.TOL
+
+    def test_equal_children_tie(self):
+        """With zero context weights every reaching definition of `a` at
+        the final use is a child with the same state (a GRU step from the
+        same leaf on a zero context): the segment max ties in every row,
+        and values and gradients still match the per-vector max."""
+        prog = compile_source(BATCH_PROGRAMS[1])
+        use = max(t.index for t in prog.tokens if t.text == "a")
+        a = prog.tokens[use].symbol
+        ug = dataflow_uses(prog)
+        assert len(ug.din(use, a)) >= 2
+        params = ModelParams("grud", Hyper(hidden=6, tree_depth=1),
+                             ["int"], [], seed=3)
+        params.w_c.data[...] = 0.0
+        batched = Encoder(params, prog).usage_repr(ug, use, a)
+        reference = PerVectorReference(Encoder(params, prog)).usage(
+            ug, use, a)
+        assert np.abs(batched.data - reference.data).max() <= self.TOL
+        got = _grads(params, nn.dot(nn.constant(np.ones(6)), batched))
+        want = _grads(params, nn.dot(nn.constant(np.ones(6)), reference))
+        for x, y in zip(got, want):
+            assert np.abs(x - y).max() <= self.TOL
+
+    def test_rank_orders_by_probability_then_symbol(self):
+        prog = compile_source(
+            "int f(int a, int b) { int c = a + b; return c; }")
+        use = next(t.index for t in prog.tokens
+                   if t.symbol is not None and not t.is_def)
+        params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
+        enc = Encoder(params, prog, placeholder_tokens=[use])
+        ug = dataflow_uses(prog, override={use: None})
+        cands = [s.id for s in reversed(prog.symbols)]
+        ranked = enc.rank(ug, use, cands)
+        # every candidate is an int: equal scores, so symbol order
+        assert [s for s, _ in ranked] == sorted(cands)
+        assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
 
 
 class TestPersistence:

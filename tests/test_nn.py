@@ -44,7 +44,7 @@ class TestOpGradients:
     def test_matvec_dot_concat(self):
         w, x, y = RNG.normal(size=(4, 5)), RNG.normal(size=5), \
             RNG.normal(size=4)
-        gradcheck(lambda p: nn.dot(nn.matvec(p[0], p[1]), p[2]), [w, x, y])
+        gradcheck(lambda p: nn.dot(nn.matmul(p[0], p[1]), p[2]), [w, x, y])
         gradcheck(lambda p: nn.dot(nn.concat([p[1], p[2]]),
                                    nn.concat([p[2], p[1]])), [w, x, y])
 
@@ -98,6 +98,116 @@ class TestOpGradients:
         gradcheck(build, arrays)
 
 
+class TestBatchedOps:
+    """The column-batch ops the encoders use, (H, B) with one example per
+    column, against central differences and against per-column calls."""
+
+    def test_matmul_batch_gradient(self):
+        w, x, y = RNG.normal(size=(4, 3)), RNG.normal(size=(3, 5)), \
+            RNG.normal(size=(4, 5))
+        gradcheck(lambda p: _total(nn.mul(nn.matmul(p[0], p[1]), p[2])),
+                  [w, x, y])
+
+    def test_add_bias_broadcasts(self):
+        x, b = RNG.normal(size=(3, 4)), RNG.normal(size=3)
+        weights = RNG.normal(size=(3, 4))
+        gradcheck(lambda p: _total(nn.mul(nn.add_bias(p[0], p[1]),
+                                          nn.constant(weights))), [x, b])
+        got = nn.add_bias(nn.constant(x), nn.constant(b)).data
+        assert np.array_equal(got, x + b[:, None])
+
+    def test_dot_against_columns(self):
+        a, m = RNG.normal(size=4), RNG.normal(size=(4, 3))
+        gradcheck(lambda p: nn.dot(nn.dot(p[0], p[1]),
+                                   nn.constant(np.array([0.3, -1.0, 2.0]))),
+                  [a, m])
+
+    def test_columns_gradient(self):
+        a, b = RNG.normal(size=3), RNG.normal(size=(3, 2))
+        weights = RNG.normal(size=(3, 4))
+        gradcheck(lambda p: _total(nn.mul(nn.columns([p[0], p[1], p[0]]),
+                                          nn.constant(weights))), [a, b])
+        with pytest.raises(nn.ShapeError):
+            nn.columns([nn.constant(np.zeros(3)), nn.constant(np.zeros(2))])
+
+    def test_gather_repeated_indices_accumulate(self):
+        x = RNG.normal(size=(3, 4))
+        weights = RNG.normal(size=(3, 5))
+        index = [2, 0, 2, 2, 1]
+        gradcheck(lambda p: _total(nn.mul(nn.gather(p[0], index),
+                                          nn.constant(weights))), [x])
+        src = nn.parameter(x.copy())
+        _total(nn.gather(src, index)).backward()
+        assert src.grad[:, 2].tolist() == [3.0, 3.0, 3.0]
+        assert src.grad[:, 3].tolist() == [0.0, 0.0, 0.0]
+        column = nn.gather(nn.constant(x), 1)
+        assert column.shape == (3,) and np.array_equal(column.data, x[:, 1])
+
+    def test_segment_max_gradient(self):
+        x = RNG.normal(size=(3, 6))
+        weights = RNG.normal(size=(3, 3))
+        gradcheck(lambda p: _total(nn.mul(nn.segment_max(p[0], [0, 2, 3]),
+                                          nn.constant(weights))), [x])
+        got = nn.segment_max(nn.constant(x), [0, 2, 3]).data
+        want = np.stack([x[:, 0:2].max(axis=1), x[:, 2],
+                         x[:, 3:].max(axis=1)], axis=1)
+        assert np.array_equal(got, want)
+
+    def test_segment_max_tie_goes_to_first(self):
+        x = nn.parameter(np.array([[2.0, 2.0, 1.0, 5.0],
+                                   [1.0, 3.0, 3.0, 5.0]]))
+        _total(nn.segment_max(x, [0, 3])).backward()
+        assert x.grad.tolist() == [[1.0, 0.0, 0.0, 1.0],
+                                   [0.0, 1.0, 0.0, 1.0]]
+
+    def test_segment_max_matches_elementwise_max(self):
+        parts = [RNG.normal(size=4) for _ in range(3)]
+        parts[2] = parts[0].copy()  # a tie with the first part
+        vecs = [nn.parameter(p.copy()) for p in parts]
+        nn.dot(nn.elementwise_max(vecs), nn.constant(np.ones(4))).backward()
+        batch = nn.parameter(np.stack(parts, axis=1))
+        _total(nn.segment_max(batch, [0])).backward()
+        for j, v in enumerate(vecs):
+            assert np.array_equal(batch.grad[:, j], v.grad)
+
+    def test_segment_max_rejects_empty_segments(self):
+        x = nn.constant(np.zeros((2, 3)))
+        for starts in ([0, 0, 2], [1], [0, 3], []):
+            with pytest.raises((nn.ShapeError, nn.EmptyInput)):
+                nn.segment_max(x, starts)
+
+    def test_gru_step_batch_matches_columns(self):
+        rng = np.random.default_rng(1)
+        cell = nn.GruCellParams(rng, 3, 3, "g")
+        h, x = RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))
+        batch = nn.gru_step(nn.constant(h), nn.constant(x), cell).data
+        for j in range(4):
+            one = nn.gru_step(nn.constant(h[:, j]), nn.constant(x[:, j]),
+                              cell).data
+            assert np.abs(batch[:, j] - one).max() <= 1e-15
+
+    def test_gru_step_batch_gradient(self):
+        rng = np.random.default_rng(0)
+        cell = nn.GruCellParams(rng, 3, 3, "g")
+        h, x = RNG.normal(size=(3, 2)), RNG.normal(size=(3, 2))
+        arrays = [h, x] + [t.data.copy() for t in cell.tensors()]
+        weights = RNG.normal(size=(3, 2))
+
+        def build(p):
+            c = nn.GruCellParams.__new__(nn.GruCellParams)
+            (c.wz, c.uz, c.bz, c.wr, c.ur, c.br, c.wh, c.uh, c.bh) = p[2:]
+            return _total(nn.mul(nn.gru_step(p[0], p[1], c),
+                                 nn.constant(weights)))
+
+        gradcheck(build, arrays)
+
+
+def _total(x):
+    """Sum of every entry of a (H, B) tensor, as a scalar tensor."""
+    rows = nn.dot(nn.constant(np.ones(x.shape[0])), x)
+    return nn.dot(rows, nn.constant(np.ones(rows.shape[0])))
+
+
 class TestOpSemantics:
     def test_softmax_probs_sum_to_one(self):
         p = nn.softmax_probs(RNG.normal(size=9) * 50)
@@ -131,7 +241,7 @@ class TestOpSemantics:
         with pytest.raises(nn.ShapeError):
             nn.add(nn.constant(np.zeros(2)), nn.constant(np.zeros(3)))
         with pytest.raises(nn.ShapeError):
-            nn.matvec(nn.constant(np.zeros((2, 3))), nn.constant(np.zeros(2)))
+            nn.matmul(nn.constant(np.zeros((2, 3))), nn.constant(np.zeros(2)))
         with pytest.raises(nn.ShapeError):
             nn.constant(np.zeros(3)).backward()  # non-scalar output
 
