@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Dict, List, Optional
 
@@ -20,7 +19,7 @@ from .minilang import compile_source
 from .minilang.checker import CheckError
 from .minilang.lexer import LexError
 from .minilang.parser import ParseError
-from .models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper, ModelParams,
+from .models import (CONTEXT_ENCODERS, VARIANTS, Hyper, ModelParams,
                      VariantError, build_vocab, dump_usage_vectors)
 
 
@@ -285,13 +284,12 @@ def _cmd_dump_usage_vectors(args) -> int:
     instances = taskgen.read_instances(args.data)
     if args.limit is not None:
         instances = instances[:args.limit]
-    for inst in instances:
-        enc = Encoder(params, inst.program,
-                      placeholder_tokens=inst.placeholder_tokens)
-        ug = dataflow_uses(inst.program)
-        pairs = [(ph.token_index, v)
-                 for ph in inst.placeholders for v in ph.candidates]
-        print(dump_usage_vectors(enc, ug, inst.instance_id, pairs))
+    cache = training.ItemCache()
+    for item, enc in training.instance_encoders(
+            params, training.make_items(instances)):
+        pairs = [(item.token, v) for v in item.candidates]
+        print(dump_usage_vectors(enc, cache.graph(item),
+                                 item.instance.instance_id, pairs))
     return 0
 
 

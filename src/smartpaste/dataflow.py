@@ -1,25 +1,24 @@
-"""Control-flow graphs, lexical/data-flow usage relations, and the bounded
-context trees consumed by the usage encoders.
+"""Control-flow graphs and the lexical/data-flow usage relations consumed by
+the usage encoders.
 
 The data-flow relations are "may" relations over execution paths: for a token
 t and variable v, df_in(t, v) holds every occurrence of v that can be the most
 recent one on some path reaching t (EPS when some path carries no prior
-occurrence); df_out is the forward mirror.  Computed by a standard fixed-point
-over the CFG with transfer "an occurrence of v replaces the running set" and
-join by union.
+occurrence); df_out is the forward mirror.  Computed per symbol by a standard
+fixed point over the CFG with transfer "an occurrence of v replaces the
+running set" and join by union.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .minilang import ast
 from .minilang.checker import TypedProgram
 
 EPS = -1  # pseudo-token: no prior/next use on some path
-
-OccFn = Callable[[int], Optional[int]]
 
 
 @dataclass
@@ -143,23 +142,25 @@ class UseGraph:
     program under a fixed occurrence map."""
 
     occ: Dict[int, int]                      # token -> symbol at that token
-    occurrences: Dict[int, List[int]]        # symbol -> sorted token indices
     df_in: Dict[Tuple[int, int], FrozenSet[int]] = field(default_factory=dict)
     df_out: Dict[Tuple[int, int], FrozenSet[int]] = field(default_factory=dict)
+    # symbol -> sorted token indices, derived from occ
+    occurrences: Dict[int, List[int]] = field(init=False)
+
+    def __post_init__(self):
+        self.occurrences = {}
+        for t in sorted(self.occ):
+            self.occurrences.setdefault(self.occ[t], []).append(t)
 
     def lex_prev(self, t: int, v: int) -> Optional[int]:
-        prev = None
-        for o in self.occurrences.get(v, ()):
-            if o >= t:
-                break
-            prev = o
-        return prev
+        occ = self.occurrences.get(v, ())
+        i = bisect_left(occ, t)
+        return occ[i - 1] if i else None
 
     def lex_next(self, t: int, v: int) -> Optional[int]:
-        for o in self.occurrences.get(v, ()):
-            if o > t:
-                return o
-        return None
+        occ = self.occurrences.get(v, ())
+        i = bisect_right(occ, t)
+        return occ[i] if i < len(occ) else None
 
     def din(self, t: int, v: int) -> FrozenSet[int]:
         return self.df_in.get((t, v), frozenset())
@@ -193,125 +194,63 @@ def _function_symbols(program: TypedProgram, fn: ast.FunctionDef) -> List[int]:
 
 
 def dataflow_uses(program: TypedProgram,
-                  override: Optional[Dict[int, Optional[int]]] = None,
-                  cfgs: Optional[Dict[str, Cfg]] = None) -> UseGraph:
+                  override: Optional[Dict[int, Optional[int]]] = None
+                  ) -> UseGraph:
     """Fixed-point may-analysis over every function's CFG.  `override`
-    rebinds placeholder tokens; `cfgs` lets callers reuse prebuilt CFGs
-    (the CFG does not depend on placeholder assignments)."""
+    rebinds placeholder tokens."""
     occ = occurrence_map(program, override)
-    occurrences: Dict[int, List[int]] = {}
-    for t, v in occ.items():
-        occurrences.setdefault(v, []).append(t)
-    for v in occurrences:
-        occurrences[v].sort()
-    ug = UseGraph(occ=occ, occurrences=occurrences)
-
+    ug = UseGraph(occ=occ)
     for fn in program.ast.functions:
-        cfg = cfgs[fn.name] if cfgs else build_cfg(program, fn)
+        cfg = build_cfg(program, fn)
+        preds = cfg.preds
         syms = _function_symbols(program, fn)
-        _solve(cfg, occ, syms, ug, forward=True)
-        _solve(cfg, occ, syms, ug, forward=False)
+        tokens = [n.tokens for n in cfg.nodes]
+        _solve(tokens, preds, cfg.succs, cfg.entry, occ, syms, ug.df_in)
+        _solve([ts[::-1] for ts in tokens], cfg.succs, preds, cfg.exit,
+               occ, syms, ug.df_out)
     return ug
 
 
-def _solve(cfg: Cfg, occ: Dict[int, int], syms: List[int], ug: UseGraph,
-           forward: bool):
-    """One direction of the may-analysis, recording the per-token sets."""
-    if forward:
-        edges_in = cfg.preds
-        seed_node = cfg.entry
-    else:
-        edges_in = cfg.succs
-        seed_node = cfg.exit
-
-    node_tokens = {n.id: (n.tokens if forward else list(reversed(n.tokens)))
-                   for n in cfg.nodes}
-
-    def transfer(nid: int, state: Dict[int, FrozenSet[int]]):
-        state = dict(state)
-        for t in node_tokens[nid]:
-            v = occ.get(t)
-            if v is not None and v in state:
-                state[v] = frozenset([t])
-        return state
-
-    seed = {v: frozenset([EPS]) for v in syms}
-    empty = {v: frozenset() for v in syms}
-    out_state = {n.id: (dict(seed) if n.id == seed_node else dict(empty))
-                 for n in cfg.nodes}
-    out_state[seed_node] = transfer(seed_node, seed)
-
-    changed = True
-    while changed:
-        changed = False
-        for n in cfg.nodes:
-            if n.id == seed_node:
-                continue
-            merged = {v: frozenset().union(
-                *[out_state[p][v] for p in edges_in[n.id]] or [frozenset()])
-                for v in syms}
-            new = transfer(n.id, merged)
-            if new != out_state[n.id]:
-                out_state[n.id] = new
-                changed = True
-
-    # final recording pass: walk each node once more from its joined input
-    target = ug.df_in if forward else ug.df_out
-    for n in cfg.nodes:
-        if n.id == seed_node:
-            state = dict(seed)
-        else:
-            state = {v: frozenset().union(
-                *[out_state[p][v] for p in edges_in[n.id]] or [frozenset()])
-                for v in syms}
-        for t in node_tokens[n.id]:
-            for v in syms:
-                target[(t, v)] = state[v]
-            v = occ.get(t)
-            if v is not None and v in state:
-                state[v] = frozenset([t])
-
-
-@dataclass
-class ContextTree:
-    """Bounded unrolling of the data-flow relation from one position.
-
-    Children are (token, subtree) pairs; an EPS child is a leaf marking a
-    path with no further use in that direction."""
-
-    root_children: List[Tuple[int, "ContextTree"]] = field(default_factory=list)
-    depth_budget: int = 0
-
-    def all_tokens(self) -> List[int]:
-        out = []
-        for t, sub in self.root_children:
-            if t != EPS:
-                out.append(t)
-            out.extend(sub.all_tokens())
-        return out
-
-    def max_depth(self) -> int:
-        if not self.root_children:
-            return 0
-        return 1 + max(sub.max_depth() for _, sub in self.root_children)
-
-
-def context_tree(usegraph: UseGraph, t: int, v: int, direction: str,
-                 depth: int) -> ContextTree:
-    """Tree of data-flow predecessors (direction="prev") or successors
-    ("next") of v around t, unrolled to `depth`.  t itself is never a node."""
-    assert direction in ("prev", "next")
-    rel = usegraph.din if direction == "prev" else usegraph.dout
-
-    def expand(pos: int, budget: int) -> ContextTree:
-        tree = ContextTree(depth_budget=budget)
-        if budget <= 0 or pos == EPS:
-            return tree
-        for child in sorted(rel(pos, v)):
-            tree.root_children.append((child, expand(child, budget - 1)))
-        return tree
-
-    return expand(t, depth)
+def _solve(node_tokens: List[List[int]], edges_in: Dict[int, List[int]],
+           edges_out: Dict[int, List[int]], seed_node: int,
+           occ: Dict[int, int], syms: List[int],
+           target: Dict[Tuple[int, int], FrozenSet[int]]):
+    """One direction of the may-analysis, one symbol at a time, recording
+    the set that reaches every token; `node_tokens` lists each node's
+    tokens in walk order.  A node holding an occurrence of v passes on its
+    last one; any other node passes on the union of what enters it; the
+    seed node is entered by EPS."""
+    last_in_node: List[Dict[int, int]] = []
+    for tokens in node_tokens:
+        last: Dict[int, int] = {}
+        for t in tokens:
+            if t in occ:
+                last[occ[t]] = t
+        last_in_node.append(last)
+    eps = frozenset([EPS])
+    for v in syms:
+        out = [frozenset([last[v]]) if v in last else frozenset()
+               for last in last_in_node]
+        if v not in last_in_node[seed_node]:
+            out[seed_node] = eps
+        work = [n for n, last in enumerate(last_in_node)
+                if v in last or n == seed_node]
+        while work:
+            n = work.pop()
+            for s in edges_out[n]:
+                if v in last_in_node[s]:
+                    continue
+                joined = out[s] | out[n]
+                if joined != out[s]:
+                    out[s] = joined
+                    work.append(s)
+        for n, tokens in enumerate(node_tokens):
+            state = eps if n == seed_node else \
+                frozenset().union(*[out[p] for p in edges_in[n]])
+            for t in tokens:
+                target[(t, v)] = state
+                if occ.get(t) == v:
+                    state = frozenset([t])
 
 
 def lexical_chain(usegraph: UseGraph, t: int, v: int

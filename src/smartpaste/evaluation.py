@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .infer import icm
-from .models import Encoder, ModelParams
+from .models import ModelParams
 from .taskgen import TaskInstance
 
 
@@ -50,15 +50,13 @@ def eval_per_placeholder(params: ModelParams,
                          instances: Sequence[TaskInstance]) -> MetricsReport:
     """Each placeholder ranked independently with every other placeholder
     held at its true symbol."""
-    from .train import ItemCache, make_items
+    from .train import ItemCache, instance_encoders, make_items
     cache = ItemCache()
     items = make_items(instances)
     if not items:
         raise NoDecisions("no placeholders to evaluate")
     hits = mrr = typed = 0.0
-    for item in items:
-        enc = Encoder(params, item.instance.program,
-                      placeholder_tokens=item.instance.placeholder_tokens)
+    for item, enc in instance_encoders(params, items):
         ranked = enc.rank(cache.graph(item), item.token, item.candidates)
         rank = _rank_of(ranked, item.truth)
         hits += rank == 1
@@ -178,16 +176,14 @@ def eval_same_type(params: ModelParams, instances: Sequence[TaskInstance]
     ranking happens within the same-type set only, exact score ties earn
     expected chance credit, and each top choice contributes a
     confidence-weighted decision to the PR summary."""
-    from .train import ItemCache, make_items
+    from .train import ItemCache, instance_encoders, make_items
     cache = ItemCache()
     hits = mrr = 0.0
     decisions: List[Decision] = []
-    for item in make_items(instances):
+    for item, enc in instance_encoders(params, make_items(instances)):
         ph = item.instance.placeholders[item.placeholder]
         if len(ph.same_type_candidates) < 2:
             continue
-        enc = Encoder(params, item.instance.program,
-                      placeholder_tokens=item.instance.placeholder_tokens)
         ranked = enc.rank(cache.graph(item), item.token,
                           ph.same_type_candidates)
         credit, rr = _tie_credit(ranked, item.truth)

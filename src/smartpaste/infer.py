@@ -8,11 +8,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .dataflow import Cfg, build_cfg, dataflow_uses
+from .dataflow import dataflow_uses
 from .minilang import ast
 from .minilang.checker import (CheckError, TypedProgram, check,
                                vars_in_scope)
-from .minilang.lexer import Token, tokenize
+from .minilang.lexer import reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
 from .models import Encoder, ModelParams
 from .taskgen import Placeholder, TaskInstance
@@ -36,14 +36,8 @@ class Assignment:
     rankings: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
 
 
-def _instance_cfgs(inst: TaskInstance) -> Dict[str, Cfg]:
-    return {fn.name: build_cfg(inst.program, fn)
-            for fn in inst.program.ast.functions}
-
-
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
-                context_assignment: Dict[int, int],
-                cfgs: Optional[Dict[str, Cfg]] = None
+                context_assignment: Dict[int, int]
                 ) -> List[Tuple[int, float]]:
     """Candidates ranked by conditional probability with every other
     placeholder bound per context_assignment; the usage relations are
@@ -55,20 +49,19 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
         if other.token_index != t:
             override[other.token_index] = \
                 context_assignment[other.token_index]
-    ug = dataflow_uses(inst.program, override=override, cfgs=cfgs)
+    ug = dataflow_uses(inst.program, override=override)
     return encoder.rank(ug, t, ph.candidates)
 
 
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
-                   mapping: Dict[int, int],
-                   cfgs: Optional[Dict[str, Cfg]] = None
+                   mapping: Dict[int, int]
                    ) -> Tuple[float, Dict[int, List[Tuple[int, float]]]]:
     """Pseudo-log-likelihood: sum over placeholders of the log conditional
     probability of the assigned symbol given all the others."""
     total = 0.0
     rankings = {}
     for ph in inst.placeholders:
-        ranked = rank_single(inst, encoder, ph, mapping, cfgs=cfgs)
+        ranked = rank_single(inst, encoder, ph, mapping)
         rankings[ph.token_index] = ranked
         prob = dict(ranked)[mapping[ph.token_index]]
         total += math.log(max(prob, 1e-300))
@@ -76,12 +69,11 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
 
 
 def _independent_init(inst: TaskInstance, encoder: Encoder,
-                      phs: List[Placeholder],
-                      cfgs: Dict[str, Cfg]) -> Dict[int, int]:
+                      phs: List[Placeholder]) -> Dict[int, int]:
     """Each placeholder's argmax with every placeholder unbound; ties break
     toward the lowest symbol id."""
     override: Dict[int, Optional[int]] = {p.token_index: None for p in phs}
-    ug = dataflow_uses(inst.program, override=override, cfgs=cfgs)
+    ug = dataflow_uses(inst.program, override=override)
     init: Dict[int, int] = {}
     for ph in phs:
         init[ph.token_index] = encoder.rank(ug, ph.token_index,
@@ -108,27 +100,26 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     if encoder is None:
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-    cfgs = _instance_cfgs(inst)
     phs = sorted(inst.placeholders, key=lambda p: p.token_index)
     best: Optional[Assignment] = None
     for attempt in range(max(restarts, 1)):
         if attempt == 0:
-            mapping = _independent_init(inst, encoder, phs, cfgs)
+            mapping = _independent_init(inst, encoder, phs)
         else:
             mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
-        total, rankings = total_log_prob(inst, encoder, mapping, cfgs=cfgs)
+        total, rankings = total_log_prob(inst, encoder, mapping)
         restart_trace: List[float] = []
         for _sweep in range(max_sweeps):
             changed = False
             for ph in phs:
                 t = ph.token_index
-                ranked = rank_single(inst, encoder, ph, mapping, cfgs=cfgs)
+                ranked = rank_single(inst, encoder, ph, mapping)
                 top = ranked[0][0]
                 if mapping[t] != top:
                     previous = mapping[t]
                     mapping[t] = top
                     new_total, new_rankings = total_log_prob(
-                        inst, encoder, mapping, cfgs=cfgs)
+                        inst, encoder, mapping)
                     if new_total >= total:
                         total, rankings = new_total, new_rankings
                         changed = True
@@ -206,9 +197,7 @@ def _splice_source(program: TypedProgram, snippet_source: str,
         if tok.index == anchor_tok.index:
             break
         offset += len(tok.text)
-    original = "".join(t.leading + t.text for t in program.tokens)
-    if hasattr(program.tokens[-1], "trailing"):
-        original += program.tokens[-1].trailing  # type: ignore[attr-defined]
+    original = reconstruct(program.tokens)
     text = snippet_source.strip()
     return original[:offset] + text + "\n" + original[offset:], \
         (offset, offset + len(text))
@@ -290,13 +279,6 @@ def paste(target_source: str, snippet_source: str, line: int, col: int,
     inst = make_paste_instance(target_source, snippet_source, line, col)
     best = icm(inst, params, restarts=restarts, max_sweeps=max_sweeps,
                rng=random.Random(seed))
-    texts = []
-    for tok in inst.program.tokens:
-        text = tok.text
-        if tok.index in best.mapping:
-            text = inst.program.symbol(best.mapping[tok.index]).name
-        texts.append(tok.leading + text)
-    rewritten = "".join(texts)
-    if hasattr(inst.program.tokens[-1], "trailing"):
-        rewritten += inst.program.tokens[-1].trailing  # type: ignore[attr-defined]
-    return rewritten, best, inst
+    names = {t: inst.program.symbol(sid).name
+             for t, sid in best.mapping.items()}
+    return reconstruct(inst.program.tokens, names), best, inst

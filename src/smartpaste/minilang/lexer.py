@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 KEYWORDS = {
     "int", "bool", "string", "true", "false", "if", "else", "while", "for",
@@ -29,7 +29,8 @@ class LexError(Exception):
 @dataclass
 class Token:
     """One lexeme.  `leading` holds the whitespace/comments preceding it so
-    that concatenating leading+text over all tokens reproduces the source."""
+    that concatenating leading+text over all tokens, plus the last token's
+    `trailing`, reproduces the source."""
 
     index: int
     text: str
@@ -39,6 +40,7 @@ class Token:
     leading: str = ""
     symbol: Optional[int] = field(default=None, compare=False)
     is_def: bool = field(default=False, compare=False)
+    trailing: str = field(default="", compare=False)
 
     def __repr__(self):
         return f"Token({self.index}, {self.text!r}, {self.kind})"
@@ -129,17 +131,16 @@ def tokenize(source: str) -> List[Token]:
         i += len(text)
 
     if tokens:
-        # trailing trivia is dropped from tokens; keep it reconstructible
-        tokens[-1].trailing = "".join(pending)  # type: ignore[attr-defined]
+        tokens[-1].trailing = "".join(pending)
     return tokens
 
 
-def reconstruct(tokens: List[Token]) -> str:
-    """Inverse of tokenize up to trailing trivia on the last token."""
-    parts = []
-    for t in tokens:
-        parts.append(t.leading)
-        parts.append(t.text)
-    if tokens and hasattr(tokens[-1], "trailing"):
-        parts.append(tokens[-1].trailing)  # type: ignore[attr-defined]
+def reconstruct(tokens: List[Token],
+                names: Optional[Dict[int, str]] = None) -> str:
+    """Inverse of tokenize; `names` (token index -> text) rewrites the
+    tokens it maps, trivia kept."""
+    names = names or {}
+    parts = [t.leading + names.get(t.index, t.text) for t in tokens]
+    if tokens:
+        parts.append(tokens[-1].trailing)
     return "".join(parts)

@@ -54,12 +54,7 @@ def oracle_dataflow(program: TypedProgram, loop_bound: int = 3,
     """df_in/df_out by exhaustive path enumeration: the union over enumerated
     executions of the most recent (resp. next) occurrence at each token."""
     occ = occurrence_map(program, override)
-    occurrences: Dict[int, List[int]] = {}
-    for t, v in occ.items():
-        occurrences.setdefault(v, []).append(t)
-    for v in occurrences:
-        occurrences[v].sort()
-    ug = UseGraph(occ=occ, occurrences=occurrences)
+    ug = UseGraph(occ=occ)
 
     for fn in program.ast.functions:
         cfg = build_cfg(program, fn)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .minilang import ast
 from .minilang.checker import TypeLattice, TypedProgram, check, vars_in_scope
@@ -166,16 +166,6 @@ def write_instances(instances: List[TaskInstance], path: str):
 def read_instances(path: str) -> List[TaskInstance]:
     with open(path) as f:
         return [instance_from_json(line) for line in f if line.strip()]
-
-
-def resubstitute(inst: TaskInstance, assignment: Dict[int, int]) -> List[str]:
-    """Token texts after writing an assignment's variable names back into the
-    placeholder positions."""
-    texts = [t.text for t in inst.program.tokens]
-    for ph in inst.placeholders:
-        sid = assignment[ph.token_index]
-        texts[ph.token_index] = inst.program.symbol(sid).name
-    return texts
 
 
 # --- splits -----------------------------------------------------------------

@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from . import nn
-from .dataflow import UseGraph, build_cfg, dataflow_uses
+from .dataflow import UseGraph, dataflow_uses
 from .models import Encoder, ModelParams
 from .taskgen import TaskInstance
 
@@ -61,9 +62,7 @@ def make_batches(items: List[Item], batch_size: int,
 def _item_use_graph(item: Item) -> UseGraph:
     """Relations with this item's placeholder unbound; every other token,
     including the instance's other placeholders, keeps its true symbol."""
-    prog = item.instance.program
-    cfgs = {fn.name: build_cfg(prog, fn) for fn in prog.ast.functions}
-    return dataflow_uses(prog, override={item.token: None}, cfgs=cfgs)
+    return dataflow_uses(item.instance.program, override={item.token: None})
 
 
 class ItemCache:
@@ -78,6 +77,20 @@ class ItemCache:
         if key not in self._graphs:
             self._graphs[key] = _item_use_graph(item)
         return self._graphs[key]
+
+
+def instance_encoders(params: ModelParams, items: Iterable[Item]
+                      ) -> Iterator[Tuple[Item, Encoder]]:
+    """Each item with an inference `Encoder` shared by the consecutive items
+    of one instance; its caches depend only on the parameters, the program
+    and the placeholder tokens."""
+    inst, enc = None, None
+    for item in items:
+        if item.instance is not inst:
+            inst = item.instance
+            enc = Encoder(params, inst.program,
+                          placeholder_tokens=inst.placeholder_tokens)
+        yield item, enc
 
 
 def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
@@ -122,9 +135,7 @@ def per_placeholder_accuracy(params: ModelParams,
         raise nn.EmptyInput("no items to evaluate")
     cache = cache if cache is not None else ItemCache()
     correct = 0
-    for item in items:
-        enc = Encoder(params, item.instance.program,
-                      placeholder_tokens=item.instance.placeholder_tokens)
+    for item, enc in instance_encoders(params, items):
         ranked = enc.rank(cache.graph(item), item.token, item.candidates)
         correct += ranked[0][0] == item.truth
     return correct / len(items)

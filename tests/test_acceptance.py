@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from smartpaste import nn
-from smartpaste.dataflow import EPS, build_cfg, dataflow_uses, lexical_chain
+from smartpaste.dataflow import EPS, dataflow_uses, lexical_chain
 from smartpaste.evaluation import (eval_full_snippet, eval_per_placeholder,
                                    eval_same_type)
 from smartpaste.generator import generate_corpus
@@ -245,15 +245,12 @@ def test_c6_icm_matches_exhaustive_map(tiny_pool, tiny_model):
     for k, inst in enumerate(small):
         enc = Encoder(tiny_model, inst.program,
                       placeholder_tokens=inst.placeholder_tokens)
-        cfgs = {fn.name: build_cfg(inst.program, fn)
-                for fn in inst.program.ast.functions}
         toks = sorted(p.token_index for p in inst.placeholders)
         cand_lists = [next(p.candidates for p in inst.placeholders
                            if p.token_index == t) for t in toks]
 
         def score(combo):
-            return total_log_prob(inst, enc,
-                                  dict(zip(toks, combo)), cfgs=cfgs)[0]
+            return total_log_prob(inst, enc, dict(zip(toks, combo)))[0]
 
         _, best_score = oracle_map(cand_lists, score)
         got = icm(inst, tiny_model, restarts=5, max_sweeps=10,

@@ -4,12 +4,18 @@ paste, and the dump commands, all run in-process through main()."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from smartpaste.cli import build_parser, main
+from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
+from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
+from smartpaste.taskgen import make_instance, read_instances, write_instances
+from smartpaste.train import ItemCache, make_items
 
+from conftest import SUM_POSITIVE
 from test_infer import SNIPPET, TARGET
 
 
@@ -241,6 +247,36 @@ class TestDumps:
         assert main(["dump-usage-vectors", "--data", workspace["data"],
                      "--model", workspace["model"], "--limit", "1"]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("variant", ["grud", "hybrid"])
+    def test_dump_usage_vectors_are_the_scored_ones(self, tmp_path, capsys,
+                                                   variant):
+        """Each placeholder's vectors come from its item's use graph (that
+        placeholder unbound, the others at truth), as in training and
+        evaluation, not from the program with every placeholder bound."""
+        data, model = str(tmp_path / "loop.jsonl"), str(tmp_path / "m.json")
+        write_instances([make_instance(compile_source(SUM_POSITIVE),
+                                       (17, 46), "loop#0")], data)
+        inst = read_instances(data)[0]
+        params = ModelParams(variant, Hyper(hidden=4, tree_depth=4),
+                             *build_vocab([inst]), seed=2)
+        params.save(model)
+        assert main(["dump-usage-vectors", "--data", data,
+                     "--model", model]) == 0
+        got = {(int(r[1]), int(r[2])): np.array(r[4:], dtype=float)
+               for r in (line.split("\t")
+                         for line in capsys.readouterr().out.splitlines())}
+        want = {}
+        for item in make_items([inst]):
+            enc = Encoder(params, inst.program,
+                          placeholder_tokens=inst.placeholder_tokens)
+            u = enc.usage_reprs(ItemCache().graph(item), item.token,
+                                item.candidates).data
+            for k, v in enumerate(item.candidates):
+                want[(item.token, v)] = u[:, k]
+        assert sorted(got) == sorted(want)
+        for key, values in want.items():
+            assert np.abs(got[key] - values).max() <= 1e-12
 
     def test_unparseable_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.ml0"

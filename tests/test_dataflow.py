@@ -1,5 +1,5 @@
-"""CFG construction, lexical chains, the may-analysis, context trees, and
-agreement with the path-enumeration reference."""
+"""CFG construction, lexical chains, the may-analysis, and agreement with the
+path-enumeration reference, with and without placeholder overrides."""
 
 import random
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import generator
-from smartpaste.dataflow import (EPS, build_cfg, context_tree, dataflow_uses,
-                                 dump_dataflow)
+from smartpaste.dataflow import EPS, build_cfg, dataflow_uses, dump_dataflow
 from smartpaste.minilang import compile_source
 from smartpaste.oracle import enumerate_paths, oracle_dataflow
 
@@ -67,6 +66,16 @@ class TestLexicalChains:
             chain.append(uses.lex_next(chain[-1], i))
         assert chain == [20, 24, 28, 35, 44]
 
+    def test_ends_and_absent_symbol(self, uses, sum_positive_symbols):
+        i = sum_positive_symbols["i"]
+        # between occurrences, on an occurrence, and past either end
+        assert uses.lex_prev(21, i) == 20 and uses.lex_next(21, i) == 24
+        assert uses.lex_prev(20, i) is None and uses.lex_next(44, i) is None
+        assert uses.lex_prev(0, i) is None and uses.lex_next(0, i) == 20
+        assert uses.lex_prev(99, i) == 44 and uses.lex_next(99, i) is None
+        assert uses.lex_prev(30, 999) is None
+        assert uses.lex_next(30, 999) is None
+
 
 class TestMayAnalysis:
     """Expected sets below were worked out by hand on the control-flow graph
@@ -84,6 +93,12 @@ class TestMayAnalysis:
     def test_df_out_index_use(self, uses, sum_positive_symbols):
         i = sum_positive_symbols["i"]
         assert uses.dout(35, i) == frozenset({28, 44})
+
+    def test_df_in_guarded_loop_use(self, uses, sum_positive_symbols):
+        arr = sum_positive_symbols["arr"]
+        # reaching 33: the param (first iteration), itself (guard-false
+        # iteration), or 42 (guard-true iteration)
+        assert uses.din(33, arr) == frozenset({6, 33, 42})
 
     def test_df_in_other_symbol(self, uses, sum_positive_symbols):
         s = sum_positive_symbols["sum"]
@@ -123,32 +138,6 @@ class TestMayAnalysis:
         assert 35 not in ug.din(44, i)
 
 
-class TestContextTree:
-    def test_depth_bound(self, uses, sum_positive_symbols):
-        i = sum_positive_symbols["i"]
-        tree = context_tree(uses, 35, i, "prev", depth=3)
-        assert tree.max_depth() <= 3
-
-    def test_prev_tree_root_children(self, uses, sum_positive_symbols):
-        i = sum_positive_symbols["i"]
-        tree = context_tree(uses, 35, i, "prev", depth=2)
-        assert [t for t, _ in tree.root_children] == [24]
-        (_, sub) = tree.root_children[0]
-        assert sorted(t for t, _ in sub.root_children) == [20, 28]
-
-    def test_eps_is_leaf(self, uses, sum_positive_symbols):
-        arr = sum_positive_symbols["arr"]
-        tree = context_tree(uses, 33, arr, "prev", depth=5)
-        # reaching 33: the param (first iteration), itself (guard-false
-        # iteration), or 42 (guard-true iteration)
-        children = dict(tree.root_children)
-        assert sorted(children) == [6, 33, 42]
-        # the param's predecessor is eps, which terminates the branch
-        param_children = children[6].root_children
-        assert [t for t, _ in param_children] == [EPS]
-        assert param_children[0][1].root_children == []
-
-
 class TestOracleAgreement:
     def test_sum_positive_exact(self, sum_positive_program):
         fast = dataflow_uses(sum_positive_program)
@@ -171,6 +160,27 @@ class TestOracleAgreement:
         paths = enumerate_paths(cfg, loop_bound=2)
         step = next(n.id for n in cfg.nodes if n.kind == "step")
         assert paths and all(p.count(step) <= 3 for p in paths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(generator.PROFILES), st.randoms(use_true_random=False))
+def test_oracle_agreement_under_overrides(seed, profile, rnd):
+    """Up to three non-defining occurrences unbound or rebound to any
+    symbol; the relations match path enumeration at every key of either
+    side."""
+    prog = compile_source(
+        generator.generate_file(random.Random(seed), profile, 0, 0))
+    uses = [t.index for t in prog.tokens
+            if t.symbol is not None and not t.is_def]
+    override = {t: rnd.choice([None] + [s.id for s in prog.symbols])
+                for t in rnd.sample(uses, min(len(uses), rnd.randint(0, 3)))}
+    fast = dataflow_uses(prog, override=override)
+    slow = oracle_dataflow(prog, loop_bound=3, override=override)
+    for key in set(fast.df_in) | set(slow.df_in):
+        assert fast.din(*key) == slow.din(*key), (override, key)
+    for key in set(fast.df_out) | set(slow.df_out):
+        assert fast.dout(*key) == slow.dout(*key), (override, key)
 
 
 class TestStraightLineDegeneration:

@@ -11,7 +11,7 @@ from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
 from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
                                PAD, PLACEHOLDER, UNK, VARIANTS, VariantError,
-                               build_vocab, dump_usage_vectors)
+                               _TreeIndex, build_vocab, dump_usage_vectors)
 from smartpaste.taskgen import extract_instances
 
 from conftest import SUM_POSITIVE
@@ -405,6 +405,41 @@ class TestBatchedUsage:
         # every candidate is an int: equal scores, so symbol order
         assert [s for s, _ in ranked] == sorted(cands)
         assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
+
+
+class TestTreeIndex:
+    """The bounded data-flow unrolling that `Encoder._index_tree` hands to
+    the TreeGRU, walked with each context column named by its position."""
+
+    @staticmethod
+    def index(depth, t, name, direction):
+        prog = compile_source(SUM_POSITIVE)
+        sid = next(s.id for s in prog.symbols if s.name == name)
+        params = ModelParams("grud", Hyper(hidden=4, tree_depth=depth),
+                             ["int", "int[]"], [], seed=0)
+        index = _TreeIndex(1)
+        Encoder(params, prog)._index_tree(dataflow_uses(prog), t, sid, 0,
+                                          direction, index, lambda x: x)
+        return index
+
+    @pytest.mark.parametrize("depth", [1, 3, 8])
+    @pytest.mark.parametrize("direction", ["prev", "next"])
+    @pytest.mark.parametrize("t,name", [(35, "i"), (33, "arr"), (6, "arr")])
+    def test_levels_within_depth(self, depth, direction, t, name):
+        index = self.index(depth, t, name, direction)
+        assert index.levels
+        assert set(index.levels) <= set(range(1, depth + 1))
+        for child_cols, ctx_cols, _ in index.levels.values():
+            # an EPS child ends its branch: its state is the leaf, column 0
+            assert all(child == 0 for child, ctx in zip(child_cols, ctx_cols)
+                       if ctx == EPS)
+
+    def test_prev_tree_of_index_use(self):
+        index = self.index(3, 35, "i", "prev")
+        # 35 <- 24 <- {20, 28}; 20 <- EPS, 28 <- {35, 44}, at depth 0 leaves
+        assert {d: ctx for d, (_, ctx, _) in index.levels.items()} == \
+            {3: [24], 2: [20, 28], 1: [EPS, 35, 44]}
+        assert index.levels[1][0] == [0, 0, 0]
 
 
 class TestPersistence:

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from smartpaste.minilang import compile_source
+from smartpaste.minilang import compile_source, reconstruct, tokenize
 from smartpaste.taskgen import (CorpusSplit, InsufficientData, NoPlaceholders,
                                 extract_instances, instance_from_json,
                                 instance_to_json, make_instance,
-                                resubstitute, select_snippets, split_corpus)
+                                select_snippets, split_corpus)
 
 from conftest import (SUM_POSITIVE, SUM_POSITIVE_TRUTH_NAMES,
                       SUM_POSITIVE_USES)
@@ -77,19 +77,23 @@ class TestSerialization:
         # a second round trip is byte-identical
         assert instance_to_json(back) == line
 
-    def test_resubstitute_truth_restores_names(self, sum_positive_program):
+    def test_reconstruct_truth_restores_names(self, sum_positive_program):
         inst = make_instance(sum_positive_program, (17, 46))
-        texts = resubstitute(
-            inst, {p.token_index: p.truth for p in inst.placeholders})
-        assert texts == [t.text for t in sum_positive_program.tokens]
+        prog = inst.program
+        names = {p.token_index: prog.symbol(p.truth).name
+                 for p in inst.placeholders}
+        assert reconstruct(prog.tokens, names) == SUM_POSITIVE
 
-    def test_resubstitute_other_symbol(self, sum_positive_program,
-                                       sum_positive_symbols):
+    def test_reconstruct_other_symbol(self, sum_positive_program,
+                                      sum_positive_symbols):
         inst = make_instance(sum_positive_program, (17, 46))
-        assignment = {p.token_index: sum_positive_symbols["sum"]
-                      for p in inst.placeholders}
-        texts = resubstitute(inst, assignment)
+        names = {p.token_index: "sum" for p in inst.placeholders}
+        texts = [t.text for t in tokenize(
+            reconstruct(inst.program.tokens, names))]
         assert all(texts[p.token_index] == "sum" for p in inst.placeholders)
+        assert [x for k, x in enumerate(texts) if k not in names] == \
+            [t.text for t in sum_positive_program.tokens
+             if t.index not in names]
 
 
 class TestSplits:
