@@ -7,6 +7,11 @@ recent one on some path reaching t (EPS when some path carries no prior
 occurrence); df_out is the forward mirror.  Computed per symbol by a standard
 fixed point over the CFG with transfer "an occurrence of v replaces the
 running set" and join by union.
+
+The relations of v depend only on where v occurs, so `ProgramFlow` builds a
+program's CFGs once and solves a symbol only when its relations are asked
+for, memoised by (v, occurrences of v); a `UseGraph` is a lazy view over it
+under one occurrence map.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .minilang import ast
 from .minilang.checker import TypedProgram
 
 EPS = -1  # pseudo-token: no prior/next use on some path
+
+# One symbol's relation in one direction: token -> the occurrences (or EPS)
+Relation = Dict[int, FrozenSet[int]]
 
 
 @dataclass
@@ -136,21 +144,55 @@ def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
     return cfg
 
 
-@dataclass
 class UseGraph:
     """Per (token, symbol) lexical and data-flow usage relations for one
-    program under a fixed occurrence map."""
+    program under a fixed occurrence map.
 
-    occ: Dict[int, int]                      # token -> symbol at that token
-    df_in: Dict[Tuple[int, int], FrozenSet[int]] = field(default_factory=dict)
-    df_out: Dict[Tuple[int, int], FrozenSet[int]] = field(default_factory=dict)
-    # symbol -> sorted token indices, derived from occ
-    occurrences: Dict[int, List[int]] = field(init=False)
+    A symbol's data-flow relations are solved by `flow` the first time
+    `din` or `dout` asks about that symbol; the lexical ones need only
+    `occurrences`.  `df_in`/`df_out` are dicts keyed by (token, symbol):
+    their first access solves every remaining symbol and flattens the
+    relations into them, and from then on `din`/`dout` read those dicts.
+    Without a flow they start empty, for the caller to fill."""
 
-    def __post_init__(self):
-        self.occurrences = {}
-        for t in sorted(self.occ):
-            self.occurrences.setdefault(self.occ[t], []).append(t)
+    def __init__(self, occ: Dict[int, int],
+                 flow: Optional["ProgramFlow"] = None):
+        self.occ = occ          # token -> symbol at that token
+        self.flow = flow
+        by_symbol: Dict[int, List[int]] = {}
+        for t in sorted(occ):
+            by_symbol.setdefault(occ[t], []).append(t)
+        # symbol -> its sorted token indices
+        self.occurrences: Dict[int, Tuple[int, ...]] = {
+            v: tuple(ts) for v, ts in by_symbol.items()}
+        self._relations: Dict[int, Tuple[Relation, Relation]] = {}
+        self._flat: Optional[Tuple[dict, dict]] = \
+            None if flow is not None else ({}, {})  # (df_in, df_out)
+
+    def relations(self, v: int) -> Tuple[Relation, Relation]:
+        """v's (df_in, df_out), each token -> set, solved on first use."""
+        if v not in self._relations:
+            self._relations[v] = self.flow.relations(
+                v, self.occurrences.get(v, ()))
+        return self._relations[v]
+
+    def _flatten(self):
+        if self._flat is None:
+            df_in, df_out = {}, {}
+            for v in self.flow.symbols:
+                rel_in, rel_out = self.relations(v)
+                df_in.update(((t, v), s) for t, s in rel_in.items())
+                df_out.update(((t, v), s) for t, s in rel_out.items())
+            self._flat = (df_in, df_out)
+        return self._flat
+
+    @property
+    def df_in(self) -> Dict[Tuple[int, int], FrozenSet[int]]:
+        return self._flatten()[0]
+
+    @property
+    def df_out(self) -> Dict[Tuple[int, int], FrozenSet[int]]:
+        return self._flatten()[1]
 
     def lex_prev(self, t: int, v: int) -> Optional[int]:
         occ = self.occurrences.get(v, ())
@@ -163,10 +205,14 @@ class UseGraph:
         return occ[i] if i < len(occ) else None
 
     def din(self, t: int, v: int) -> FrozenSet[int]:
-        return self.df_in.get((t, v), frozenset())
+        if self._flat is not None:
+            return self._flat[0].get((t, v), frozenset())
+        return self.relations(v)[0].get(t, frozenset())
 
     def dout(self, t: int, v: int) -> FrozenSet[int]:
-        return self.df_out.get((t, v), frozenset())
+        if self._flat is not None:
+            return self._flat[1].get((t, v), frozenset())
+        return self.relations(v)[1].get(t, frozenset())
 
 
 def occurrence_map(program: TypedProgram,
@@ -193,64 +239,88 @@ def _function_symbols(program: TypedProgram, fn: ast.FunctionDef) -> List[int]:
             if s.scope_span[0] >= lo and s.scope_span[1] <= hi]
 
 
+class ProgramFlow:
+    """One program's CFGs, built once, and each symbol's data-flow
+    relations, solved on first request and memoised by the symbol's
+    occurrences: they depend on nothing else.  A use graph under any
+    override is a view over the same flow."""
+
+    def __init__(self, program: TypedProgram):
+        self.program = program
+        # symbol -> the forward and backward solver inputs of its function
+        self._graphs: Dict[int, Tuple[tuple, tuple]] = {}
+        for fn in program.ast.functions:
+            cfg = build_cfg(program, fn)
+            preds = cfg.preds
+            tokens = [n.tokens for n in cfg.nodes]
+            directions = ((tokens, preds, cfg.succs, cfg.entry),
+                          ([ts[::-1] for ts in tokens], cfg.succs, preds,
+                           cfg.exit))
+            for v in _function_symbols(program, fn):
+                self._graphs[v] = directions
+        self.symbols = list(self._graphs)  # in function order
+        self._memo: Dict[Tuple[int, Tuple[int, ...]],
+                         Tuple[Relation, Relation]] = {}
+
+    def relations(self, v: int, occurrences: Tuple[int, ...]
+                  ) -> Tuple[Relation, Relation]:
+        """v's (df_in, df_out), each token -> set, when v occurs exactly
+        at `occurrences`; empty for a symbol scoped outside functions."""
+        key = (v, occurrences)
+        if key not in self._memo:
+            graphs = self._graphs.get(v)
+            at = frozenset(occurrences)
+            self._memo[key] = ({}, {}) if graphs is None else \
+                tuple(_solve(*d, at) for d in graphs)
+        return self._memo[key]
+
+    def uses(self, override: Optional[Dict[int, Optional[int]]] = None
+             ) -> UseGraph:
+        """The use graph with placeholder tokens rebound per `override`."""
+        return UseGraph(occurrence_map(self.program, override), self)
+
+
 def dataflow_uses(program: TypedProgram,
                   override: Optional[Dict[int, Optional[int]]] = None
                   ) -> UseGraph:
-    """Fixed-point may-analysis over every function's CFG.  `override`
-    rebinds placeholder tokens."""
-    occ = occurrence_map(program, override)
-    ug = UseGraph(occ=occ)
-    for fn in program.ast.functions:
-        cfg = build_cfg(program, fn)
-        preds = cfg.preds
-        syms = _function_symbols(program, fn)
-        tokens = [n.tokens for n in cfg.nodes]
-        _solve(tokens, preds, cfg.succs, cfg.entry, occ, syms, ug.df_in)
-        _solve([ts[::-1] for ts in tokens], cfg.succs, preds, cfg.exit,
-               occ, syms, ug.df_out)
-    return ug
+    """The may-analysis over every function's CFG, solved per symbol as
+    queried.  `override` rebinds placeholder tokens."""
+    return ProgramFlow(program).uses(override)
 
 
 def _solve(node_tokens: List[List[int]], edges_in: Dict[int, List[int]],
            edges_out: Dict[int, List[int]], seed_node: int,
-           occ: Dict[int, int], syms: List[int],
-           target: Dict[Tuple[int, int], FrozenSet[int]]):
-    """One direction of the may-analysis, one symbol at a time, recording
-    the set that reaches every token; `node_tokens` lists each node's
-    tokens in walk order.  A node holding an occurrence of v passes on its
-    last one; any other node passes on the union of what enters it; the
-    seed node is entered by EPS."""
-    last_in_node: List[Dict[int, int]] = []
-    for tokens in node_tokens:
-        last: Dict[int, int] = {}
-        for t in tokens:
-            if t in occ:
-                last[occ[t]] = t
-        last_in_node.append(last)
+           at: FrozenSet[int]) -> Relation:
+    """One direction of the may-analysis for one symbol occurring at the
+    tokens `at`: the set that reaches every token.  `node_tokens` lists
+    each node's tokens in walk order.  A node holding an occurrence passes
+    on its last one; any other node passes on the union of what enters it;
+    the seed node is entered by EPS."""
+    last = [next((t for t in reversed(tokens) if t in at), None)
+            for tokens in node_tokens]
     eps = frozenset([EPS])
-    for v in syms:
-        out = [frozenset([last[v]]) if v in last else frozenset()
-               for last in last_in_node]
-        if v not in last_in_node[seed_node]:
-            out[seed_node] = eps
-        work = [n for n, last in enumerate(last_in_node)
-                if v in last or n == seed_node]
-        while work:
-            n = work.pop()
-            for s in edges_out[n]:
-                if v in last_in_node[s]:
-                    continue
-                joined = out[s] | out[n]
-                if joined != out[s]:
-                    out[s] = joined
-                    work.append(s)
-        for n, tokens in enumerate(node_tokens):
-            state = eps if n == seed_node else \
-                frozenset().union(*[out[p] for p in edges_in[n]])
-            for t in tokens:
-                target[(t, v)] = state
-                if occ.get(t) == v:
-                    state = frozenset([t])
+    out = [frozenset() if x is None else frozenset([x]) for x in last]
+    if last[seed_node] is None:
+        out[seed_node] = eps
+    work = [n for n, x in enumerate(last) if x is not None or n == seed_node]
+    while work:
+        n = work.pop()
+        for s in edges_out[n]:
+            if last[s] is not None:
+                continue
+            joined = out[s] | out[n]
+            if joined != out[s]:
+                out[s] = joined
+                work.append(s)
+    rel: Relation = {}
+    for n, tokens in enumerate(node_tokens):
+        state = eps if n == seed_node else \
+            frozenset().union(*[out[p] for p in edges_in[n]])
+        for t in tokens:
+            rel[t] = state
+            if t in at:
+                state = frozenset([t])
+    return rel
 
 
 def lexical_chain(usegraph: UseGraph, t: int, v: int

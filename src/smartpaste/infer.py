@@ -8,7 +8,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .dataflow import dataflow_uses
 from .minilang import ast
 from .minilang.checker import (CheckError, TypedProgram, check,
                                vars_in_scope)
@@ -40,17 +39,17 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
                 context_assignment: Dict[int, int]
                 ) -> List[Tuple[int, float]]:
     """Candidates ranked by conditional probability with every other
-    placeholder bound per context_assignment; the usage relations are
-    recomputed under that binding (the ranked placeholder itself is unbound).
-    Ties break toward the lowest symbol id (`Encoder.rank`)."""
+    placeholder bound per context_assignment; the usage relations are viewed
+    under that binding through the encoder's flow (the ranked placeholder
+    itself is unbound).  Ties break toward the lowest symbol id
+    (`Encoder.rank`)."""
     t = ph.token_index
     override: Dict[int, Optional[int]] = {t: None}
     for other in inst.placeholders:
         if other.token_index != t:
             override[other.token_index] = \
                 context_assignment[other.token_index]
-    ug = dataflow_uses(inst.program, override=override)
-    return encoder.rank(ug, t, ph.candidates)
+    return encoder.rank(encoder.flow.uses(override), t, ph.candidates)
 
 
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
@@ -73,7 +72,7 @@ def _independent_init(inst: TaskInstance, encoder: Encoder,
     """Each placeholder's argmax with every placeholder unbound; ties break
     toward the lowest symbol id."""
     override: Dict[int, Optional[int]] = {p.token_index: None for p in phs}
-    ug = dataflow_uses(inst.program, override=override)
+    ug = encoder.flow.uses(override)
     init: Dict[int, int] = {}
     for ph in phs:
         init[ph.token_index] = encoder.rank(ug, ph.token_index,
@@ -95,7 +94,12 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     restart.  The first restart starts from the independent per-placeholder
     argmax (every placeholder unbound), which tends to sit in the basin of
     the jointly best assignment; the remaining restarts start random.
-    `trace`, when given, collects the per-update totals of each restart."""
+    `trace`, when given, collects the per-update totals of each restart.
+
+    Every conditional goes through one encoder, so through one
+    `ProgramFlow` and one score memo: after an update moves a placeholder
+    from symbol a to b, only scores keyed by a's or b's occurrences are
+    computed again."""
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
         encoder = Encoder(params, inst.program,

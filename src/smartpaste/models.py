@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, \
     Tuple
 
 import numpy as np
 
 from . import nn
-from .dataflow import EPS, UseGraph
+from .dataflow import EPS, ProgramFlow, UseGraph
 from .minilang.checker import TypedProgram, UNK_TYPE, supertype_closure
 from .nn import Tensor
 
@@ -219,7 +220,15 @@ class Encoder:
     Context windows are static for an instance: every placeholder position
     shows the PLACEHOLDER embedding regardless of its current assignment, so
     context vectors are cached for the encoder's lifetime.  The lexical and
-    data-flow relations are supplied per call and do change during inference.
+    data-flow relations are supplied per call and do change during inference;
+    `flow` solves them per symbol on demand for the use graphs of the
+    encoder's program.
+
+    Outside training, type representations are fixed too, and a candidate
+    v's lexical chains and data-flow trees at t depend only on where v
+    occurs, so `rank` memoises each score c(t) . u(t, v) by (t, v,
+    occurrences of v) for the encoder's lifetime and computes only the
+    missing ones.
 
     `usage_reprs` encodes all candidates of a placeholder at once.  A
     structural walk first visits each candidate's chains and data-flow trees
@@ -246,7 +255,14 @@ class Encoder:
         # batched context computation
         self._pending: Dict[int, List[Tensor]] = {}
         self._type_cache: Dict[int, Tensor] = {}
+        # (t, v, occurrences of v) -> score; inference only
+        self._scores: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
         self._zero = nn.constant(np.zeros(self.hyper.hidden))
+
+    @cached_property
+    def flow(self) -> ProgramFlow:
+        """The program's data-flow relations, solved per symbol as asked."""
+        return ProgramFlow(self.program)
 
     # -- type representation --
 
@@ -474,16 +490,24 @@ class Encoder:
         """The usage representation of one candidate v at token t."""
         return nn.gather(self.usage_reprs(ug, t, [v]), 0)
 
-    def score(self, t: int, ug: UseGraph, v: int) -> Tensor:
-        return nn.dot(self.context_repr(t), self.usage_repr(ug, t, v))
-
     def rank(self, ug: UseGraph, t: int, candidates: Sequence[int]
              ) -> List[Tuple[int, float]]:
         """Candidates with the softmax of their scores c(t) . u(t, v), most
-        probable first; equal probabilities go to the lower symbol id."""
-        scores = nn.dot(self.context_repr(t),
-                        self.usage_reprs(ug, t, candidates)).data
-        probs = nn.softmax_probs(scores)
+        probable first; equal probabilities go to the lower symbol id.
+        Scores missing from the memo (all of them at training time) are
+        computed in one batch."""
+        memo = {} if self.training else self._scores
+        keys = [(t, v, ug.occurrences.get(v, ())) for v in candidates]
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            u = self.usage_reprs(ug, t, [v for _, v, _ in missing]).data
+            # one contiguous row sum per candidate: unlike a BLAS product,
+            # its rounding does not depend on the other columns of the
+            # batch, so equal usage columns keep exactly equal scores
+            memo.update(zip(missing, (np.ascontiguousarray(u.T)
+                                      * self.context_repr(t).data
+                                      ).sum(axis=1)))
+        probs = nn.softmax_probs(np.array([memo[key] for key in keys]))
         order = sorted(range(len(candidates)),
                        key=lambda i: (-probs[i], candidates[i]))
         return [(candidates[i], float(probs[i])) for i in order]

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .minilang import ast
-from .minilang.checker import TypeLattice, TypedProgram, check, vars_in_scope
-from .minilang.lexer import tokenize
-from .minilang.parser import parse
+from .minilang.checker import (CheckError, TypeLattice, TypedProgram, check,
+                               vars_in_scope)
+from .minilang.lexer import LexError, tokenize
+from .minilang.parser import ParseError, parse
 
 
 class NoPlaceholders(Exception):
@@ -135,6 +136,8 @@ def instance_from_json(line: str) -> TaskInstance:
     """Rebuild a TaskInstance by re-checking the token stream; symbol ids are
     assigned in declaration order and therefore reproduce the record's ids."""
     rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
     source = " ".join(t["text"] for t in rec["tokens"])
     tokens = tokenize(source)
     lattice = TypeLattice()
@@ -146,6 +149,13 @@ def instance_from_json(line: str) -> TaskInstance:
         if s.id != sr["id"] or s.name != sr["name"] \
                 or s.declared_type != sr["type"]:
             raise ValueError(f"symbol table mismatch for {rec['program_id']}")
+    for ph in rec["placeholders"]:
+        if not (isinstance(ph["token_index"], int)
+                and 0 <= ph["token_index"] < len(tokens)
+                and isinstance(ph["truth"], int)
+                and _is_int_list(ph["candidates"])
+                and _is_int_list(ph["same_type_candidates"])):
+            raise ValueError(f"ill-typed placeholder {ph!r:.80}")
     placeholders = [Placeholder(token_index=ph["token_index"],
                                 truth=ph["truth"],
                                 candidates=ph["candidates"],
@@ -163,9 +173,26 @@ def write_instances(instances: List[TaskInstance], path: str):
             f.write(instance_to_json(inst) + "\n")
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, int) for e in x)
+
+
 def read_instances(path: str) -> List[TaskInstance]:
+    """Every record of an instance file; a record that is not valid JSON,
+    lacks a field, has one of the wrong type or does not compile raises
+    ValueError naming the file and line."""
+    out = []
     with open(path) as f:
-        return [instance_from_json(line) for line in f if line.strip()]
+        for number, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(instance_from_json(line))
+            except (KeyError, TypeError, ValueError, LexError, ParseError,
+                    CheckError) as e:
+                raise ValueError(f"{path}:{number}: bad instance record: "
+                                 f"{type(e).__name__}: {e}") from e
+    return out
 
 
 # --- splits -----------------------------------------------------------------

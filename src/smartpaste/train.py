@@ -12,7 +12,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from . import nn
-from .dataflow import UseGraph, dataflow_uses
+from .dataflow import ProgramFlow, UseGraph
 from .models import Encoder, ModelParams
 from .taskgen import TaskInstance
 
@@ -59,23 +59,25 @@ def make_batches(items: List[Item], batch_size: int,
             for k in range(0, len(order), batch_size)]
 
 
-def _item_use_graph(item: Item) -> UseGraph:
-    """Relations with this item's placeholder unbound; every other token,
-    including the instance's other placeholders, keeps its true symbol."""
-    return dataflow_uses(item.instance.program, override={item.token: None})
-
-
 class ItemCache:
     """Use graphs are parameter-independent, so they are computed once per
-    item and reused across epochs."""
+    item and reused across epochs; the items of one program share its
+    `ProgramFlow`.  Each item's graph has its placeholder unbound; every
+    other token, including the instance's other placeholders, keeps its
+    true symbol."""
 
     def __init__(self):
         self._graphs: Dict[int, UseGraph] = {}
+        self._flows: Dict[int, ProgramFlow] = {}
 
     def graph(self, item: Item) -> UseGraph:
         key = id(item)
         if key not in self._graphs:
-            self._graphs[key] = _item_use_graph(item)
+            program = item.instance.program
+            flow = self._flows.get(id(program))
+            if flow is None:
+                flow = self._flows[id(program)] = ProgramFlow(program)
+            self._graphs[key] = flow.uses({item.token: None})
         return self._graphs[key]
 
 

@@ -142,6 +142,13 @@ class TestTrain:
                      str(tmp_path / "m.json")]) == 1
         assert "bad config line" in capsys.readouterr().err
 
+    def test_malformed_record_fails(self, workspace, tmp_path, capsys):
+        for path in _malformed_records(workspace, tmp_path):
+            assert main(["train", "--data", path, "--checkpoint",
+                         str(tmp_path / "m.json")]) == 1
+            assert f"error: {path}:2: bad instance record" in \
+                capsys.readouterr().err
+
     def test_resume_continues_epoch_numbering(self, workspace, tmp_path,
                                               capsys):
         path = str(tmp_path / "resumed.json")
@@ -152,7 +159,28 @@ class TestTrain:
         assert json.load(open(path))["config"]["epoch"] == first + 1
 
 
+def _malformed_records(workspace, tmp_path):
+    """Instance files that each break one record on line 2: no tokens, bad
+    JSON, an ill-typed placeholder."""
+    with open(workspace["data"]) as f:
+        good = f.readline()
+    rec = json.loads(good)
+    rec["placeholders"][0]["token_index"] = "x"
+    for k, bad in enumerate(['{"program_id": "x"}', '{"program_id": ',
+                             json.dumps(rec)]):
+        path = tmp_path / f"bad{k}.jsonl"
+        path.write_text(good + bad + "\n")
+        yield str(path)
+
+
 class TestEval:
+    def test_malformed_record_fails(self, workspace, tmp_path, capsys):
+        for path in _malformed_records(workspace, tmp_path):
+            assert main(["eval", "--data", path, "--model",
+                         workspace["model"], "--restarts", "1"]) == 1
+            assert f"error: {path}:2: bad instance record" in \
+                capsys.readouterr().err
+
     def test_all_sections(self, workspace, capsys):
         assert main(["eval", "--data", workspace["data"], "--model",
                      workspace["model"], "--restarts", "1",

@@ -6,12 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smartpaste import generator
-from smartpaste.dataflow import EPS, build_cfg, dataflow_uses, dump_dataflow
+from smartpaste import dataflow, generator
+from smartpaste.dataflow import (EPS, ProgramFlow, build_cfg, dataflow_uses,
+                                 dump_dataflow)
+from smartpaste.infer import icm
 from smartpaste.minilang import compile_source
+from smartpaste.models import Hyper, ModelParams, build_vocab
 from smartpaste.oracle import enumerate_paths, oracle_dataflow
+from smartpaste.taskgen import make_instance
 
-from conftest import SUM_POSITIVE_OCCURRENCES
+from conftest import SUM_POSITIVE, SUM_POSITIVE_OCCURRENCES
 
 
 @pytest.fixture(scope="module")
@@ -177,10 +181,57 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
                 for t in rnd.sample(uses, min(len(uses), rnd.randint(0, 3)))}
     fast = dataflow_uses(prog, override=override)
     slow = oracle_dataflow(prog, loop_bound=3, override=override)
+    # the lazy per-symbol path first, before the dicts are flattened
+    for key, want in slow.df_in.items():
+        assert fast.din(*key) == want, (override, key)
+    for key, want in slow.df_out.items():
+        assert fast.dout(*key) == want, (override, key)
     for key in set(fast.df_in) | set(slow.df_in):
         assert fast.din(*key) == slow.din(*key), (override, key)
     for key in set(fast.df_out) | set(slow.df_out):
         assert fast.dout(*key) == slow.dout(*key), (override, key)
+
+
+class TestProgramFlow:
+    def test_views_follow_a_moved_placeholder(self, sum_positive_program,
+                                              sum_positive_symbols):
+        """Token 35 moves from i to arr: two views of one flow agree with
+        fresh solves on both symbols and on the untouched sum, whose
+        relations the second view takes from the memo."""
+        flow = ProgramFlow(sum_positive_program)
+        i, arr, s = (sum_positive_symbols[n] for n in ("i", "arr", "sum"))
+        views = []
+        for override in ({35: i}, {35: arr}):
+            ug = flow.uses(override)
+            fresh = dataflow_uses(sum_positive_program, override=override)
+            for v in (i, arr, s):
+                for t in range(len(sum_positive_program.tokens)):
+                    assert ug.din(t, v) == fresh.din(t, v), (override, t, v)
+                    assert ug.dout(t, v) == fresh.dout(t, v), \
+                        (override, t, v)
+            views.append(ug)
+        assert 35 in views[0].din(44, i) and 35 not in views[1].din(44, i)
+        assert views[1].relations(s) is views[0].relations(s)
+
+    @pytest.mark.parametrize("variant,solves", [
+        ("loc", False), ("avgg", False), ("grug", False), ("grud", True),
+        ("hybrid", True)])
+    def test_icm_solves_only_for_variants_reading_relations(
+            self, monkeypatch, variant, solves):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real_solve(*args)
+        real_solve = dataflow._solve
+        monkeypatch.setattr(dataflow, "_solve", counting)
+        prog = compile_source(SUM_POSITIVE)
+        inst = make_instance(prog, (17, 46))
+        types, lexemes = build_vocab([inst])
+        params = ModelParams(variant, Hyper(hidden=4, tree_depth=3),
+                             types, lexemes, seed=0)
+        icm(inst, params, restarts=2, max_sweeps=2)
+        assert bool(calls) == solves
 
 
 class TestStraightLineDegeneration:

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartpaste import nn
 from smartpaste.dataflow import EPS, dataflow_uses
@@ -12,7 +13,8 @@ from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
 from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
                                PAD, PLACEHOLDER, UNK, VARIANTS, VariantError,
                                _TreeIndex, build_vocab, dump_usage_vectors)
-from smartpaste.taskgen import extract_instances
+from smartpaste.infer import rank_single
+from smartpaste.taskgen import extract_instances, make_instance
 
 from conftest import SUM_POSITIVE
 
@@ -407,6 +409,34 @@ class TestBatchedUsage:
         assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(VARIANTS), st.sampled_from(CONTEXT_ENCODERS),
+       st.randoms(use_true_random=False))
+def test_reused_encoder_ranks_like_a_fresh_one(variant, ctx_kind, rnd):
+    """One inference encoder reused over a random walk of assignments, as
+    ICM reuses it, ranks every placeholder as a fresh encoder does: the
+    same candidate order and probabilities within 1e-10, while its score
+    memo serves what earlier steps computed."""
+    prog = compile_source(SUM_POSITIVE)
+    inst = make_instance(prog, (17, 46))
+    types, lexemes = build_vocab([inst])
+    params = ModelParams(variant, Hyper(hidden=6, tree_depth=4,
+                                        context_encoder=ctx_kind),
+                         types, lexemes, seed=rnd.randrange(100))
+    reused = Encoder(params, prog, placeholder_tokens=inst.placeholder_tokens)
+    mapping = {ph.token_index: rnd.choice(ph.candidates)
+               for ph in inst.placeholders}
+    for _ in range(12):
+        ph = rnd.choice(inst.placeholders)
+        got = rank_single(inst, reused, ph, mapping)
+        want = rank_single(inst, Encoder(
+            params, prog, placeholder_tokens=inst.placeholder_tokens),
+            ph, mapping)
+        assert [v for v, _ in got] == [v for v, _ in want]
+        assert max(abs(p - q) for (_, p), (_, q) in zip(got, want)) <= 1e-10
+        mapping[ph.token_index] = rnd.choice(ph.candidates)
+
+
 class TestTreeIndex:
     """The bounded data-flow unrolling that `Encoder._index_tree` hands to
     the TreeGRU, walked with each context column named by its position."""
@@ -458,9 +488,12 @@ class TestPersistence:
         assert loaded.hyper.tree_depth == 4
         e1 = Encoder(params, prog)
         e2 = Encoder(loaded, prog)
-        for s in prog.symbols:
-            assert e1.score(use, ug, s.id).item() == \
-                e2.score(use, ug, s.id).item()
+        cands = [s.id for s in prog.symbols]
+        assert np.array_equal(e1.context_repr(use).data,
+                              e2.context_repr(use).data)
+        assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
+                              e2.usage_reprs(ug, use, cands).data)
+        assert e1.rank(ug, use, cands) == e2.rank(ug, use, cands)
 
     def test_load_rejects_mismatched_names(self, tmp_path):
         params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
