@@ -19,8 +19,9 @@ from .minilang import compile_source
 from .minilang.checker import CheckError
 from .minilang.lexer import LexError
 from .minilang.parser import ParseError
-from .models import (CONTEXT_ENCODERS, VARIANTS, Hyper, ModelParams,
-                     VariantError, build_vocab, dump_usage_vectors)
+from .models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
+                     ModelParams, VariantError, build_vocab,
+                     dump_usage_vectors)
 
 
 class CliError(Exception):
@@ -83,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     _add_seed(p)
     p.add_argument("--data", required=True, help="training .jsonl")
-    p.add_argument("--valid", default=None,
-                   help="validation .jsonl (default: the training data)")
+    p.add_argument("--valid", required=True,
+                   help="validation .jsonl for early stopping")
     p.add_argument("--variant", default="hybrid", choices=VARIANTS)
     p.add_argument("--context-encoder", default="logbilinear",
                    choices=CONTEXT_ENCODERS)
@@ -189,8 +190,7 @@ def _cmd_train(args) -> int:
     variant = opt("variant", str, args.variant)
     encoder = opt("context_encoder", str, args.context_encoder)
     train_instances = taskgen.read_instances(args.data)
-    valid_instances = taskgen.read_instances(args.valid) if args.valid \
-        else train_instances
+    valid_instances = taskgen.read_instances(args.valid)
     if args.resume:
         params, cfg = ModelParams.load(args.resume)
         start_epoch = int(cfg.get("epoch", -1)) + 1
@@ -284,12 +284,14 @@ def _cmd_dump_usage_vectors(args) -> int:
     instances = taskgen.read_instances(args.data)
     if args.limit is not None:
         instances = instances[:args.limit]
-    cache = training.ItemCache()
-    for item, enc in training.instance_encoders(
-            params, training.make_items(instances)):
-        pairs = [(item.token, v) for v in item.candidates]
-        print(dump_usage_vectors(enc, cache.graph(item),
-                                 item.instance.instance_id, pairs))
+    for inst in instances:
+        enc = Encoder(params, inst.program,
+                      placeholder_tokens=inst.placeholder_tokens)
+        for ph in inst.placeholders:
+            # the placeholder unbound, every other token at its truth
+            ug = enc.flow.uses({ph.token_index: None})
+            print(dump_usage_vectors(enc, ug, inst.instance_id,
+                                     ph.token_index, ph.candidates))
     return 0
 
 

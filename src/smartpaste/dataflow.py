@@ -323,11 +323,6 @@ def _solve(node_tokens: List[List[int]], edges_in: Dict[int, List[int]],
     return rel
 
 
-def lexical_chain(usegraph: UseGraph, t: int, v: int
-                  ) -> Tuple[Optional[int], Optional[int]]:
-    return usegraph.lex_prev(t, v), usegraph.lex_next(t, v)
-
-
 def dump_dataflow(program: TypedProgram, usegraph: UseGraph) -> str:
     """One tab-separated line per occurrence: token, symbol, lex_prev,
     lex_next, df_in, df_out (EPS printed as 'eps', absent as '-')."""
@@ -341,8 +336,8 @@ def dump_dataflow(program: TypedProgram, usegraph: UseGraph) -> str:
     lines = []
     for t in sorted(usegraph.occ):
         v = usegraph.occ[t]
-        lp, ln = lexical_chain(usegraph, t, v)
         lines.append("\t".join([
-            str(t), str(v), fmt_tok(lp), fmt_tok(ln),
+            str(t), str(v), fmt_tok(usegraph.lex_prev(t, v)),
+            fmt_tok(usegraph.lex_next(t, v)),
             fmt_set(usegraph.din(t, v)), fmt_set(usegraph.dout(t, v))]))
     return "\n".join(lines)

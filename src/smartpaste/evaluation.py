@@ -1,5 +1,9 @@
 """Evaluation: per-placeholder ranking metrics, full-snippet joint metrics,
-and the same-type analysis with its precision-recall summary."""
+and the same-type analysis with its precision-recall summary.
+
+Every ranking goes through `infer.rank_single` on one inference `Encoder`
+per instance: under ICM's bindings for full-snippet metrics, with the other
+placeholders at their truth (`train.truth_rankings`) for the others."""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 from .infer import icm
 from .models import ModelParams
 from .taskgen import TaskInstance
+from .train import make_items, truth_rankings
 
 
 class NoDecisions(Exception):
@@ -50,14 +55,11 @@ def eval_per_placeholder(params: ModelParams,
                          instances: Sequence[TaskInstance]) -> MetricsReport:
     """Each placeholder ranked independently with every other placeholder
     held at its true symbol."""
-    from .train import ItemCache, instance_encoders, make_items
-    cache = ItemCache()
     items = make_items(instances)
     if not items:
         raise NoDecisions("no placeholders to evaluate")
     hits = mrr = typed = 0.0
-    for item, enc in instance_encoders(params, items):
-        ranked = enc.rank(cache.graph(item), item.token, item.candidates)
+    for item, ranked in truth_rankings(params, items):
         rank = _rank_of(ranked, item.truth)
         hits += rank == 1
         mrr += 1.0 / rank
@@ -176,16 +178,10 @@ def eval_same_type(params: ModelParams, instances: Sequence[TaskInstance]
     ranking happens within the same-type set only, exact score ties earn
     expected chance credit, and each top choice contributes a
     confidence-weighted decision to the PR summary."""
-    from .train import ItemCache, instance_encoders, make_items
-    cache = ItemCache()
     hits = mrr = 0.0
     decisions: List[Decision] = []
-    for item, enc in instance_encoders(params, make_items(instances)):
-        ph = item.instance.placeholders[item.placeholder]
-        if len(ph.same_type_candidates) < 2:
-            continue
-        ranked = enc.rank(cache.graph(item), item.token,
-                          ph.same_type_candidates)
+    for item, ranked in truth_rankings(params, make_items(instances),
+                                       same_type=True):
         credit, rr = _tie_credit(ranked, item.truth)
         hits += credit
         mrr += rr

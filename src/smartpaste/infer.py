@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .minilang import ast
+from .minilang import ast, compile_source
 from .minilang.checker import (CheckError, TypedProgram, check,
                                vars_in_scope)
 from .minilang.lexer import reconstruct, tokenize
@@ -36,13 +36,15 @@ class Assignment:
 
 
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
-                context_assignment: Dict[int, int]
+                context_assignment: Dict[int, Optional[int]]
                 ) -> List[Tuple[int, float]]:
     """Candidates ranked by conditional probability with every other
-    placeholder bound per context_assignment; the usage relations are viewed
-    under that binding through the encoder's flow (the ranked placeholder
-    itself is unbound).  Ties break toward the lowest symbol id
-    (`Encoder.rank`)."""
+    placeholder bound per context_assignment (`None` leaves it unbound); the
+    usage relations are viewed under that binding through the encoder's flow
+    (the ranked placeholder itself is unbound).  Ties break toward the lowest
+    symbol id (`Encoder.rank`).  This is the one path from a binding to a
+    ranking: ICM, its independent start, training-time validation and
+    evaluation all go through it."""
     t = ph.token_index
     override: Dict[int, Optional[int]] = {t: None}
     for other in inst.placeholders:
@@ -65,19 +67,6 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
         prob = dict(ranked)[mapping[ph.token_index]]
         total += math.log(max(prob, 1e-300))
     return total, rankings
-
-
-def _independent_init(inst: TaskInstance, encoder: Encoder,
-                      phs: List[Placeholder]) -> Dict[int, int]:
-    """Each placeholder's argmax with every placeholder unbound; ties break
-    toward the lowest symbol id."""
-    override: Dict[int, Optional[int]] = {p.token_index: None for p in phs}
-    ug = encoder.flow.uses(override)
-    init: Dict[int, int] = {}
-    for ph in phs:
-        init[ph.token_index] = encoder.rank(ug, ph.token_index,
-                                            ph.candidates)[0][0]
-    return init
 
 
 def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
@@ -108,7 +97,10 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     best: Optional[Assignment] = None
     for attempt in range(max(restarts, 1)):
         if attempt == 0:
-            mapping = _independent_init(inst, encoder, phs)
+            unbound = dict.fromkeys(inst.placeholder_tokens)
+            mapping = {p.token_index: rank_single(inst, encoder, p,
+                                                  unbound)[0][0]
+                       for p in phs}
         else:
             mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
         total, rankings = total_log_prob(inst, encoder, mapping)
@@ -142,16 +134,16 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
 
 # --- paste ------------------------------------------------------------------
 
-def _parse_snippet_statements(snippet_source: str) -> List[ast.Stmt]:
+def _snippet_token_count(snippet_source: str) -> int:
+    """Number of tokens in a snippet that parses as a statement sequence."""
     try:
         tokens = tokenize(snippet_source)
         parser = Parser(tokens)
-        stmts = []
-        while parser.peek() is not None:
-            stmts.append(parser.parse_statement())
-        if not stmts:
+        if parser.peek() is None:
             raise SpliceError("snippet contains no statements")
-        return stmts
+        while parser.peek() is not None:
+            parser.parse_statement()
+        return len(tokens)
     except ParseError as e:
         raise SpliceError(f"snippet does not parse: {e}") from e
 
@@ -186,25 +178,22 @@ def _statement_insertion_index(program: TypedProgram, line: int, col: int
 
 
 def _splice_source(program: TypedProgram, snippet_source: str,
-                   line: int, col: int) -> Tuple[str, Tuple[int, int]]:
-    """Insert the snippet text at a statement boundary of the target source;
-    returns (new source, character span of the snippet)."""
+                   line: int, col: int) -> Tuple[str, int]:
+    """Insert the snippet text at a statement boundary of the target source,
+    right before the anchor token's text; returns (new source, anchor token
+    index).  The spliced program's tokens before the anchor are the target's,
+    so the snippet's tokens start at that index."""
     block, index = _statement_insertion_index(program, line, col)
     if index < len(block.statements):
-        anchor_tok = program.tokens[block.statements[index].span[0]]
+        anchor = block.statements[index].span[0]
     else:
-        anchor_tok = program.tokens[block.span[1]]  # the closing brace
-    # character offset of the anchor token
-    offset = 0
-    for tok in program.tokens:
-        offset += len(tok.leading)
-        if tok.index == anchor_tok.index:
-            break
-        offset += len(tok.text)
+        anchor = block.span[1]  # the closing brace
+    offset = sum(len(tok.leading) + len(tok.text)
+                 for tok in program.tokens[:anchor]) \
+        + len(program.tokens[anchor].leading)
     original = reconstruct(program.tokens)
-    text = snippet_source.strip()
-    return original[:offset] + text + "\n" + original[offset:], \
-        (offset, offset + len(text))
+    return original[:offset] + snippet_source.strip() + "\n" \
+        + original[offset:], anchor
 
 
 def make_paste_instance(target_source: str, snippet_source: str,
@@ -214,27 +203,18 @@ def make_paste_instance(target_source: str, snippet_source: str,
     type-check the result with those tokens as typed holes.  The returned
     TaskInstance has truth = -1 for every placeholder."""
     try:
-        target = check(parse(tokenize(target_source)), tokenize(target_source))
+        target = compile_source(target_source)
     except (CheckError, ParseError) as e:
         raise SpliceError(f"target does not compile: {e}") from e
-    _parse_snippet_statements(snippet_source)  # validate snippet shape early
+    n_snippet = _snippet_token_count(snippet_source)
 
-    spliced_source, char_span = _splice_source(target, snippet_source,
-                                               line, col)
+    spliced_source, first = _splice_source(target, snippet_source, line, col)
+    snippet_tokens = range(first, first + n_snippet)
     tokens = tokenize(spliced_source)
     try:
         prog_ast = parse(tokens)
     except ParseError as e:
         raise SpliceError(f"spliced program does not parse: {e}") from e
-
-    # snippet tokens are those inside the character span
-    offset = 0
-    snippet_tokens = set()
-    for tok in tokens:
-        offset += len(tok.leading)
-        if char_span[0] <= offset < char_span[1]:
-            snippet_tokens.add(tok.index)
-        offset += len(tok.text)
 
     # identify variable-use tokens in the snippet syntactically: defining
     # occurrences stay known, every other Var token becomes a hole
@@ -248,10 +228,6 @@ def make_paste_instance(target_source: str, snippet_source: str,
                 for sub in ast.walk_exprs(e):
                     if isinstance(sub, ast.Var) and sub.token in snippet_tokens:
                         holes.add(sub.token)
-            if isinstance(stmt, ast.For) and stmt.cond is not None:
-                for sub in ast.walk_exprs(stmt.cond):
-                    if isinstance(sub, ast.Var) and sub.token in snippet_tokens:
-                        holes.add(sub.token)
     holes -= def_tokens
     if not holes:
         raise SpliceError("snippet has no variable uses to infer")
@@ -262,7 +238,7 @@ def make_paste_instance(target_source: str, snippet_source: str,
     except CheckError as e:
         raise SpliceError(f"spliced program does not check: {e}") from e
 
-    snippet_span = (min(snippet_tokens), max(snippet_tokens))
+    snippet_span = (snippet_tokens[0], snippet_tokens[-1])
     placeholders = []
     for t in sorted(holes):
         candidates = sorted(vars_in_scope(program, t))

@@ -223,11 +223,12 @@ def stmt_exprs(stmt: Stmt):
         yield stmt.cond
     elif isinstance(stmt, While):
         yield stmt.cond
+    elif isinstance(stmt, For) and stmt.cond is not None:
+        yield stmt.cond  # init and step are statements of their own
     elif isinstance(stmt, Return) and stmt.value is not None:
         yield stmt.value
     elif isinstance(stmt, ExprStmt):
         yield stmt.expr
-    # For owns nothing directly: init/cond/step handled as separate units
 
 
 def structurally_equal(a, b) -> bool:

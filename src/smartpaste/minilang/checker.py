@@ -116,12 +116,6 @@ class TypedProgram:
     def symbol(self, sid: int) -> Symbol:
         return self.symbols[sid]
 
-    def function_containing(self, t: int) -> Optional[ast.FunctionDef]:
-        for fn in self.ast.functions:
-            if fn.span[0] <= t <= fn.span[1]:
-                return fn
-        return None
-
     def occurrences(self, sid: int) -> List[int]:
         """Token indices of all occurrences of a symbol (defs included)."""
         return [tok.index for tok in self.tokens if tok.symbol == sid]

@@ -514,12 +514,13 @@ class Encoder:
 
 
 def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,
-                       pairs: Sequence[Tuple[int, int]]) -> str:
-    """Line-delimited (instance, token, symbol, variant, values) records."""
+                       t: int, candidates: Sequence[int]) -> str:
+    """Line-delimited (instance, token, symbol, variant, values) records, one
+    per candidate at token t, encoded in one `usage_reprs` batch."""
+    u = encoder.usage_reprs(ug, t, candidates).data
     lines = []
-    for t, v in pairs:
-        u = encoder.usage_repr(ug, t, v)
-        values = "\t".join(repr(x) for x in u.data.tolist())
+    for k, v in enumerate(candidates):
+        values = "\t".join(repr(x) for x in u[:, k].tolist())
         lines.append(f"{instance_id}\t{t}\t{v}\t{encoder.params.variant}\t"
                      f"{values}")
     return "\n".join(lines)

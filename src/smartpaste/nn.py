@@ -392,9 +392,7 @@ def softmax_xent(scores: Tensor, truth: int) -> Tuple[Tensor, np.ndarray]:
     k = scores.shape[0]
     if not 0 <= truth < k:
         raise IndexError(f"truth index {truth} out of range for {k} scores")
-    shifted = scores.data - np.max(scores.data)
-    exp = np.exp(shifted)
-    probs = exp / np.sum(exp)
+    probs = softmax_probs(scores.data)
 
     def bw(g):
         if scores.requires_grad:

@@ -1,11 +1,15 @@
 """Training: per-placeholder items, pooled in-batch softmax normalization,
-Adam, and early stopping on validation accuracy."""
+Adam, and early stopping on validation accuracy.
+
+Training steps read each item's use graph from `ItemCache`.  Validation
+ranks as evaluation does: `truth_rankings` puts every item through
+`infer.rank_single` on one inference `Encoder` per instance."""
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -13,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .dataflow import ProgramFlow, UseGraph
+from .infer import rank_single
 from .models import Encoder, ModelParams
 from .taskgen import TaskInstance
 
@@ -60,11 +65,11 @@ def make_batches(items: List[Item], batch_size: int,
 
 
 class ItemCache:
-    """Use graphs are parameter-independent, so they are computed once per
-    item and reused across epochs; the items of one program share its
-    `ProgramFlow`.  Each item's graph has its placeholder unbound; every
-    other token, including the instance's other placeholders, keeps its
-    true symbol."""
+    """The use graphs of training steps.  They are parameter-independent, so
+    they are computed once per item and reused across epochs; the items of
+    one program share its `ProgramFlow`.  Each item's graph has its
+    placeholder unbound; every other token, including the instance's other
+    placeholders, keeps its true symbol."""
 
     def __init__(self):
         self._graphs: Dict[int, UseGraph] = {}
@@ -79,20 +84,6 @@ class ItemCache:
                 flow = self._flows[id(program)] = ProgramFlow(program)
             self._graphs[key] = flow.uses({item.token: None})
         return self._graphs[key]
-
-
-def instance_encoders(params: ModelParams, items: Iterable[Item]
-                      ) -> Iterator[Tuple[Item, Encoder]]:
-    """Each item with an inference `Encoder` shared by the consecutive items
-    of one instance; its caches depend only on the parameters, the program
-    and the placeholder tokens."""
-    inst, enc = None, None
-    for item in items:
-        if item.instance is not inst:
-            inst = item.instance
-            enc = Encoder(params, inst.program,
-                          placeholder_tokens=inst.placeholder_tokens)
-        yield item, enc
 
 
 def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
@@ -128,18 +119,37 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
     return value
 
 
+def truth_rankings(params: ModelParams, items: Iterable[Item],
+                   same_type: bool = False
+                   ) -> Iterator[Tuple[Item, List[Tuple[int, float]]]]:
+    """Each item with its `rank_single` ranking, every other placeholder of
+    its instance at its truth, through one inference `Encoder` shared by the
+    consecutive items of an instance.  `same_type` ranks among the
+    placeholder's same-type candidates instead of all in-scope ones, and
+    skips the items with fewer than two."""
+    inst = encoder = truth = None
+    for item in items:
+        ph = item.instance.placeholders[item.placeholder]
+        if same_type:
+            if len(ph.same_type_candidates) < 2:
+                continue
+            ph = replace(ph, candidates=ph.same_type_candidates)
+        if item.instance is not inst:
+            inst = item.instance
+            encoder = Encoder(params, inst.program,
+                              placeholder_tokens=inst.placeholder_tokens)
+            truth = {p.token_index: p.truth for p in inst.placeholders}
+        yield item, rank_single(inst, encoder, ph, truth)
+
+
 def per_placeholder_accuracy(params: ModelParams,
-                             items: Sequence[Item],
-                             cache: Optional[ItemCache] = None) -> float:
-    """Fraction of items whose truth ranks first among in-scope candidates
-    (`Encoder.rank`), every other placeholder held at truth."""
+                             items: Sequence[Item]) -> float:
+    """Fraction of items whose truth ranks first among in-scope candidates,
+    every other placeholder held at truth (`truth_rankings`)."""
     if not items:
         raise nn.EmptyInput("no items to evaluate")
-    cache = cache if cache is not None else ItemCache()
-    correct = 0
-    for item, enc in instance_encoders(params, items):
-        ranked = enc.rank(cache.graph(item), item.token, item.candidates)
-        correct += ranked[0][0] == item.truth
+    correct = sum(ranked[0][0] == item.truth
+                  for item, ranked in truth_rankings(params, items))
     return correct / len(items)
 
 
@@ -162,7 +172,6 @@ def fit(params: ModelParams, train_instances: Sequence[TaskInstance],
     train_items = make_items(train_instances)
     valid_items = make_items(valid_instances)
     cache = ItemCache()
-    valid_cache = ItemCache()
     adam = nn.AdamState(params.tensors())
     best_acc = -1.0
     best_loss = float("inf")
@@ -180,7 +189,7 @@ def fit(params: ModelParams, train_instances: Sequence[TaskInstance],
                                      config.lr, epoch_rng) * len(batch)
         epoch_loss /= max(len(train_items), 1)
         losses.append(epoch_loss)
-        acc = per_placeholder_accuracy(params, valid_items, valid_cache)
+        acc = per_placeholder_accuracy(params, valid_items)
         epochs_run = epoch - start_epoch + 1
         if log:
             log(f"{epoch}\t{epoch_loss:.6f}\t{acc:.4f}\t"

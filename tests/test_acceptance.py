@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from smartpaste import nn
-from smartpaste.dataflow import EPS, dataflow_uses, lexical_chain
+from smartpaste.dataflow import EPS, dataflow_uses
 from smartpaste.evaluation import (eval_full_snippet, eval_per_placeholder,
                                    eval_same_type)
 from smartpaste.generator import generate_corpus
@@ -128,7 +128,7 @@ def test_c2_lexical_degeneration():
         ug = dataflow_uses(program)
         for t, v in ug.occ.items():
             total += 1
-            lp, ln = lexical_chain(ug, t, v)
+            lp, ln = ug.lex_prev(t, v), ug.lex_next(t, v)
             want_in = frozenset({EPS if lp is None else lp})
             want_out = frozenset({EPS if ln is None else ln})
             if ug.din(t, v) != want_in or ug.dout(t, v) != want_out:

@@ -31,9 +31,9 @@ def workspace(tmp_path_factory):
                  "--out", corpus]) == 0
     assert main(["extract", "--corpus", corpus, "--out", data,
                  "--max-tokens", "40"]) == 0
-    assert main(["train", "--seed", "1", "--data", data, "--variant", "loc",
-                 "--hidden", "4", "--epochs", "1", "--checkpoint",
-                 model]) == 0
+    assert main(["train", "--seed", "1", "--data", data, "--valid", data,
+                 "--variant", "loc", "--hidden", "4", "--epochs", "1",
+                 "--checkpoint", model]) == 0
     return {"root": root, "corpus": corpus, "data": data, "model": model}
 
 
@@ -119,8 +119,9 @@ class TestTrain:
         for name in ("a.json", "b.json"):
             path = str(tmp_path / name)
             assert main(["train", "--seed", "1", "--data",
-                         workspace["data"], "--variant", "loc", "--hidden",
-                         "4", "--epochs", "1", "--checkpoint", path]) == 0
+                         workspace["data"], "--valid", workspace["data"],
+                         "--variant", "loc", "--hidden", "4", "--epochs", "1",
+                         "--checkpoint", path]) == 0
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
 
@@ -129,7 +130,8 @@ class TestTrain:
         cfg.write_text("# comment\nhidden = 4\nepochs = 1\n")
         path = str(tmp_path / "cfg-model.json")
         assert main(["train", "--seed", "1", "--data", workspace["data"],
-                     "--variant", "loc", "--hidden", "64", "--epochs", "9",
+                     "--valid", workspace["data"], "--variant", "loc",
+                     "--hidden", "64", "--epochs", "9",
                      "--config", str(cfg), "--checkpoint", path]) == 0
         record = json.load(open(path))
         assert record["config"]["hyper"]["hidden"] == 4
@@ -137,14 +139,15 @@ class TestTrain:
     def test_bad_config_line_fails(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no equals sign here\n")
-        assert main(["train", "--data", workspace["data"], "--config",
-                     str(cfg), "--checkpoint",
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--config", str(cfg), "--checkpoint",
                      str(tmp_path / "m.json")]) == 1
         assert "bad config line" in capsys.readouterr().err
 
     def test_malformed_record_fails(self, workspace, tmp_path, capsys):
         for path in _malformed_records(workspace, tmp_path):
-            assert main(["train", "--data", path, "--checkpoint",
+            assert main(["train", "--data", path, "--valid",
+                         workspace["data"], "--checkpoint",
                          str(tmp_path / "m.json")]) == 1
             assert f"error: {path}:2: bad instance record" in \
                 capsys.readouterr().err
@@ -153,10 +156,21 @@ class TestTrain:
                                               capsys):
         path = str(tmp_path / "resumed.json")
         assert main(["train", "--seed", "1", "--data", workspace["data"],
-                     "--resume", workspace["model"], "--epochs", "1",
+                     "--valid", workspace["data"], "--resume",
+                     workspace["model"], "--epochs", "1",
                      "--checkpoint", path]) == 0
         first = json.load(open(workspace["model"]))["config"]["epoch"]
         assert json.load(open(path))["config"]["epoch"] == first + 1
+
+    def test_missing_valid_exits_2(self, workspace, tmp_path, capsys):
+        """Early stopping needs held-out data: there is no fallback to the
+        training set."""
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--data", workspace["data"], "--checkpoint",
+                  str(tmp_path / "m.json")])
+        assert e.value.code == 2
+        assert "--valid" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def _malformed_records(workspace, tmp_path):

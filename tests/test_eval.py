@@ -2,12 +2,16 @@
 
 import pytest
 
+from smartpaste.dataflow import dataflow_uses
 from smartpaste.evaluation import (Decision, MetricsReport, NoDecisions,
-                                   eval_full_snippet, eval_per_placeholder,
-                                   eval_same_type, format_report, pr_auc,
-                                   pr_curve, precision_at_recall)
-from smartpaste.models import Hyper, ModelParams
+                                   _tie_credit, eval_full_snippet,
+                                   eval_per_placeholder, eval_same_type,
+                                   format_report, pr_auc, pr_curve,
+                                   precision_at_recall)
+from smartpaste.models import (VARIANTS, Encoder, Hyper, ModelParams,
+                               build_vocab)
 from smartpaste.taskgen import make_instance
+from smartpaste.train import make_items, per_placeholder_accuracy
 
 
 class TestPrCurve:
@@ -145,3 +149,47 @@ class TestModelMetrics:
         _, params = zero_setup
         with pytest.raises(NoDecisions):
             eval_per_placeholder(params, [])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_truth_context_metrics_match_fresh_rankings(sum_positive_program,
+                                                    variant):
+    """Validation accuracy and the per-placeholder and same-type metrics
+    rank each placeholder as a fresh encoder does over the program with that
+    placeholder unbound and every other token at its truth."""
+    inst = make_instance(sum_positive_program, (17, 46), "loop#0")
+    params = ModelParams(variant, Hyper(hidden=6, tree_depth=4),
+                         *build_vocab([inst]), seed=3)
+    declared = {s.id: s.declared_type for s in inst.program.symbols}
+
+    def fresh_rank(ph, candidates):
+        enc = Encoder(params, inst.program,
+                      placeholder_tokens=inst.placeholder_tokens)
+        return enc.rank(dataflow_uses(inst.program, {ph.token_index: None}),
+                        ph.token_index, candidates)
+
+    hits = mrr = typed = 0.0
+    for ph in inst.placeholders:
+        ranked = fresh_rank(ph, ph.candidates)
+        rank = [v for v, _ in ranked].index(ph.truth) + 1
+        hits += rank == 1
+        mrr += 1.0 / rank
+        typed += declared[ranked[0][0]] == declared[ph.truth]
+    n = len(inst.placeholders)
+    report = eval_per_placeholder(params, [inst])
+    assert (report.count, report.accuracy, report.mrr, report.type_match) \
+        == (n, hits / n, mrr / n, typed / n)
+    assert per_placeholder_accuracy(params, make_items([inst])) == hits / n
+
+    hits = mrr = 0.0
+    m = 0
+    for ph in inst.placeholders:
+        if len(ph.same_type_candidates) >= 2:
+            credit, rr = _tie_credit(
+                fresh_rank(ph, ph.same_type_candidates), ph.truth)
+            hits += credit
+            mrr += rr
+            m += 1
+    report = eval_same_type(params, [inst])
+    assert (report.count, report.accuracy, report.mrr) \
+        == (m, hits / m, mrr / m)

@@ -7,10 +7,11 @@ import pytest
 from smartpaste.infer import (NoCandidates, SpliceError, icm,
                               make_paste_instance, paste, rank_single,
                               total_log_prob)
+from smartpaste.dataflow import dataflow_uses
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
-from smartpaste.models import Encoder, Hyper, ModelParams
+from smartpaste.models import VARIANTS, Encoder, Hyper, ModelParams
 from smartpaste.taskgen import extract_instances, make_instance
 
 from conftest import SUM_POSITIVE, SUM_POSITIVE_TRUTH_NAMES
@@ -108,6 +109,23 @@ class TestIcm:
                       placeholder_tokens=loop_instance.placeholder_tokens)
         total, _ = total_log_prob(loop_instance, enc, best.mapping)
         assert total == pytest.approx(best.total_log_prob)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_first_start_is_the_independent_argmax(self, loop_instance,
+                                                   variant):
+        """Without sweeps the first restart returns its start: each
+        placeholder's argmax with every placeholder unbound, as a fresh
+        encoder ranks it."""
+        inst = loop_instance
+        params = small_model(inst.program, variant=variant)
+        best = icm(inst, params, restarts=1, max_sweeps=0)
+        unbound = dataflow_uses(inst.program,
+                                dict.fromkeys(inst.placeholder_tokens))
+        for ph in inst.placeholders:
+            enc = Encoder(params, inst.program,
+                          placeholder_tokens=inst.placeholder_tokens)
+            ranked = enc.rank(unbound, ph.token_index, ph.candidates)
+            assert best.mapping[ph.token_index] == ranked[0][0]
 
     def test_rankings_cover_all_placeholders(self, loop_instance):
         params = small_model(loop_instance.program)

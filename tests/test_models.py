@@ -523,7 +523,7 @@ def test_dump_usage_vectors_format():
     enc = Encoder(params, prog)
     use = next(t.index for t in prog.tokens
                if t.symbol is not None and not t.is_def)
-    out = dump_usage_vectors(enc, ug, "id#0", [(use, prog.symbols[0].id)])
+    out = dump_usage_vectors(enc, ug, "id#0", use, [prog.symbols[0].id])
     fields = out.split("\t")
     assert fields[:4] == ["id#0", str(use), str(prog.symbols[0].id), "loc"]
     assert len(fields) == 4 + 4
