@@ -156,15 +156,13 @@ class UseGraph:
     Without a flow they start empty, for the caller to fill."""
 
     def __init__(self, occ: Dict[int, int],
-                 flow: Optional["ProgramFlow"] = None):
+                 flow: Optional["ProgramFlow"] = None,
+                 occurrences: Optional[Dict[int, Tuple[int, ...]]] = None):
         self.occ = occ          # token -> symbol at that token
         self.flow = flow
-        by_symbol: Dict[int, List[int]] = {}
-        for t in sorted(occ):
-            by_symbol.setdefault(occ[t], []).append(t)
         # symbol -> its sorted token indices
-        self.occurrences: Dict[int, Tuple[int, ...]] = {
-            v: tuple(ts) for v, ts in by_symbol.items()}
+        self.occurrences: Dict[int, Tuple[int, ...]] = \
+            _by_symbol(occ) if occurrences is None else occurrences
         self._relations: Dict[int, Tuple[Relation, Relation]] = {}
         self._flat: Optional[Tuple[dict, dict]] = \
             None if flow is not None else ({}, {})  # (df_in, df_out)
@@ -215,6 +213,14 @@ class UseGraph:
         return self.relations(v)[1].get(t, frozenset())
 
 
+def _by_symbol(occ: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:
+    """symbol -> its sorted token indices under the occurrence map."""
+    by_symbol: Dict[int, List[int]] = {}
+    for t in sorted(occ):
+        by_symbol.setdefault(occ[t], []).append(t)
+    return {v: tuple(ts) for v, ts in by_symbol.items()}
+
+
 def occurrence_map(program: TypedProgram,
                    override: Optional[Dict[int, Optional[int]]] = None
                    ) -> Dict[int, int]:
@@ -259,6 +265,10 @@ class ProgramFlow:
             for v in _function_symbols(program, fn):
                 self._graphs[v] = directions
         self.symbols = list(self._graphs)  # in function order
+        # (token set, occurrence map, per-symbol occurrences) with the
+        # tokens of the last override unbound
+        self._unbound: Tuple[Optional[FrozenSet[int]], Dict[int, int],
+                             Dict[int, Tuple[int, ...]]] = (None, {}, {})
         self._memo: Dict[Tuple[int, Tuple[int, ...]],
                          Tuple[Relation, Relation]] = {}
 
@@ -276,8 +286,24 @@ class ProgramFlow:
 
     def uses(self, override: Optional[Dict[int, Optional[int]]] = None
              ) -> UseGraph:
-        """The use graph with placeholder tokens rebound per `override`."""
-        return UseGraph(occurrence_map(self.program, override), self)
+        """The use graph with placeholder tokens rebound per `override`
+        (None unbinds).  The program's occurrence map without the
+        override's tokens is kept for the last token set (ICM and
+        validation override one set per instance); a view copies it and
+        sorts again only the symbols the override binds a token to."""
+        key = frozenset(override or ())
+        if self._unbound[0] != key:
+            unbound = occurrence_map(self.program, dict.fromkeys(key))
+            self._unbound = (key, unbound, _by_symbol(unbound))
+        occ, occurrences = dict(self._unbound[1]), dict(self._unbound[2])
+        bound: Dict[int, List[int]] = {}
+        for t, sid in (override or {}).items():
+            if sid is not None:
+                occ[t] = sid
+                bound.setdefault(sid, []).append(t)
+        for v, ts in bound.items():
+            occurrences[v] = tuple(sorted(occurrences.get(v, ()) + tuple(ts)))
+        return UseGraph(occ, self, occurrences)
 
 
 def dataflow_uses(program: TypedProgram,

@@ -1,9 +1,10 @@
 """Evaluation: per-placeholder ranking metrics, full-snippet joint metrics,
 and the same-type analysis with its precision-recall summary.
 
-Every ranking goes through `infer.rank_single` on one inference `Encoder`
-per instance: under ICM's bindings for full-snippet metrics, with the other
-placeholders at their truth (`train.truth_rankings`) for the others."""
+Every ranking goes through `infer.rank_placeholders` on one inference
+`Encoder` per instance: one placeholder at a time under ICM's bindings for
+full-snippet metrics, all of an instance's placeholders in one call with the
+others at their truth (`train.truth_rankings`) for the others."""
 
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .minilang import ast, compile_source
 from .minilang.checker import (CheckError, TypedProgram, check,
@@ -35,23 +35,35 @@ class Assignment:
     rankings: Dict[int, List[Tuple[int, float]]] = field(default_factory=dict)
 
 
+def rank_placeholders(inst: TaskInstance, encoder: Encoder,
+                      phs: Sequence[Placeholder],
+                      context_assignment: Dict[int, Optional[int]]
+                      ) -> List[List[Tuple[int, float]]]:
+    """Each placeholder's candidates ranked by conditional probability with
+    every other placeholder bound per context_assignment (`None` leaves it
+    unbound); each placeholder's usage relations are viewed under that
+    binding through the encoder's flow (the ranked placeholder itself is
+    unbound).  Ties break toward the lowest symbol id.  This is the one path
+    from a binding to a ranking: its missing scores are computed in one
+    `Encoder.rank` batch over all of `phs`."""
+    groups = []
+    for ph in phs:
+        t = ph.token_index
+        override: Dict[int, Optional[int]] = {t: None}
+        for other in inst.placeholders:
+            if other.token_index != t:
+                override[other.token_index] = \
+                    context_assignment[other.token_index]
+        groups.append((encoder.flow.uses(override), t, ph.candidates))
+    return encoder.rank(groups)
+
+
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
                 context_assignment: Dict[int, Optional[int]]
                 ) -> List[Tuple[int, float]]:
-    """Candidates ranked by conditional probability with every other
-    placeholder bound per context_assignment (`None` leaves it unbound); the
-    usage relations are viewed under that binding through the encoder's flow
-    (the ranked placeholder itself is unbound).  Ties break toward the lowest
-    symbol id (`Encoder.rank`).  This is the one path from a binding to a
-    ranking: ICM, its independent start, training-time validation and
-    evaluation all go through it."""
-    t = ph.token_index
-    override: Dict[int, Optional[int]] = {t: None}
-    for other in inst.placeholders:
-        if other.token_index != t:
-            override[other.token_index] = \
-                context_assignment[other.token_index]
-    return encoder.rank(encoder.flow.uses(override), t, ph.candidates)
+    """`rank_placeholders` of one placeholder: what ICM's sweeps, its
+    totals and its independent start call."""
+    return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
 
 
 def total_log_prob(inst: TaskInstance, encoder: Encoder,

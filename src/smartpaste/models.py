@@ -5,6 +5,7 @@ windowed context representation, the five usage-representation variants
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, \
@@ -227,17 +228,21 @@ class Encoder:
     Outside training, type representations are fixed too, and a candidate
     v's lexical chains and data-flow trees at t depend only on where v
     occurs, so `rank` memoises each score c(t) . u(t, v) by (t, v,
-    occurrences of v) for the encoder's lifetime and computes only the
-    missing ones.
+    occurrences of v) for the encoder's lifetime; it computes only the
+    missing scores, for several placeholders at once.
 
-    `usage_reprs` encodes all candidates of a placeholder at once.  A
+    `usage_batch` encodes the candidates of several (encoder, view, t,
+    candidates) groups at once; `usage_reprs` is its one-group call.  A
     structural walk first visits each candidate's chains and data-flow trees
-    in the order of the per-candidate recursion, resolving window tokens and
-    type representations as it goes: at training time type dropout draws
-    from `rng` on each symbol's first use, so that order fixes the draws.
-    The arithmetic then runs in column batches: every new context window in
-    one batch, and every tree depth of every candidate in one GRU step per
-    direction.  Training and inference share this path.
+    in the order of the per-candidate recursion, group after group, then
+    each group's own c(t) window, resolving window tokens and type
+    representations as it goes: at training time type dropout draws from
+    `rng` on each symbol's first use, so that order fixes the draws.  The
+    arithmetic then runs in column batches: every new context window of
+    every encoder in one batch, and every tree depth or chain step of every
+    candidate of every group in one GRU step per direction.  A training
+    step (one encoder per item), a validation instance and an ICM update
+    all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -311,62 +316,28 @@ class Encoder:
         self._pending[t] = [self.token_repr(t - c + i) for i in range(c)] \
             + [self.token_repr(t + 1 + i) for i in range(c)]
 
-    def _flush_contexts(self):
-        """c(t) = W_C [f_prev(window before t), f_next(window after t)] for
-        every requested position, one column per position."""
-        if not self._pending:
-            return
-        positions = list(self._pending)
-        windows = list(self._pending.values())
-        self._pending = {}
-        c = self.hyper.window
-        slots = [nn.columns([w[i] for w in windows]) for i in range(2 * c)]
-        prev, nxt = slots[:c], slots[c:]
-        p = self.params
-        if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
-            fp = nn.matmul(p.pos_prev[0], prev[0])
-            for i in range(1, c):
-                fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
-            fn = nn.matmul(p.pos_next[0], nxt[0])
-            for i in range(1, c):
-                fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
-        else:
-            zero = nn.constant(np.zeros((self.hyper.hidden, len(positions))))
-            fp = zero
-            for x in prev:
-                fp = nn.gru_step(fp, x, p.ctx_gru_prev)
-            fn = zero
-            for x in reversed(nxt):
-                fn = nn.gru_step(fn, x, p.ctx_gru_next)
-        block = nn.matmul(p.w_c, nn.concat([fp, fn]))
-        for j, t in enumerate(positions):
-            self._ctx_cache[t] = nn.gather(block, j)
-
     def context_repr(self, t: int) -> Tensor:
         """The context vector of position t; c(EPS) is the zero vector."""
         if t == EPS:
             return self._zero
         self._request_context(t)
-        self._flush_contexts()
+        _flush_contexts([self])
         return self._ctx_cache[t]
 
     # -- usage representations --
 
     def _lex_chain(self, ug: UseGraph, t: int, v: int, direction: str
                    ) -> List[int]:
-        """Up to chain_len occurrence positions; prev chains are returned
-        oldest-first (chronological), next chains nearest-first."""
-        step = ug.lex_prev if direction == "prev" else ug.lex_next
-        chain: List[int] = []
-        cur: Optional[int] = t
-        for _ in range(self.hyper.chain_len):
-            cur = step(cur, v)
-            if cur is None:
-                break
-            chain.append(cur)
+        """Up to chain_len occurrence positions of v before (prev) or after
+        (next) t, nearest last for prev chains (chronological) and nearest
+        first for next chains: a slice of v's sorted occurrences."""
+        occ = ug.occurrences.get(v, ())
+        n = self.hyper.chain_len
         if direction == "prev":
-            chain.reverse()
-        return chain
+            i = bisect_left(occ, t)
+            return list(occ[max(i - n, 0):i])
+        i = bisect_right(occ, t)
+        return list(occ[i:i + n])
 
     def _index_tree(self, ug: UseGraph, t: int, v: int, k: int,
                     direction: str, index: _TreeIndex, use):
@@ -394,123 +365,210 @@ class Encoder:
             return memo[key]
 
         index.roots.append(state(t, self.hyper.tree_depth))
-
-    def _tree_states(self, leaves: Tensor, contexts: Tensor,
-                     index: _TreeIndex, cell: nn.GruCellParams) -> Tensor:
-        """TreeGRU root states, (H, K): one GRU step over all edges of a
-        depth, then each node's max over its children, deepest level
-        first."""
-        bank = leaves
-        for depth in sorted(index.levels):
-            child_cols, ctx_cols, starts = index.levels[depth]
-            edges = nn.gru_step(nn.gather(bank, child_cols),
-                                nn.gather(contexts, ctx_cols), cell)
-            bank = nn.columns([leaves, nn.segment_max(edges, starts)])
-        return nn.gather(bank, index.roots)
-
-    def _chain_gru(self, init: Tensor, contexts: Tensor,
-                   chains: List[List[int]], cell: nn.GruCellParams
-                   ) -> Tensor:
-        """One GRU run per column along its chain of context columns, all
-        columns stepped together by step index; a column whose chain has
-        ended keeps its state."""
-        h = init
-        for s in range(max(map(len, chains), default=0)):
-            active = np.array([len(ch) > s for ch in chains])
-            x = nn.gather(contexts, [ch[s] if len(ch) > s else 0
-                                     for ch in chains])
-            stepped = nn.gru_step(h, x, cell)
-            if active.all():
-                h = stepped
-            else:
-                keep = np.broadcast_to(active.astype(float), h.shape)
-                h = nn.add(nn.mul(stepped, nn.constant(keep)),
-                           nn.mul(h, nn.constant(1.0 - keep)))
-        return h
+        # the recursive closure refers to itself, and through `use` to the
+        # encoder: break the cycle, so that a batch's encoders and tape are
+        # freed when the batch is done, not when the cycle collector runs
+        del state
 
     def usage_reprs(self, ug: UseGraph, t: int,
                     candidates: Sequence[int]) -> Tensor:
         """Usage representations of the candidate symbols at token t, one
-        column per candidate: (H, K)."""
-        variant = self.params.variant
-        k_all = len(candidates)
-        ctx_cols: Dict[int, int] = {EPS: 0}  # position -> contexts column
-
-        def use(x: int) -> int:
-            self._request_context(x)
-            return ctx_cols.setdefault(x, len(ctx_cols))
-
-        chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
-        trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
-        for k, v in enumerate(candidates):
-            if variant == "grug":  # its GRUs read the type before the chain
-                self.type_embed(v)
-            if variant in ("avgg", "grug", "hybrid"):
-                for d in ("prev", "next"):
-                    chains[d].append([use(x)
-                                      for x in self._lex_chain(ug, t, v, d)])
-            self.type_embed(v)
-            if variant in ("grud", "hybrid"):
-                for d in ("prev", "next"):
-                    self._index_tree(ug, t, v, k, d, trees[d], use)
-        self._flush_contexts()
-
-        leaves = nn.columns([self.type_embed(v) for v in candidates])
-        if variant == "loc":
-            return leaves
-        contexts = nn.columns([self._zero] + [self._ctx_cache[x]
-                                              for x in list(ctx_cols)[1:]])
-        p = self.params
-        if variant == "grug":
-            hp = self._chain_gru(leaves, contexts, chains["prev"],
-                                 p.seq_gru_prev)
-            hn = self._chain_gru(leaves, contexts, chains["next"],
-                                 p.seq_gru_next)
-            return nn.matmul(p.w_gru, nn.concat([hp, hn]))
-        if variant in ("avgg", "hybrid"):
-            mean = np.zeros((len(ctx_cols), k_all))
-            for k, (prev, nxt) in enumerate(zip(chains["prev"],
-                                                chains["next"])):
-                both = prev + nxt
-                if both:
-                    mean[both, k] = 1.0 / len(both)
-            avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
-            if variant == "avgg":
-                return avgg
-        hp = self._tree_states(leaves, contexts, trees["prev"],
-                               p.tree_gru_prev)
-        hn = self._tree_states(leaves, contexts, trees["next"],
-                               p.tree_gru_next)
-        grud = nn.matmul(p.w_d, nn.concat([hp, hn]))
-        if variant == "grud":
-            return grud
-        return nn.matmul(p.w_h, nn.concat([avgg, grud]))
+        column per candidate: (H, K); the one-group `usage_batch`."""
+        return usage_batch([(self, ug, t, candidates)])
 
     def usage_repr(self, ug: UseGraph, t: int, v: int) -> Tensor:
         """The usage representation of one candidate v at token t."""
         return nn.gather(self.usage_reprs(ug, t, [v]), 0)
 
-    def rank(self, ug: UseGraph, t: int, candidates: Sequence[int]
-             ) -> List[Tuple[int, float]]:
-        """Candidates with the softmax of their scores c(t) . u(t, v), most
-        probable first; equal probabilities go to the lower symbol id.
-        Scores missing from the memo (all of them at training time) are
-        computed in one batch."""
+    def rank(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
+             ) -> List[List[Tuple[int, float]]]:
+        """For each (view, t, candidates) group, its candidates with the
+        softmax of their scores c(t) . u(t, v), most probable first; equal
+        probabilities go to the lower symbol id.  Scores missing from the
+        memo (all of them at training time) are computed in one
+        `usage_batch` over every group."""
         memo = {} if self.training else self._scores
-        keys = [(t, v, ug.occurrences.get(v, ())) for v in candidates]
-        missing = [key for key in keys if key not in memo]
-        if missing:
-            u = self.usage_reprs(ug, t, [v for _, v, _ in missing]).data
-            # one contiguous row sum per candidate: unlike a BLAS product,
-            # its rounding does not depend on the other columns of the
-            # batch, so equal usage columns keep exactly equal scores
-            memo.update(zip(missing, (np.ascontiguousarray(u.T)
-                                      * self.context_repr(t).data
-                                      ).sum(axis=1)))
-        probs = nn.softmax_probs(np.array([memo[key] for key in keys]))
-        order = sorted(range(len(candidates)),
-                       key=lambda i: (-probs[i], candidates[i]))
-        return [(candidates[i], float(probs[i])) for i in order]
+        keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
+                for ug, t, candidates in groups]
+        batch: List[UsageGroup] = []
+        missing = []
+        for (ug, t, _), group_keys in zip(groups, keys):
+            absent = [key for key in group_keys if key not in memo]
+            if absent:
+                batch.append((self, ug, t, [v for _, v, _ in absent]))
+                missing += absent
+        if batch:
+            u = np.ascontiguousarray(usage_batch(batch).data.T)
+            start = 0
+            for _, _, t, vs in batch:
+                # one contiguous row sum per candidate: unlike a BLAS
+                # product, its rounding does not depend on the other
+                # columns of the batch, so equal usage columns keep exactly
+                # equal scores
+                stop = start + len(vs)
+                memo.update(zip(missing[start:stop],
+                                (u[start:stop] * self.context_repr(t).data
+                                 ).sum(axis=1)))
+                start = stop
+        ranked = []
+        for (_, _, candidates), group_keys in zip(groups, keys):
+            probs = nn.softmax_probs(np.array([memo[key]
+                                               for key in group_keys]))
+            order = sorted(range(len(candidates)),
+                           key=lambda i: (-probs[i], candidates[i]))
+            ranked.append([(candidates[i], float(probs[i])) for i in order])
+        return ranked
+
+
+# One group of a usage batch: (encoder, use graph, token t, candidates).
+UsageGroup = Tuple[Encoder, UseGraph, int, Sequence[int]]
+
+
+def _flush_contexts(encoders: Sequence[Encoder]):
+    """c(t) = W_C [f_prev(window before t), f_next(window after t)] for
+    every position requested from the encoders, which share one model: one
+    column per (encoder, position), all in one batch."""
+    pending = []
+    for enc in encoders:
+        if enc._pending:
+            pending += [(enc, t, window) for t, window in enc._pending.items()]
+            enc._pending = {}
+    if not pending:
+        return
+    p = encoders[0].params
+    c = p.hyper.window
+    slots = [nn.columns([w[i] for _, _, w in pending]) for i in range(2 * c)]
+    prev, nxt = slots[:c], slots[c:]
+    if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
+        fp = nn.matmul(p.pos_prev[0], prev[0])
+        for i in range(1, c):
+            fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
+        fn = nn.matmul(p.pos_next[0], nxt[0])
+        for i in range(1, c):
+            fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
+    else:
+        zero = nn.constant(np.zeros((p.hyper.hidden, len(pending))))
+        fp = zero
+        for x in prev:
+            fp = nn.gru_step(fp, x, p.ctx_gru_prev)
+        fn = zero
+        for x in reversed(nxt):
+            fn = nn.gru_step(fn, x, p.ctx_gru_next)
+    block = nn.matmul(p.w_c, nn.concat([fp, fn]))
+    for j, (enc, t, _) in enumerate(pending):
+        enc._ctx_cache[t] = nn.gather(block, j)
+
+
+def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
+                 cell: nn.GruCellParams) -> Tensor:
+    """TreeGRU root states, (H, K): one GRU step over all edges of a depth,
+    then each node's max over its children, deepest level first."""
+    bank = leaves
+    for depth in sorted(index.levels):
+        child_cols, ctx_cols, starts = index.levels[depth]
+        edges = nn.gru_step(nn.gather(bank, child_cols),
+                            nn.gather(contexts, ctx_cols), cell)
+        bank = nn.columns([leaves, nn.segment_max(edges, starts)])
+    return nn.gather(bank, index.roots)
+
+
+def _chain_gru(init: Tensor, contexts: Tensor, chains: List[List[int]],
+               cell: nn.GruCellParams) -> Tensor:
+    """One GRU run per column along its chain of context columns, all
+    columns stepped together by step index; a column whose chain has ended
+    keeps its state."""
+    h = init
+    for s in range(max(map(len, chains), default=0)):
+        active = np.array([len(ch) > s for ch in chains])
+        x = nn.gather(contexts, [ch[s] if len(ch) > s else 0
+                                 for ch in chains])
+        stepped = nn.gru_step(h, x, cell)
+        if active.all():
+            h = stepped
+        else:
+            keep = np.broadcast_to(active.astype(float), h.shape)
+            h = nn.add(nn.mul(stepped, nn.constant(keep)),
+                       nn.mul(h, nn.constant(1.0 - keep)))
+    return h
+
+
+def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
+    """Usage representations of every group's candidates at its token t,
+    one column per candidate in group order: (H, sum of the K).  The
+    groups' encoders share one model.
+
+    The structural walk visits the groups in order, then each group's own
+    c(t) window is requested, in group order; one context flush covers the
+    windows of every encoder.  Context columns are keyed by (encoder,
+    position), so the groups of one encoder share them; the chain lists and
+    one `_TreeIndex` per direction, with global candidate columns, hold
+    every group, so each chain step and tree depth is one GRU step per
+    direction over the whole batch."""
+    params = groups[0][0].params
+    variant = params.variant
+    k_all = sum([len(group[3]) for group in groups])
+    # column j + 1 of the contexts is c(position) of encoder for the j-th
+    # (encoder, position) the walk uses; column 0 is c(EPS) = 0
+    ctx_keys: List[Tuple[Encoder, int]] = []
+    ctx_cols: Dict[Encoder, Dict[int, int]] = {}  # position -> column
+    chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
+    trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
+    k = 0
+    for enc, ug, t, candidates in groups:
+        cols = ctx_cols.setdefault(enc, {EPS: 0})
+
+        def use(x: int, enc: Encoder = enc, cols: Dict[int, int] = cols
+                ) -> int:
+            col = cols.get(x)
+            if col is None:
+                enc._request_context(x)
+                col = cols[x] = len(ctx_keys) + 1
+                ctx_keys.append((enc, x))
+            return col
+
+        for v in candidates:
+            if variant == "grug":  # its GRUs read the type before the chain
+                enc.type_embed(v)
+            if variant in ("avgg", "grug", "hybrid"):
+                for d in ("prev", "next"):
+                    chains[d].append([use(x)
+                                      for x in enc._lex_chain(ug, t, v, d)])
+            enc.type_embed(v)
+            if variant in ("grud", "hybrid"):
+                for d in ("prev", "next"):
+                    enc._index_tree(ug, t, v, k, d, trees[d], use)
+            k += 1
+    for enc, _, t, _ in groups:
+        enc._request_context(t)
+    _flush_contexts(list(ctx_cols))
+
+    leaves = nn.columns([enc.type_embed(v)
+                         for enc, _, _, candidates in groups
+                         for v in candidates])
+    if variant == "loc":
+        return leaves
+    contexts = nn.columns([groups[0][0]._zero]
+                          + [enc._ctx_cache[x] for enc, x in ctx_keys])
+    p = params
+    if variant == "grug":
+        hp = _chain_gru(leaves, contexts, chains["prev"], p.seq_gru_prev)
+        hn = _chain_gru(leaves, contexts, chains["next"], p.seq_gru_next)
+        return nn.matmul(p.w_gru, nn.concat([hp, hn]))
+    if variant in ("avgg", "hybrid"):
+        mean = np.zeros((contexts.shape[1], k_all))
+        for k, (prev, nxt) in enumerate(zip(chains["prev"], chains["next"])):
+            both = prev + nxt
+            if both:
+                mean[both, k] = 1.0 / len(both)
+        avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
+        if variant == "avgg":
+            return avgg
+    hp = _tree_states(leaves, contexts, trees["prev"], p.tree_gru_prev)
+    hn = _tree_states(leaves, contexts, trees["next"], p.tree_gru_next)
+    grud = nn.matmul(p.w_d, nn.concat([hp, hn]))
+    if variant == "grud":
+        return grud
+    return nn.matmul(p.w_h, nn.concat([avgg, grud]))
 
 
 def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,

@@ -1,15 +1,18 @@
 """Training: per-placeholder items, pooled in-batch softmax normalization,
 Adam, and early stopping on validation accuracy.
 
-Training steps read each item's use graph from `ItemCache`.  Validation
-ranks as evaluation does: `truth_rankings` puts every item through
-`infer.rank_single` on one inference `Encoder` per instance."""
+A training step encodes all of its items in one `models.usage_batch`,
+reading each item's use graph from `ItemCache`.  Validation ranks as
+evaluation does: `truth_rankings` ranks all items of an instance in one
+`infer.rank_placeholders` call on one inference `Encoder`."""
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, groupby
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -17,8 +20,8 @@ import numpy as np
 
 from . import nn
 from .dataflow import ProgramFlow, UseGraph
-from .infer import rank_single
-from .models import Encoder, ModelParams
+from .infer import rank_placeholders
+from .models import Encoder, ModelParams, usage_batch
 from .taskgen import TaskInstance
 
 
@@ -90,21 +93,27 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
                cache: ItemCache, lr: float, rng: random.Random) -> float:
     """One optimizer step.  Each item's score vector holds its own in-scope
     candidates followed by the truth usage vectors of the other items in the
-    batch; the loss is the mean softmax cross-entropy."""
+    batch; the loss is the mean softmax cross-entropy.  Every item has its
+    own training `Encoder` (its own type-dropout draws), and all items go
+    through one `usage_batch`: one tape for the whole batch."""
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    usages = [enc.usage_reprs(cache.graph(item), item.token, item.candidates)
-              for item, enc in zip(batch, encoders)]
+    usages = usage_batch([(enc, cache.graph(item), item.token,
+                           item.candidates)
+                          for item, enc in zip(batch, encoders)])
+    starts = list(accumulate((len(item.candidates) for item in batch),
+                             initial=0))
     truth_idx = [item.candidates.index(item.truth) for item in batch]
-    truth_vecs = [nn.gather(u, i) for u, i in zip(usages, truth_idx)]
+    truth_cols = [start + i for start, i in zip(starts, truth_idx)]
 
     losses = []
     for i, (item, enc) in enumerate(zip(batch, encoders)):
-        others = [truth_vecs[j] for j in range(len(batch)) if j != i]
+        cols = list(range(starts[i], starts[i + 1])) \
+            + truth_cols[:i] + truth_cols[i + 1:]
         scores = nn.dot(enc.context_repr(item.token),
-                        nn.columns([usages[i]] + others))
+                        nn.gather(usages, cols))
         loss, _ = nn.softmax_xent(scores, truth_idx[i])
         losses.append(loss)
     total = nn.mean_of(losses) if len(losses) > 1 else losses[0]
@@ -122,24 +131,28 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
 def truth_rankings(params: ModelParams, items: Iterable[Item],
                    same_type: bool = False
                    ) -> Iterator[Tuple[Item, List[Tuple[int, float]]]]:
-    """Each item with its `rank_single` ranking, every other placeholder of
-    its instance at its truth, through one inference `Encoder` shared by the
-    consecutive items of an instance.  `same_type` ranks among the
-    placeholder's same-type candidates instead of all in-scope ones, and
-    skips the items with fewer than two."""
-    inst = encoder = truth = None
-    for item in items:
-        ph = item.instance.placeholders[item.placeholder]
-        if same_type:
-            if len(ph.same_type_candidates) < 2:
-                continue
-            ph = replace(ph, candidates=ph.same_type_candidates)
-        if item.instance is not inst:
-            inst = item.instance
-            encoder = Encoder(params, inst.program,
-                              placeholder_tokens=inst.placeholder_tokens)
-            truth = {p.token_index: p.truth for p in inst.placeholders}
-        yield item, rank_single(inst, encoder, ph, truth)
+    """Each item with its ranking, every other placeholder of its instance
+    at its truth: the consecutive items of an instance go through one
+    `rank_placeholders` call on one inference `Encoder`.  `same_type` ranks
+    among the placeholder's same-type candidates instead of all in-scope
+    ones, and skips the items with fewer than two."""
+    for _, run in groupby(items, key=lambda item: id(item.instance)):
+        kept, phs = [], []
+        for item in run:
+            ph = item.instance.placeholders[item.placeholder]
+            if same_type:
+                if len(ph.same_type_candidates) < 2:
+                    continue
+                ph = replace(ph, candidates=ph.same_type_candidates)
+            kept.append(item)
+            phs.append(ph)
+        if not kept:
+            continue
+        inst = kept[0].instance
+        encoder = Encoder(params, inst.program,
+                          placeholder_tokens=inst.placeholder_tokens)
+        truth = {p.token_index: p.truth for p in inst.placeholders}
+        yield from zip(kept, rank_placeholders(inst, encoder, phs, truth))
 
 
 def per_placeholder_accuracy(params: ModelParams,
@@ -168,7 +181,11 @@ def fit(params: ModelParams, train_instances: Sequence[TaskInstance],
     """Epoch loop with early stopping on validation per-placeholder accuracy;
     the best parameters are restored (and checkpointed) at the end.  Ties in
     validation accuracy go to the epoch with the lower training loss, so a
-    run that plateaus early keeps the sharper later parameters."""
+    run that plateaus early keeps the sharper later parameters.  `log`
+    receives one JSON object per epoch: `epoch`, `loss` (mean training
+    loss), `valid_acc`, `train_s` and `valid_s` (wall seconds of the
+    training steps and of validation) and `items_per_s` (training items
+    per second of `train_s`)."""
     train_items = make_items(train_instances)
     valid_items = make_items(valid_instances)
     cache = ItemCache()
@@ -189,11 +206,16 @@ def fit(params: ModelParams, train_instances: Sequence[TaskInstance],
                                      config.lr, epoch_rng) * len(batch)
         epoch_loss /= max(len(train_items), 1)
         losses.append(epoch_loss)
+        t1 = time.monotonic()
         acc = per_placeholder_accuracy(params, valid_items)
         epochs_run = epoch - start_epoch + 1
         if log:
-            log(f"{epoch}\t{epoch_loss:.6f}\t{acc:.4f}\t"
-                f"{time.monotonic() - t0:.1f}")
+            log(json.dumps({
+                "epoch": epoch, "loss": epoch_loss, "valid_acc": acc,
+                "train_s": round(t1 - t0, 4),
+                "valid_s": round(time.monotonic() - t1, 4),
+                "items_per_s": round(len(train_items) / (t1 - t0), 2)
+                if t1 > t0 else 0.0}))
         if acc > best_acc or (acc == best_acc and epoch_loss < best_loss):
             best_acc = acc
             best_loss = epoch_loss

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import dataflow, generator
-from smartpaste.dataflow import (EPS, ProgramFlow, build_cfg, dataflow_uses,
-                                 dump_dataflow)
+from smartpaste.dataflow import (EPS, ProgramFlow, UseGraph, build_cfg,
+                                 dataflow_uses, dump_dataflow, occurrence_map)
 from smartpaste.infer import icm
 from smartpaste.minilang import compile_source
 from smartpaste.models import Hyper, ModelParams, build_vocab
@@ -190,6 +190,33 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
         assert fast.din(*key) == slow.din(*key), (override, key)
     for key in set(fast.df_out) | set(slow.df_out):
         assert fast.dout(*key) == slow.dout(*key), (override, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(generator.PROFILES), st.randoms(use_true_random=False))
+def test_views_copy_only_what_an_override_moves(seed, profile, rnd):
+    """Views of one flow under random overrides (any token unbound, rebound
+    to any symbol or to its own) have the occurrence map and per-symbol
+    occurrences that a use graph built from scratch has, and leave the
+    flow's base map as it was."""
+    prog = compile_source(
+        generator.generate_file(random.Random(seed), profile, 0, 0))
+    flow = ProgramFlow(prog)
+    tokens = range(len(prog.tokens))
+    symbols = [None] + [s.id for s in prog.symbols]
+    for _ in range(4):
+        override = {}
+        for t in rnd.sample(tokens, min(len(tokens), rnd.randint(0, 6))):
+            own = prog.tokens[t].symbol
+            override[t] = own if own is not None and rnd.random() < 0.25 \
+                else rnd.choice(symbols)
+        view = flow.uses(override)
+        fresh = UseGraph(occurrence_map(prog, override), flow)
+        assert view.occ == fresh.occ, override
+        assert view.occurrences == fresh.occurrences, override
+    assert flow.uses().occurrences == \
+        UseGraph(occurrence_map(prog)).occurrences
 
 
 class TestProgramFlow:

@@ -165,8 +165,10 @@ def test_truth_context_metrics_match_fresh_rankings(sum_positive_program,
     def fresh_rank(ph, candidates):
         enc = Encoder(params, inst.program,
                       placeholder_tokens=inst.placeholder_tokens)
-        return enc.rank(dataflow_uses(inst.program, {ph.token_index: None}),
-                        ph.token_index, candidates)
+        ranked, = enc.rank([(dataflow_uses(inst.program,
+                                           {ph.token_index: None}),
+                             ph.token_index, candidates)])
+        return ranked
 
     hits = mrr = typed = 0.0
     for ph in inst.placeholders:

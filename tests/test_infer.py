@@ -124,7 +124,8 @@ class TestIcm:
         for ph in inst.placeholders:
             enc = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-            ranked = enc.rank(unbound, ph.token_index, ph.candidates)
+            ranked, = enc.rank([(unbound, ph.token_index,
+                                 ph.candidates)])
             assert best.mapping[ph.token_index] == ranked[0][0]
 
     def test_rankings_cover_all_placeholders(self, loop_instance):

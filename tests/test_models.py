@@ -12,7 +12,8 @@ from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
 from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
                                PAD, PLACEHOLDER, UNK, VARIANTS, VariantError,
-                               _TreeIndex, build_vocab, dump_usage_vectors)
+                               _TreeIndex, build_vocab, dump_usage_vectors,
+                               usage_batch)
 from smartpaste.infer import rank_single
 from smartpaste.taskgen import extract_instances, make_instance
 
@@ -403,10 +404,77 @@ class TestBatchedUsage:
         enc = Encoder(params, prog, placeholder_tokens=[use])
         ug = dataflow_uses(prog, override={use: None})
         cands = [s.id for s in reversed(prog.symbols)]
-        ranked = enc.rank(ug, use, cands)
+        ranked, = enc.rank([(ug, use, cands)])
         # every candidate is an int: equal scores, so symbol order
         assert [s for s, _ in ranked] == sorted(cands)
         assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("chain_len", [1, 2, 14])
+def test_lex_chain_steps_the_lexical_relation(chain_len):
+    """A chain is chain_len steps of `lex_prev` (then put in chronological
+    order) or `lex_next` from t, at every token, for every symbol."""
+    prog = compile_source(SUM_POSITIVE)
+    ug = dataflow_uses(prog, override={35: None})
+    params = ModelParams("avgg", Hyper(hidden=4, chain_len=chain_len),
+                         ["int", "int[]"], [], seed=0)
+    enc = Encoder(params, prog)
+    for t in range(-1, len(prog.tokens) + 1):
+        for v in [s.id for s in prog.symbols] + [999]:
+            for direction, step in (("prev", ug.lex_prev),
+                                    ("next", ug.lex_next)):
+                want, cur = [], t
+                while len(want) < chain_len:
+                    cur = step(cur, v)
+                    if cur is None:
+                        break
+                    want.append(cur)
+                if direction == "prev":
+                    want.reverse()
+                assert enc._lex_chain(ug, t, v, direction) == want
+
+
+@pytest.mark.parametrize("zero_context", [False, True])
+@pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
+    """One `usage_batch` over interleaved groups of two programs (one
+    encoder each, several placeholders per encoder) against one
+    `usage_reprs` per group on a fresh encoder: values and gradients to
+    1e-12.  With zero context weights every context is the zero vector and
+    the twin definitions of the second program tie in the tree max."""
+    views = [list(_placeholder_views(src))[::3] for src in BATCH_PROGRAMS]
+    programs = [v[0][0] for v in views]
+    lexemes = sorted({t.text for prog in programs for t in prog.tokens})
+    params = ModelParams(variant, Hyper(hidden=6, tree_depth=6,
+                                        context_encoder=ctx_kind),
+                         ["int", "int[]"], lexemes, seed=5)
+    if zero_context:
+        params.w_c.data[...] = 0.0
+    holes = [[t for _, _, t, _ in v] for v in views]
+    encoders = [Encoder(params, prog, placeholder_tokens=h)
+                for prog, h in zip(programs, holes)]
+    # sum_positive, twin_defs, sum_positive, ...: the groups of an encoder
+    # are not adjacent
+    order = sorted((k, e) for e, v in enumerate(views) for k in range(len(v)))
+    groups = [(encoders[e],) + views[e][k][1:] for k, e in order]
+    rng = np.random.default_rng(1)
+    probe = nn.constant(rng.normal(size=6))
+    weights = nn.constant(rng.normal(size=sum(len(g[3]) for g in groups)))
+
+    batched = usage_batch(groups)
+    g_batched = _grads(params, nn.dot(nn.dot(probe, batched), weights))
+    per_group = [Encoder(params, enc.program,
+                         placeholder_tokens=enc.placeholder_tokens
+                         ).usage_reprs(ug, t, cands)
+                 for enc, ug, t, cands in groups]
+    g_per_group = _grads(params, nn.dot(nn.dot(probe, nn.columns(per_group)),
+                                        weights))
+    want = np.concatenate([u.data for u in per_group], axis=1)
+    assert batched.shape == want.shape
+    assert np.abs(batched.data - want).max() <= 1e-12
+    for a, b in zip(g_batched, g_per_group):
+        assert np.abs(a - b).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -493,7 +561,7 @@ class TestPersistence:
                               e2.context_repr(use).data)
         assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
                               e2.usage_reprs(ug, use, cands).data)
-        assert e1.rank(ug, use, cands) == e2.rank(ug, use, cands)
+        assert e1.rank([(ug, use, cands)]) == e2.rank([(ug, use, cands)])
 
     def test_load_rejects_mismatched_names(self, tmp_path):
         params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
