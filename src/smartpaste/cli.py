@@ -28,13 +28,11 @@ class CliError(Exception):
     pass
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SMARTPASTE_SEED")
-    return int(env) if env else 0
-
-
 def _add_seed(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    # argparse converts a string default with `type`, so a bad
+    # $SMARTPASTE_SEED is a usage error like a bad --seed
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("SMARTPASTE_SEED") or "0",
                    help="RNG seed (default: $SMARTPASTE_SEED or 0)")
 
 
@@ -191,6 +189,8 @@ def _cmd_train(args) -> int:
     encoder = opt("context_encoder", str, args.context_encoder)
     train_instances = taskgen.read_instances(args.data)
     valid_instances = taskgen.read_instances(args.valid)
+    if not valid_instances:
+        raise CliError(f"no instances in {args.valid}")
     if args.resume:
         params, cfg = ModelParams.load(args.resume)
         start_epoch = int(cfg.get("epoch", -1)) + 1

@@ -139,6 +139,10 @@ def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
         return [nid]
 
     out = lower(fn.body, [entry])
+    # the recursive closure refers to itself, and through `cfg` to the
+    # graph: break the cycle, so that the graph is freed with its last
+    # reference, not when the cycle collector runs
+    del lower
     for o in out:
         cfg.add_edge(o, exit_)
     return cfg

@@ -27,8 +27,8 @@ class NoCandidates(Exception):
 
 @dataclass
 class Assignment:
-    """A total placeholder assignment with its pseudo-log-likelihood and the
-    final per-placeholder conditional rankings."""
+    """A total placeholder assignment with its pseudo-log-likelihood and
+    every placeholder's conditional ranking under it."""
 
     mapping: Dict[int, int]  # placeholder token -> SymbolId
     total_log_prob: float = 0.0
@@ -61,8 +61,8 @@ def rank_placeholders(inst: TaskInstance, encoder: Encoder,
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
                 context_assignment: Dict[int, Optional[int]]
                 ) -> List[Tuple[int, float]]:
-    """`rank_placeholders` of one placeholder: what ICM's sweeps, its
-    totals and its independent start call."""
+    """`rank_placeholders` of one placeholder: what ICM's totals and its
+    independent start call (its sweeps read the totals' rankings)."""
     return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
 
 
@@ -89,13 +89,17 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     placeholders in token order setting each to its conditional argmax, with
     restarts; returns the restart with the highest pseudo-log-likelihood.
 
-    An argmax update also shifts the relations every other conditional is
-    computed from, so a raw update can lower the total; updates that would
-    are reverted, which keeps the per-update total non-decreasing within a
-    restart.  The first restart starts from the independent per-placeholder
-    argmax (every placeholder unbound), which tends to sit in the basin of
-    the jointly best assignment; the remaining restarts start random.
-    `trace`, when given, collects the per-update totals of each restart.
+    A restart's state is one `Assignment` made by `total_log_prob`: its
+    rankings are every placeholder's conditional under its mapping, so a
+    sweep reads each argmax from them and ranks nothing itself.  An argmax
+    update also shifts the relations every other conditional is computed
+    from, so a raw update can lower the total; a trial state is kept only if
+    its total is not lower, which keeps the per-update total non-decreasing
+    within a restart.  The first restart starts from the independent
+    per-placeholder argmax (every placeholder unbound), which tends to sit
+    in the basin of the jointly best assignment; the remaining restarts
+    start random.  `trace`, when given, collects the per-update totals of
+    each restart.
 
     Every conditional goes through one encoder, so through one
     `ProgramFlow` and one score memo: after an update moves a placeholder
@@ -106,41 +110,38 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
     phs = sorted(inst.placeholders, key=lambda p: p.token_index)
+
+    def assess(mapping: Dict[int, int]) -> Assignment:
+        total, rankings = total_log_prob(inst, encoder, mapping)
+        return Assignment(mapping, total, rankings)
+
     best: Optional[Assignment] = None
     for attempt in range(max(restarts, 1)):
         if attempt == 0:
             unbound = dict.fromkeys(inst.placeholder_tokens)
-            mapping = {p.token_index: rank_single(inst, encoder, p,
-                                                  unbound)[0][0]
-                       for p in phs}
+            state = assess({p.token_index: rank_single(inst, encoder, p,
+                                                       unbound)[0][0]
+                            for p in phs})
         else:
-            mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
-        total, rankings = total_log_prob(inst, encoder, mapping)
+            state = assess({p.token_index: rng.choice(p.candidates)
+                            for p in phs})
         restart_trace: List[float] = []
         for _sweep in range(max_sweeps):
             changed = False
             for ph in phs:
                 t = ph.token_index
-                ranked = rank_single(inst, encoder, ph, mapping)
-                top = ranked[0][0]
-                if mapping[t] != top:
-                    previous = mapping[t]
-                    mapping[t] = top
-                    new_total, new_rankings = total_log_prob(
-                        inst, encoder, mapping)
-                    if new_total >= total:
-                        total, rankings = new_total, new_rankings
-                        changed = True
-                    else:
-                        mapping[t] = previous
-                restart_trace.append(total)
+                top = state.rankings[t][0][0]
+                if state.mapping[t] != top:
+                    trial = assess({**state.mapping, t: top})
+                    if trial.total_log_prob >= state.total_log_prob:
+                        state, changed = trial, True
+                restart_trace.append(state.total_log_prob)
             if not changed:
                 break
         if trace is not None:
             trace.append(restart_trace)
-        if best is None or total > best.total_log_prob:
-            best = Assignment(mapping=dict(mapping), total_log_prob=total,
-                              rankings=rankings)
+        if best is None or state.total_log_prob > best.total_log_prob:
+            best = state
     return best
 
 

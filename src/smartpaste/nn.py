@@ -501,12 +501,23 @@ def save_checkpoint(path: str, named_params: Dict[str, Tensor],
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, Tensor], dict]:
+    """The parameters and config of a checkpoint; a document of the wrong
+    shape raises ValueError naming what is wrong."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: "
                          f"{doc.get('format_version')!r}")
-    params = {name: parameter(
-        np.asarray(rec["data"], dtype=DTYPE).reshape(rec["shape"]), name=name)
-        for name, rec in doc["params"].items()}
+    if not isinstance(doc.get("params"), dict):
+        raise ValueError("checkpoint has no 'params' object")
+    params = {}
+    for name, rec in doc["params"].items():
+        try:
+            data = np.asarray(rec["data"], dtype=DTYPE).reshape(rec["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"checkpoint parameter {name!r} is ill-formed: "
+                             f"{type(e).__name__}: {e}") from e
+        params[name] = parameter(data, name=name)
     return params, doc.get("config", {})

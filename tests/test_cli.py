@@ -162,6 +162,16 @@ class TestTrain:
         first = json.load(open(workspace["model"]))["config"]["epoch"]
         assert json.load(open(path))["config"]["epoch"] == first + 1
 
+    def test_empty_valid_fails(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     str(empty), "--variant", "loc", "--hidden", "4",
+                     "--epochs", "1", "--checkpoint",
+                     str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty.jsonl" in err
+
     def test_missing_valid_exits_2(self, workspace, tmp_path, capsys):
         """Early stopping needs held-out data: there is no fallback to the
         training set."""
@@ -214,6 +224,24 @@ class TestEval:
         assert main(["eval", "--data", workspace["data"], "--model",
                      str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["no params", "not an object",
+                                       "record without data"])
+    def test_structurally_wrong_checkpoint_fails(self, workspace, tmp_path,
+                                                 capsys, shape):
+        with open(workspace["model"]) as f:
+            doc = json.load(f)
+        if shape == "no params":
+            doc = {"format_version": doc["format_version"]}
+        elif shape == "not an object":
+            doc = [1]
+        else:
+            del next(iter(doc["params"].values()))["data"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", "--data", workspace["data"], "--model",
+                     str(bad), "--mode", "per-placeholder"]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint")
 
 
 class TestPaste:
@@ -342,3 +370,19 @@ class TestParser:
         monkeypatch.setenv("SMARTPASTE_SEED", "42")
         args = build_parser().parse_args(["generate", "--out", "x"])
         assert args.seed == 42
+
+    @pytest.mark.parametrize("value", ["", None])
+    def test_seed_env_empty_or_unset_is_0(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("SMARTPASTE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SMARTPASTE_SEED", value)
+        args = build_parser().parse_args(["generate", "--out", "x"])
+        assert args.seed == 0
+
+    def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SMARTPASTE_SEED", "forty-two")
+        with pytest.raises(SystemExit) as e:
+            main(["generate", "--out", "x"])
+        assert e.value.code == 2
+        assert "forty-two" in capsys.readouterr().err

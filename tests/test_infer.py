@@ -1,10 +1,11 @@
 """Conditional ranking, iterated conditional modes, and paste splicing."""
 
+import gc
 import random
 
 import pytest
 
-from smartpaste.infer import (NoCandidates, SpliceError, icm,
+from smartpaste.infer import (Assignment, NoCandidates, SpliceError, icm,
                               make_paste_instance, paste, rank_single,
                               total_log_prob)
 from smartpaste.dataflow import dataflow_uses
@@ -133,6 +134,109 @@ class TestIcm:
         best = icm(loop_instance, params, restarts=2, max_sweeps=3,
                    rng=random.Random(2))
         assert set(best.rankings) == set(loop_instance.placeholder_tokens)
+
+
+def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace):
+    """ICM in its direct form: every sweep step ranks its placeholder again
+    with `rank_single`, writes the argmax into the mapping in place, and
+    reverts a move that lowers the total."""
+    phs = sorted(inst.placeholders, key=lambda p: p.token_index)
+    best = None
+    for attempt in range(max(restarts, 1)):
+        if attempt == 0:
+            unbound = dict.fromkeys(inst.placeholder_tokens)
+            mapping = {p.token_index: rank_single(inst, encoder, p,
+                                                  unbound)[0][0]
+                       for p in phs}
+        else:
+            mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
+        total, rankings = total_log_prob(inst, encoder, mapping)
+        restart_trace = []
+        for _sweep in range(max_sweeps):
+            changed = False
+            for ph in phs:
+                t = ph.token_index
+                top = rank_single(inst, encoder, ph, mapping)[0][0]
+                if mapping[t] != top:
+                    previous = mapping[t]
+                    mapping[t] = top
+                    new_total, new_rankings = total_log_prob(
+                        inst, encoder, mapping)
+                    if new_total >= total:
+                        total, rankings = new_total, new_rankings
+                        changed = True
+                    else:
+                        mapping[t] = previous
+                restart_trace.append(total)
+            if not changed:
+                break
+        trace.append(restart_trace)
+        if best is None or total > best.total_log_prob:
+            best = Assignment(dict(mapping), total, rankings)
+    return best
+
+
+@pytest.fixture(scope="module")
+def icm_instances(loop_instance, tiny_instances):
+    """The pasted-loop fixture and the extracted instance with the most
+    placeholders from another program."""
+    wide = max(tiny_instances, key=lambda inst: len(inst.placeholders))
+    assert len(wide.placeholders) >= 6
+    return [loop_instance, wide]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_icm_matches_reference(icm_instances, variant):
+    """Sweeps that read the state's rankings give exactly what ranking each
+    placeholder again gives: the same mapping, total, rankings and
+    per-restart trace, float for float; and the returned rankings are the
+    conditionals of the returned mapping as a fresh encoder ranks them.
+    Each side keeps its own encoder over the grid, so the two compute the
+    same score batches in the same order."""
+    for inst in icm_instances:
+        params = small_model(inst.program, variant=variant)
+        got_enc, want_enc = (
+            Encoder(params, inst.program,
+                    placeholder_tokens=inst.placeholder_tokens)
+            for _ in range(2))
+        for restarts in (1, 3):
+            for max_sweeps in (0, 1, 5):
+                for seed in (0, 1, 2):
+                    trace, want_trace = [], []
+                    got = icm(inst, params, restarts=restarts,
+                              max_sweeps=max_sweeps,
+                              rng=random.Random(seed), encoder=got_enc,
+                              trace=trace)
+                    want = reference_icm(inst, want_enc, restarts,
+                                         max_sweeps, random.Random(seed),
+                                         want_trace)
+                    assert got.mapping == want.mapping
+                    assert got.total_log_prob == want.total_log_prob
+                    assert got.rankings == want.rankings
+                    assert trace == want_trace
+        enc = Encoder(params, inst.program,
+                      placeholder_tokens=inst.placeholder_tokens)
+        for ph in inst.placeholders:
+            fresh = rank_single(inst, enc, ph, got.mapping)
+            ranked = got.rankings[ph.token_index]
+            assert [s for s, _ in ranked] == [s for s, _ in fresh]
+            assert [p for _, p in ranked] == pytest.approx(
+                [p for _, p in fresh], abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_icm_leaves_no_reference_cycles(loop_instance, variant):
+    """Control-flow graphs, use graphs, encoders and tapes are freed with
+    their last reference, not left for the cycle collector."""
+    params = small_model(loop_instance.program, variant=variant)
+    gc.collect()
+    gc.disable()
+    try:
+        icm(loop_instance, params, restarts=2, max_sweeps=2,
+            rng=random.Random(0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 TARGET = """\

@@ -1,5 +1,6 @@
 """Batching, the pooled-softmax training step, and the fit loop."""
 
+import gc
 import json
 import random
 from dataclasses import replace
@@ -226,6 +227,24 @@ class TestTrainStep:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
             train_step(params, make_items(insts)[:2], adam, ItemCache(),
                        1e-3, random.Random(0))
+
+    def test_step_and_validation_leave_no_reference_cycles(self, loc_setup):
+        """The step's encoders and tape, and the validation encoders and
+        their control-flow graphs, are freed with their last reference, not
+        left for the cycle collector."""
+        insts, types, lexemes = loc_setup
+        params = fresh_params(types, lexemes, variant="hybrid")
+        adam = nn.AdamState(params.tensors())
+        items = make_items(insts)
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(params, items[:8], adam, ItemCache(), 1e-3,
+                       random.Random(0))
+            per_placeholder_accuracy(params, items)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("same_type", [False, True])
