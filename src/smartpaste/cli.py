@@ -36,8 +36,14 @@ def _add_seed(p: argparse.ArgumentParser):
                    help="RNG seed (default: $SMARTPASTE_SEED or 0)")
 
 
+# the `train` options a --config file may set
+CONFIG_KEYS = ("variant", "context_encoder", "hidden", "epochs", "batch_size",
+               "lr", "patience")
+
+
 def _read_config_file(path: Optional[str]) -> Dict[str, str]:
-    """key=value lines; blank lines and '#' comments ignored."""
+    """key=value lines; blank lines and '#' comments ignored; every key
+    must be one of CONFIG_KEYS."""
     if not path:
         return {}
     out = {}
@@ -50,6 +56,11 @@ def _read_config_file(path: Optional[str]) -> Dict[str, str]:
                 raise CliError(f"bad config line: {raw.strip()!r}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
+    unknown = sorted(set(out) - set(CONFIG_KEYS))
+    if unknown:
+        raise CliError(f"unknown config key(s) in {path}: "
+                       f"{', '.join(unknown)}; known keys: "
+                       f"{', '.join(CONFIG_KEYS)}")
     return out
 
 
@@ -189,8 +200,10 @@ def _cmd_train(args) -> int:
     encoder = opt("context_encoder", str, args.context_encoder)
     train_instances = taskgen.read_instances(args.data)
     valid_instances = taskgen.read_instances(args.valid)
-    if not valid_instances:
-        raise CliError(f"no instances in {args.valid}")
+    for path, instances in ((args.data, train_instances),
+                            (args.valid, valid_instances)):
+        if not instances:
+            raise CliError(f"no instances in {path}")
     if args.resume:
         params, cfg = ModelParams.load(args.resume)
         start_epoch = int(cfg.get("epoch", -1)) + 1

@@ -106,8 +106,8 @@ def _gen_loop_function(rng: random.Random, fname: str) -> Tuple[str, List[str]]:
 
 # --- typesep profile --------------------------------------------------------
 
-def _gen_typesep_function(rng: random.Random, fname: str,
-                          nominals: List[str]) -> Tuple[str, List[str]]:
+def _gen_typesep_function(rng: random.Random, fname: str
+                          ) -> Tuple[str, List[str]]:
     """One variable per type; truth is always the unique same-type candidate."""
     names = _Names(rng, WORDS + STRING_WORDS)
     n = names.fresh()
@@ -136,8 +136,8 @@ def _gen_typesep_function(rng: random.Random, fname: str,
 
 # --- string/handle template (mixed extras) ----------------------------------
 
-def _gen_string_function(rng: random.Random, fname: str,
-                         nominals: List[str]) -> Tuple[str, List[str]]:
+def _gen_string_function(rng: random.Random, fname: str
+                         ) -> Tuple[str, List[str]]:
     names = _Names(rng, STRING_WORDS + WORDS)
     p1, p2, out = names.fresh(), names.fresh(), names.fresh()
     lines = [f"string {fname}(string {p1}, string {p2}) {{"]
@@ -276,14 +276,12 @@ def generate_file(rng: random.Random, profile: str, project_index: int,
     externs: List[str] = []
     bodies: List[str] = []
     n_functions = rng.randrange(1, 3)
-    nominals = [f"Base{project_index}", f"Mid{project_index}",
-                f"Leaf{project_index}"]
     for k in range(n_functions):
         fname = f"fn{file_index}x{k}"
         if profile == "loops":
             body, ex = _gen_loop_function(rng, fname)
         elif profile == "typesep":
-            body, ex = _gen_typesep_function(rng, fname, nominals)
+            body, ex = _gen_typesep_function(rng, fname)
         elif profile == "tiny":
             body, ex = _gen_tiny_function(rng, fname, 8, True), []
         elif profile == "straight":
@@ -293,9 +291,9 @@ def generate_file(rng: random.Random, profile: str, project_index: int,
             if pick < 0.5:
                 body, ex = _gen_loop_function(rng, fname)
             elif pick < 0.8:
-                body, ex = _gen_typesep_function(rng, fname, nominals)
+                body, ex = _gen_typesep_function(rng, fname)
             else:
-                body, ex = _gen_string_function(rng, fname, nominals)
+                body, ex = _gen_string_function(rng, fname)
         else:
             raise ValueError(f"unknown profile {profile!r}")
         externs.extend(ex)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, \
     Tuple
@@ -32,33 +33,24 @@ class VariantError(Exception):
     pass
 
 
+@dataclass
 class Hyper:
     """Model hyperparameters.  E (embedding) and H (hidden) are kept equal so
     type embeddings can seed GRU states directly."""
 
-    def __init__(self, hidden: int = 64, window: int = 3, chain_len: int = 14,
-                 tree_depth: int = 15, context_encoder: str = "logbilinear",
-                 type_dropout: float = 0.5, unk_types: bool = False):
-        if context_encoder not in CONTEXT_ENCODERS:
-            raise VariantError(f"unknown context encoder {context_encoder!r}")
-        self.hidden = hidden
-        self.window = window
-        self.chain_len = chain_len
-        self.tree_depth = tree_depth
-        self.context_encoder = context_encoder
-        self.type_dropout = type_dropout
-        # ablation switch: every variable reads as the unknown type
-        self.unk_types = unk_types
+    hidden: int = 64
+    window: int = 3
+    chain_len: int = 14
+    tree_depth: int = 15
+    context_encoder: str = "logbilinear"
+    type_dropout: float = 0.5
+    # ablation switch: every variable reads as the unknown type
+    unk_types: bool = False
 
-    def to_dict(self) -> dict:
-        return dict(hidden=self.hidden, window=self.window,
-                    chain_len=self.chain_len, tree_depth=self.tree_depth,
-                    context_encoder=self.context_encoder,
-                    type_dropout=self.type_dropout, unk_types=self.unk_types)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyper":
-        return cls(**d)
+    def __post_init__(self):
+        if self.context_encoder not in CONTEXT_ENCODERS:
+            raise VariantError(
+                f"unknown context encoder {self.context_encoder!r}")
 
 
 def build_vocab(instances) -> Tuple[List[str], List[str]]:
@@ -80,7 +72,9 @@ def _is_str_list(x) -> bool:
 
 
 class ModelParams:
-    """All learnable tensors for one model variant + context encoder."""
+    """All learnable tensors for one model variant + context encoder.  The
+    usage GRU pair `usage_prev`/`usage_next` and its map `w_usage` are saved
+    as `usage.gru_*`/`w_gru` for `grug`, `usage.tree_*`/`w_d` otherwise."""
 
     def __init__(self, variant: str, hyper: Hyper, type_names: Iterable[str],
                  lexemes: Iterable[str], seed: int = 0):
@@ -109,17 +103,13 @@ class ModelParams:
             self.ctx_gru_next = nn.GruCellParams(rng, h, h, "ctx.gru_n")
         self.w_c = nn.glorot(rng, (h, 2 * h), "w_c")
 
-        self.seq_gru_prev = self.seq_gru_next = self.w_gru = None
-        self.tree_gru_prev = self.tree_gru_next = self.w_d = None
+        self.usage_prev = self.usage_next = self.w_usage = None
         self.w_h = None
-        if variant in ("grug",):
-            self.seq_gru_prev = nn.GruCellParams(rng, h, h, "usage.gru_p")
-            self.seq_gru_next = nn.GruCellParams(rng, h, h, "usage.gru_n")
-            self.w_gru = nn.glorot(rng, (h, 2 * h), "w_gru")
-        if variant in ("grud", "hybrid"):
-            self.tree_gru_prev = nn.GruCellParams(rng, h, h, "usage.tree_p")
-            self.tree_gru_next = nn.GruCellParams(rng, h, h, "usage.tree_n")
-            self.w_d = nn.glorot(rng, (h, 2 * h), "w_d")
+        if variant in ("grug", "grud", "hybrid"):
+            cell, w = ("gru", "w_gru") if variant == "grug" else ("tree", "w_d")
+            self.usage_prev = nn.GruCellParams(rng, h, h, f"usage.{cell}_p")
+            self.usage_next = nn.GruCellParams(rng, h, h, f"usage.{cell}_n")
+            self.w_usage = nn.glorot(rng, (h, 2 * h), w)
         if variant == "hybrid":
             self.w_h = nn.glorot(rng, (h, 2 * h), "w_h")
 
@@ -136,16 +126,12 @@ class ModelParams:
                 out[f"ctx.prev{i}"] = m
             for i, m in enumerate(self.pos_next):
                 out[f"ctx.next{i}"] = m
-        for cell, prefix in ((self.ctx_gru_prev, "ctx.gru_p"),
-                             (self.ctx_gru_next, "ctx.gru_n"),
-                             (self.seq_gru_prev, "usage.gru_p"),
-                             (self.seq_gru_next, "usage.gru_n"),
-                             (self.tree_gru_prev, "usage.tree_p"),
-                             (self.tree_gru_next, "usage.tree_n")):
+        for cell in (self.ctx_gru_prev, self.ctx_gru_next, self.usage_prev,
+                     self.usage_next):
             if cell is not None:
                 for t in cell.tensors():
                     out[t.name] = t
-        for w in (self.w_c, self.w_gru, self.w_d, self.w_h):
+        for w in (self.w_c, self.w_usage, self.w_h):
             if w is not None:
                 out[w.name] = w
         return out
@@ -156,7 +142,7 @@ class ModelParams:
     # -- persistence --
 
     def config(self) -> dict:
-        return {"variant": self.variant, "hyper": self.hyper.to_dict(),
+        return {"variant": self.variant, "hyper": asdict(self.hyper),
                 "types": self.type_names, "lexemes": self.lexemes}
 
     def save(self, path: str, extra_config: Optional[dict] = None):
@@ -179,7 +165,7 @@ class ModelParams:
                 raise ValueError(f"checkpoint config {key!r} is ill-typed: "
                                  f"{cfg[key]!r:.60}")
         try:
-            hyper = Hyper.from_dict(cfg["hyper"])
+            hyper = Hyper(**cfg["hyper"])
         except TypeError as e:
             raise ValueError(f"checkpoint config 'hyper' is ill-formed: "
                              f"{e}") from e
@@ -198,7 +184,8 @@ class _TreeIndex:
     per-depth batches.  Columns of the state bank at depth d are the K type
     representations (the leaves) followed by the node states of depth d - 1;
     each depth lists its nodes' (child bank column, child context column)
-    edges, node by node, and where each node's edges start."""
+    edges, node by node, and where each node's edges start.  Roots are read
+    from the deepest level's bank: each is a leaf or a node of that depth."""
 
     def __init__(self, n_candidates: int):
         self.k = n_candidates
@@ -213,6 +200,14 @@ class _TreeIndex:
             child_cols.append(child)
             ctx_cols.append(ctx)
         return self.k + len(starts) - 1
+
+    def add_chain(self, k: int, ctx_cols: Sequence[int], top: int):
+        """A GRU run from leaf k along `ctx_cols`: a one-child node per
+        column, the last at depth `top`; an empty chain's root is leaf k."""
+        node = k
+        for depth, ctx in enumerate(ctx_cols, top - len(ctx_cols) + 1):
+            node = self.add_node(depth, [(node, ctx)])
+        self.roots.append(node)
 
 
 class Encoder:
@@ -239,10 +234,10 @@ class Encoder:
     representations as it goes: at training time type dropout draws from
     `rng` on each symbol's first use, so that order fixes the draws.  The
     arithmetic then runs in column batches: every new context window of
-    every encoder in one batch, and every tree depth or chain step of every
-    candidate of every group in one GRU step per direction.  A training
-    step (one encoder per item), a validation instance and an ICM update
-    all go through it.
+    every encoder in one batch, and every tree depth (a `grug` chain is a
+    one-child tree) of every candidate of every group in one GRU step per
+    direction.  A training step (one encoder per item), a validation
+    instance and an ICM update all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -472,26 +467,6 @@ def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
     return nn.gather(bank, index.roots)
 
 
-def _chain_gru(init: Tensor, contexts: Tensor, chains: List[List[int]],
-               cell: nn.GruCellParams) -> Tensor:
-    """One GRU run per column along its chain of context columns, all
-    columns stepped together by step index; a column whose chain has ended
-    keeps its state."""
-    h = init
-    for s in range(max(map(len, chains), default=0)):
-        active = np.array([len(ch) > s for ch in chains])
-        x = nn.gather(contexts, [ch[s] if len(ch) > s else 0
-                                 for ch in chains])
-        stepped = nn.gru_step(h, x, cell)
-        if active.all():
-            h = stepped
-        else:
-            keep = np.broadcast_to(active.astype(float), h.shape)
-            h = nn.add(nn.mul(stepped, nn.constant(keep)),
-                       nn.mul(h, nn.constant(1.0 - keep)))
-    return h
-
-
 def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     """Usage representations of every group's candidates at its token t,
     one column per candidate in group order: (H, sum of the K).  The
@@ -500,10 +475,10 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     The structural walk visits the groups in order, then each group's own
     c(t) window is requested, in group order; one context flush covers the
     windows of every encoder.  Context columns are keyed by (encoder,
-    position), so the groups of one encoder share them; the chain lists and
-    one `_TreeIndex` per direction, with global candidate columns, hold
-    every group, so each chain step and tree depth is one GRU step per
-    direction over the whole batch."""
+    position), so the groups of one encoder share them; the chain lists
+    and one `_TreeIndex` per direction (holding `grug`'s chains, or the
+    data-flow trees), with global candidate columns, hold every group, so
+    each depth is one GRU step per direction over the whole batch."""
     params = groups[0][0].params
     variant = params.variant
     k_all = sum([len(group[3]) for group in groups])
@@ -531,8 +506,11 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
                 enc.type_embed(v)
             if variant in ("avgg", "grug", "hybrid"):
                 for d in ("prev", "next"):
-                    chains[d].append([use(x)
-                                      for x in enc._lex_chain(ug, t, v, d)])
+                    cols = [use(x) for x in enc._lex_chain(ug, t, v, d)]
+                    if variant == "grug":
+                        trees[d].add_chain(k, cols, params.hyper.chain_len)
+                    else:
+                        chains[d].append(cols)
             enc.type_embed(v)
             if variant in ("grud", "hybrid"):
                 for d in ("prev", "next"):
@@ -550,10 +528,6 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     contexts = nn.columns([groups[0][0]._zero]
                           + [enc._ctx_cache[x] for enc, x in ctx_keys])
     p = params
-    if variant == "grug":
-        hp = _chain_gru(leaves, contexts, chains["prev"], p.seq_gru_prev)
-        hn = _chain_gru(leaves, contexts, chains["next"], p.seq_gru_next)
-        return nn.matmul(p.w_gru, nn.concat([hp, hn]))
     if variant in ("avgg", "hybrid"):
         mean = np.zeros((contexts.shape[1], k_all))
         for k, (prev, nxt) in enumerate(zip(chains["prev"], chains["next"])):
@@ -563,12 +537,12 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
         avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
         if variant == "avgg":
             return avgg
-    hp = _tree_states(leaves, contexts, trees["prev"], p.tree_gru_prev)
-    hn = _tree_states(leaves, contexts, trees["next"], p.tree_gru_next)
-    grud = nn.matmul(p.w_d, nn.concat([hp, hn]))
-    if variant == "grud":
-        return grud
-    return nn.matmul(p.w_h, nn.concat([avgg, grud]))
+    hp = _tree_states(leaves, contexts, trees["prev"], p.usage_prev)
+    hn = _tree_states(leaves, contexts, trees["next"], p.usage_next)
+    structural = nn.matmul(p.w_usage, nn.concat([hp, hn]))
+    if variant != "hybrid":
+        return structural
+    return nn.matmul(p.w_h, nn.concat([avgg, structural]))
 
 
 def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,

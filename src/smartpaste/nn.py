@@ -157,14 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, parents=(a, b), backward=bw)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * s)
-
-    return Tensor(a.data * s, parents=(a,), backward=bw)
-
-
 def matmul(w: Tensor, x: Tensor) -> Tensor:
     """W @ x for a vector x of shape (N,) or a column batch of shape (N, B)."""
     if w.data.ndim != 2 or x.data.ndim not in (1, 2) \

@@ -116,7 +116,7 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
                         nn.gather(usages, cols))
         loss, _ = nn.softmax_xent(scores, truth_idx[i])
         losses.append(loss)
-    total = nn.mean_of(losses) if len(losses) > 1 else losses[0]
+    total = nn.mean_of(losses)
     value = total.item()
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss = {value}")

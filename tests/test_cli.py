@@ -172,6 +172,34 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "empty.jsonl" in err
 
+    def test_empty_data_fails(self, workspace, tmp_path, capsys):
+        """An empty training file is an error, not an untrained model."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(empty), "--valid",
+                     workspace["data"], "--variant", "loc", "--hidden", "4",
+                     "--epochs", "1", "--checkpoint", str(model)]) == 1
+        assert capsys.readouterr().err == f"error: no instances in {empty}\n"
+        assert not model.exists()
+
+    def test_unknown_config_keys_fail(self, workspace, tmp_path, capsys):
+        """A misspelt key is an error that names it and lists the known
+        ones, not a setting that is silently ignored."""
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("epoch = 1\nhidden = 4\nlearning_rate = 5\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--variant", "loc", "--config",
+                     str(cfg), "--checkpoint", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "epoch, learning_rate" in err
+        for key in ("variant", "context_encoder", "hidden", "epochs",
+                    "batch_size", "lr", "patience"):
+            assert key in err
+        assert not model.exists()
+
     def test_missing_valid_exits_2(self, workspace, tmp_path, capsys):
         """Early stopping needs held-out data: there is no fallback to the
         training set."""

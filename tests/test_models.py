@@ -1,5 +1,6 @@
 """Type pooling, context windows, the five usage variants, persistence."""
 
+import json
 import random
 
 import numpy as np
@@ -86,16 +87,16 @@ class PerVectorReference:
     def grug(self, ug, t, v):
         hp = hn = self.enc.type_embed(v)
         for x in self.enc._lex_chain(ug, t, v, "prev"):
-            hp = nn.gru_step(hp, self.context(x), self.p.seq_gru_prev)
+            hp = nn.gru_step(hp, self.context(x), self.p.usage_prev)
         for x in self.enc._lex_chain(ug, t, v, "next"):
-            hn = nn.gru_step(hn, self.context(x), self.p.seq_gru_next)
-        return nn.matmul(self.p.w_gru, nn.concat([hp, hn]))
+            hn = nn.gru_step(hn, self.context(x), self.p.usage_next)
+        return nn.matmul(self.p.w_usage, nn.concat([hp, hn]))
 
     def grud(self, ug, t, v):
         p = self.p
-        return nn.matmul(p.w_d, nn.concat([
-            self.tree(ug, t, v, "prev", p.tree_gru_prev),
-            self.tree(ug, t, v, "next", p.tree_gru_next)]))
+        return nn.matmul(p.w_usage, nn.concat([
+            self.tree(ug, t, v, "prev", p.usage_prev),
+            self.tree(ug, t, v, "next", p.usage_next)]))
 
     def usage(self, ug, t, v):
         variant = self.p.variant
@@ -507,7 +508,8 @@ def test_reused_encoder_ranks_like_a_fresh_one(variant, ctx_kind, rnd):
 
 class TestTreeIndex:
     """The bounded data-flow unrolling that `Encoder._index_tree` hands to
-    the TreeGRU, walked with each context column named by its position."""
+    the TreeGRU, walked with each context column named by its position, and
+    the one-child trees of `grug`'s lexical chains."""
 
     @staticmethod
     def index(depth, t, name, direction):
@@ -539,6 +541,20 @@ class TestTreeIndex:
             {3: [24], 2: [20, 28], 1: [EPS, 35, 44]}
         assert index.levels[1][0] == [0, 0, 0]
 
+    def test_chains_end_at_top(self):
+        """Chains of length 0, 1 and top over 3 candidates: each node has
+        one edge, to the node below or to its candidate's leaf first, and
+        every chain ends at depth top, where the roots are read."""
+        index = _TreeIndex(3)
+        index.add_chain(0, [], 3)
+        index.add_chain(1, [7], 3)
+        index.add_chain(2, [4, 5, 6], 3)
+        # bank columns: leaves 0-2, then the nodes of the level below
+        assert index.levels == {1: ([2], [4], [0]),
+                                2: ([3], [5], [0]),
+                                3: ([1, 3], [7, 6], [0, 1])}
+        assert index.roots == [0, 3, 4]
+
 
 class TestPersistence:
     def test_save_load_reproduces_scores(self, tmp_path):
@@ -562,6 +578,37 @@ class TestPersistence:
         assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
                               e2.usage_reprs(ug, use, cands).data)
         assert e1.rank([(ug, use, cands)]) == e2.rank([(ug, use, cands)])
+
+    @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_checkpoint_parameter_names(self, variant, ctx_kind, tmp_path):
+        """The names a checkpoint stores, in their order: a saved model
+        loads only under these names, so renaming a field must not rename
+        them."""
+        def cell(prefix):
+            return [f"{prefix}.{gate}" for gate in
+                    ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")]
+
+        context = {"logbilinear": ["ctx.prev0", "ctx.prev1", "ctx.next0",
+                                   "ctx.next1"],
+                   "gru": cell("ctx.gru_p") + cell("ctx.gru_n")}[ctx_kind]
+        usage = {"loc": ["w_c"],
+                 "avgg": ["w_c"],
+                 "grug": cell("usage.gru_p") + cell("usage.gru_n")
+                 + ["w_c", "w_gru"],
+                 "grud": cell("usage.tree_p") + cell("usage.tree_n")
+                 + ["w_c", "w_d"],
+                 "hybrid": cell("usage.tree_p") + cell("usage.tree_n")
+                 + ["w_c", "w_d", "w_h"]}[variant]
+        params = ModelParams(variant, Hyper(hidden=2, window=2,
+                                            context_encoder=ctx_kind),
+                             ["int"], [], seed=0)
+        path = str(tmp_path / "m.json")
+        params.save(path)
+        with open(path) as f:
+            names = list(json.load(f)["params"])
+        assert names == ["type:$unk", "type:int", "lex:<pad>",
+                         "lex:<placeholder>", "lex:<unk>"] + context + usage
 
     def test_load_rejects_mismatched_names(self, tmp_path):
         params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
