@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import evaluation, generator, taskgen, train as training
@@ -39,6 +40,9 @@ def _add_seed(p: argparse.ArgumentParser):
 # the `train` options a --config file may set
 CONFIG_KEYS = ("variant", "context_encoder", "hidden", "epochs", "batch_size",
                "lr", "patience")
+# the `train` options a --resume checkpoint fixes, with a new model's defaults
+MODEL_DEFAULTS = {"variant": "hybrid", "context_encoder": "logbilinear",
+                  "hidden": 64}
 
 
 def _read_config_file(path: Optional[str]) -> Dict[str, str]:
@@ -95,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training .jsonl")
     p.add_argument("--valid", required=True,
                    help="validation .jsonl for early stopping")
-    p.add_argument("--variant", default="hybrid", choices=VARIANTS)
-    p.add_argument("--context-encoder", default="logbilinear",
-                   choices=CONTEXT_ENCODERS)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--context-encoder", choices=CONTEXT_ENCODERS)
+    p.add_argument("--hidden", type=int)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -108,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default="model.json",
                    help="model output path")
     p.add_argument("--resume", default=None,
-                   help="checkpoint to continue training from")
+                   help="checkpoint to continue training from; a --variant, "
+                        "--context-encoder or --hidden given must match it")
 
     p = sub.add_parser("eval", help="evaluate a trained model")
     _add_seed(p)
@@ -196,8 +200,10 @@ def _cmd_train(args) -> int:
     def opt(name, cast, default):
         return cast(overrides[name]) if name in overrides else default
 
-    variant = opt("variant", str, args.variant)
-    encoder = opt("context_encoder", str, args.context_encoder)
+    # the model options given on the command line or in --config
+    given = {name: opt(name, type(default), getattr(args, name))
+             for name, default in MODEL_DEFAULTS.items()
+             if name in overrides or getattr(args, name) is not None}
     train_instances = taskgen.read_instances(args.data)
     valid_instances = taskgen.read_instances(args.valid)
     for path, instances in ((args.data, train_instances),
@@ -206,12 +212,21 @@ def _cmd_train(args) -> int:
             raise CliError(f"no instances in {path}")
     if args.resume:
         params, cfg = ModelParams.load(args.resume)
+        saved = {"variant": params.variant, **asdict(params.hyper)}
+        for name, value in given.items():
+            if value != saved[name]:
+                option = f"{name} in {args.config}" if name in overrides \
+                    else "--" + name.replace("_", "-")
+                raise CliError(f"{option} is {value!r}, but checkpoint "
+                               f"{args.resume} has {saved[name]!r}")
         start_epoch = int(cfg.get("epoch", -1)) + 1
     else:
-        hyper = Hyper(hidden=opt("hidden", int, args.hidden),
-                      context_encoder=encoder)
+        model = {**MODEL_DEFAULTS, **given}
+        hyper = Hyper(hidden=model["hidden"],
+                      context_encoder=model["context_encoder"])
         types, lexemes = build_vocab(train_instances)
-        params = ModelParams(variant, hyper, types, lexemes, seed=args.seed)
+        params = ModelParams(model["variant"], hyper, types, lexemes,
+                             seed=args.seed)
         start_epoch = 0
     config = training.TrainConfig(
         epochs=opt("epochs", int, args.epochs),
@@ -327,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CliError, CheckError, LexError, ParseError, VariantError,
             SpliceError, NoCandidates, taskgen.NoPlaceholders,
             taskgen.InsufficientData, evaluation.NoDecisions,
-            training.NonFiniteLoss, FileNotFoundError, ValueError) as e:
+            training.NonFiniteLoss, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

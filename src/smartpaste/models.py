@@ -230,9 +230,9 @@ class Encoder:
     candidates) groups at once; `usage_reprs` is its one-group call.  A
     structural walk first visits each candidate's chains and data-flow trees
     in the order of the per-candidate recursion, group after group, then
-    each group's own c(t) window, resolving window tokens and type
-    representations as it goes: at training time type dropout draws from
-    `rng` on each symbol's first use, so that order fixes the draws.  The
+    each group's own c(t) window; that order numbers the columns, and no
+    type-dropout draw depends on it: a training encoder draws from its own
+    seed, taken from `rng` when it is made, and the symbol.  The
     arithmetic then runs in column batches: every new context window of
     every encoder in one batch, and every tree depth (a `grug` chain is a
     one-child tree) of every candidate of every group in one GRU step per
@@ -249,7 +249,8 @@ class Encoder:
         self.program = program
         self.placeholder_tokens = set(placeholder_tokens)
         self.training = training
-        self.rng = rng if rng is not None else random.Random(0)
+        self._seed = (rng if rng is not None else random.Random(0)
+                      ).getrandbits(64) if training else None
         self._ctx_cache: Dict[int, Tensor] = {}
         # position -> its window's token representations, awaiting the next
         # batched context computation
@@ -268,7 +269,7 @@ class Encoder:
 
     def type_embed(self, sid: int) -> Tensor:
         """Element-wise max over the supertype closure's embeddings; at
-        training time over a random non-empty subset of the closure."""
+        training time over a random non-empty subset drawn by (seed, sid)."""
         if sid in self._type_cache:
             return self._type_cache[sid]
         declared = UNK_TYPE if self.hyper.unk_types \
@@ -277,11 +278,11 @@ class Encoder:
         embs = self.params.type_embeddings
         members = [t if t in embs else UNK_TYPE for t in closure]
         if self.training and len(members) > 1:
-            keep = [m for m in members
-                    if self.rng.random() >= self.hyper.type_dropout]
+            draw = random.Random(hash((self._seed, sid))).random
+            keep = []
             while not keep:
                 keep = [m for m in members
-                        if self.rng.random() >= self.hyper.type_dropout]
+                        if draw() >= self.hyper.type_dropout]
             members = keep
         out = nn.elementwise_max([embs[m] for m in members])
         self._type_cache[sid] = out
@@ -457,13 +458,15 @@ def _flush_contexts(encoders: Sequence[Encoder]):
 def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
                  cell: nn.GruCellParams) -> Tensor:
     """TreeGRU root states, (H, K): one GRU step over all edges of a depth,
-    then each node's max over its children, deepest level first."""
+    then a max over each node's edges if any has two, deepest level first."""
     bank = leaves
     for depth in sorted(index.levels):
         child_cols, ctx_cols, starts = index.levels[depth]
         edges = nn.gru_step(nn.gather(bank, child_cols),
                             nn.gather(contexts, ctx_cols), cell)
-        bank = nn.columns([leaves, nn.segment_max(edges, starts)])
+        if len(starts) < len(child_cols):  # some node has several edges
+            edges = nn.segment_max(edges, starts)
+        bank = nn.columns([leaves, edges])
     return nn.gather(bank, index.roots)
 
 
@@ -474,11 +477,11 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
 
     The structural walk visits the groups in order, then each group's own
     c(t) window is requested, in group order; one context flush covers the
-    windows of every encoder.  Context columns are keyed by (encoder,
-    position), so the groups of one encoder share them; the chain lists
-    and one `_TreeIndex` per direction (holding `grug`'s chains, or the
-    data-flow trees), with global candidate columns, hold every group, so
-    each depth is one GRU step per direction over the whole batch."""
+    windows of every encoder; that order numbers the columns (hence the
+    BLAS rounding).  Context columns are keyed by (encoder, position); the
+    chain lists and one `_TreeIndex` per direction (`grug`'s chains or the
+    data-flow trees) hold every group in global candidate columns, so each
+    depth is one GRU step per direction over the whole batch."""
     params = groups[0][0].params
     variant = params.variant
     k_all = sum([len(group[3]) for group in groups])
@@ -502,16 +505,13 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
             return col
 
         for v in candidates:
-            if variant == "grug":  # its GRUs read the type before the chain
-                enc.type_embed(v)
             if variant in ("avgg", "grug", "hybrid"):
                 for d in ("prev", "next"):
-                    cols = [use(x) for x in enc._lex_chain(ug, t, v, d)]
+                    chain = [use(x) for x in enc._lex_chain(ug, t, v, d)]
                     if variant == "grug":
-                        trees[d].add_chain(k, cols, params.hyper.chain_len)
+                        trees[d].add_chain(k, chain, params.hyper.chain_len)
                     else:
-                        chains[d].append(cols)
-            enc.type_embed(v)
+                        chains[d].append(chain)
             if variant in ("grud", "hybrid"):
                 for d in ("prev", "next"):
                     enc._index_tree(ug, t, v, k, d, trees[d], use)

@@ -94,8 +94,9 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
     """One optimizer step.  Each item's score vector holds its own in-scope
     candidates followed by the truth usage vectors of the other items in the
     batch; the loss is the mean softmax cross-entropy.  Every item has its
-    own training `Encoder` (its own type-dropout draws), and all items go
-    through one `usage_batch`: one tape for the whole batch."""
+    own training `Encoder` (its placeholder tokens, and a type-dropout seed
+    from `rng` in batch order), and all items go through one `usage_batch`:
+    one tape for the whole batch, whose walk order moves no draw."""
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)

@@ -162,6 +162,48 @@ class TestTrain:
         first = json.load(open(workspace["model"]))["config"]["epoch"]
         assert json.load(open(path))["config"]["epoch"] == first + 1
 
+    @pytest.mark.parametrize("flag, value, saved", [
+        ("--variant", "grug", "'loc'"), ("--hidden", "8", "4"),
+        ("--context-encoder", "gru", "'logbilinear'")])
+    def test_resume_rejects_a_different_model_option(
+            self, workspace, tmp_path, capsys, flag, value, saved):
+        """The checkpoint (a `loc`, hidden-4, log-bilinear model) fixes the
+        model: a different explicit option is an error, not ignored."""
+        path = tmp_path / "resumed.json"
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--resume", workspace["model"],
+                     flag, value, "--epochs", "1",
+                     "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} is ")
+        assert value in err and saved in err and workspace["model"] in err
+        assert not path.exists()
+
+    def test_resume_rejects_a_different_config_key(self, workspace, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("variant = avgg\n")
+        path = tmp_path / "resumed.json"
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--resume", workspace["model"],
+                     "--config", str(cfg), "--epochs", "1",
+                     "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: variant in {cfg} is 'avgg', but checkpoint "
+            f"{workspace['model']} has 'loc'\n")
+        assert not path.exists()
+
+    def test_resume_accepts_the_checkpoint_model_options(
+            self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("context_encoder = logbilinear\n")
+        path = str(tmp_path / "resumed.json")
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--resume", workspace["model"],
+                     "--variant", "loc", "--hidden", "4", "--config",
+                     str(cfg), "--epochs", "1", "--checkpoint", path]) == 0
+        assert json.load(open(path))["config"]["variant"] == "loc"
+
     def test_empty_valid_fails(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -381,6 +423,24 @@ class TestDumps:
         bad.write_text("int f( {")
         assert main(["dump-dataflow", "--file", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestOSErrors:
+    """A path the operating system refuses is exit 1 with a message."""
+
+    def _fails(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_directory_as_source_file(self, tmp_path, capsys):
+        self._fails(["dump-dataflow", "--file", str(tmp_path)], capsys)
+
+    def test_output_below_a_regular_file(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        self._fails(["generate", "--projects", "1", "--out",
+                     str(plain / "sub")], capsys)
 
 
 class TestParser:

@@ -169,6 +169,32 @@ class TestTypeEmbedding:
             runs.append(enc.type_embed(leaf).data.copy())
         assert np.array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_draws_do_not_depend_on_embedding_order(self, lattice_program,
+                                                    lattice_params, seed):
+        """Two training encoders made from equal `rng` seeds embed the
+        multi-type symbols in opposite orders and draw the same subsets."""
+        sids = [s.id for s in lattice_program.symbols
+                if s.name in ("a", "b", "c")]
+        runs = []
+        for order in (sids, sids[::-1]):
+            enc = Encoder(lattice_params, lattice_program, training=True,
+                          rng=random.Random(seed))
+            runs.append({v: enc.type_embed(v).data.copy() for v in order})
+        for v in sids:
+            assert np.array_equal(runs[0][v], runs[1][v])
+
+    def test_encoders_draw_different_subsets(self, lattice_program,
+                                             lattice_params):
+        """Training encoders made one after another from one `rng` draw
+        their own subsets of a three-type closure."""
+        leaf = next(s.id for s in lattice_program.symbols if s.name == "a")
+        rng = random.Random(0)
+        vectors = {tuple(Encoder(lattice_params, lattice_program,
+                                 training=True, rng=rng).type_embed(leaf).data)
+                   for _ in range(40)}
+        assert len(vectors) > 1
+
     def test_unk_types_ablation(self, lattice_program):
         params = ModelParams(
             "loc", Hyper(hidden=8, unk_types=True),
@@ -476,6 +502,24 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
     assert np.abs(batched.data - want).max() <= 1e-12
     for a, b in zip(g_batched, g_per_group):
         assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant, takes_max", [("grug", False),
+                                                ("grud", True)])
+def test_segment_max_runs_only_on_levels_with_several_edges(
+        monkeypatch, variant, takes_max):
+    """A `grug` chain's nodes have one edge each, so its usage batch takes
+    no max; `grud`'s trees of the twin definitions of `a` still do."""
+    calls = []
+    segment_max = nn.segment_max
+    monkeypatch.setattr(nn, "segment_max",
+                        lambda *args: calls.append(1) or segment_max(*args))
+    views = list(_placeholder_views(BATCH_PROGRAMS[1]))
+    params = ModelParams(variant, Hyper(hidden=6, tree_depth=6),
+                         ["int"], [], seed=3)
+    enc = Encoder(params, views[0][0])
+    usage_batch([(enc,) + view[1:] for view in views])
+    assert bool(calls) == takes_max
 
 
 @settings(max_examples=30, deadline=None)

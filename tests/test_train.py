@@ -13,8 +13,7 @@ from smartpaste import nn
 from smartpaste import train as train_module
 from smartpaste.infer import rank_single
 from smartpaste.minilang import compile_source
-from smartpaste.models import (Encoder, Hyper, ModelParams, _TreeIndex,
-                               build_vocab)
+from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import extract_instances
 from smartpaste.train import (Item, ItemCache, NonFiniteLoss, TrainConfig,
                               fit, make_batches, make_items,
@@ -23,8 +22,10 @@ from smartpaste.train import (Item, ItemCache, NonFiniteLoss, TrainConfig,
 
 # Two programs whose variables have nominal types with three-member
 # supertype closures, so type dropout draws at training time.  In the first,
-# `w` is declared right after the placeholder `b` of `Mid q = b;`: that
-# item's own c(t) window is where `w`'s type is drawn first.
+# `w` is declared right after the placeholder `b` of `Mid q = b;`, inside
+# that item's own c(t) window: the batched step, which requests every c(t)
+# after every walk, and the per-item reference use `w`'s type in different
+# orders.
 LATTICE_PROGRAMS = ["""\
 type Base;
 type Mid implements Base;
@@ -70,38 +71,15 @@ def lattice_instances():
             for src in LATTICE_PROGRAMS]
 
 
-def _draw_walk(enc, ug, t, candidates):
-    """Resolve, in the order of the usage walk, every type representation
-    and context window the walk of `candidates` at t resolves, so that type
-    dropout draws as the walk does."""
-    variant = enc.params.variant
-    for v in candidates:
-        if variant == "grug":
-            enc.type_embed(v)
-        if variant in ("avgg", "grug", "hybrid"):
-            for d in ("prev", "next"):
-                for x in enc._lex_chain(ug, t, v, d):
-                    enc._request_context(x)
-        enc.type_embed(v)
-        if variant in ("grud", "hybrid"):
-            for d in ("prev", "next"):
-                enc._index_tree(ug, t, v, 0, d, _TreeIndex(1),
-                                enc._request_context)
-
-
 def reference_train_step(params, batch, adam, cache, lr, rng):
     """The training step one item at a time: each item's own `usage_reprs`
-    (its own context batch and GRU steps) and its own c(t).  Type dropout
-    draws in the batched step's order: every item's walk in batch order,
-    then every item's c(t) window in batch order."""
+    (its own context batch and GRU steps) and its own c(t), walked in the
+    reference's own order.  Each item's encoder takes its type-dropout seed
+    from `rng` in batch order, as the batched step's do."""
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    for item, enc in zip(batch, encoders):
-        _draw_walk(enc, cache.graph(item), item.token, item.candidates)
-    for item, enc in zip(batch, encoders):
-        enc._request_context(item.token)
     usages = [enc.usage_reprs(cache.graph(item), item.token, item.candidates)
               for item, enc in zip(batch, encoders)]
     truth_idx = [item.candidates.index(item.truth) for item in batch]
@@ -196,8 +174,10 @@ class TestTrainStep:
     def test_one_batch_matches_items_one_at_a_time(self, lattice_instances,
                                                    variant):
         """Two steps of the batched step against the per-item reference,
-        with type dropout 0.5 drawing from one shared rng: the losses and
-        every parameter after each Adam step agree to 1e-12."""
+        with type dropout 0.5: each walks in its own order, and the draws
+        still agree, since each depends on its encoder's seed and symbol
+        only.  The losses and every parameter after each Adam step agree to
+        1e-12."""
         items = make_items(lattice_instances)
         a, b = (items[:4] + items[-4:]), (items[4:8] + items[-8:-4])
         types, lexemes = build_vocab(lattice_instances)
