@@ -308,6 +308,8 @@ def _cmd_dump_dataflow(args) -> int:
 
 
 def _cmd_dump_usage_vectors(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise CliError(f"--limit must be at least 0, got {args.limit}")
     params, _ = ModelParams.load(args.model)
     instances = taskgen.read_instances(args.data)
     if args.limit is not None:

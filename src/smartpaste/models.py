@@ -48,6 +48,8 @@ class Hyper:
     unk_types: bool = False
 
     def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if self.context_encoder not in CONTEXT_ENCODERS:
             raise VariantError(
                 f"unknown context encoder {self.context_encoder!r}")

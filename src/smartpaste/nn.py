@@ -7,9 +7,11 @@ the element-wise ops work on either, `gather`, `columns` and `segment_max`
 move and pool columns, and `dot` scores one vector against every column.
 
 Wide (float64) precision is the default; tests quote all tolerances at wide
-precision.  The tape is implicit: each Tensor records its parents and a
-backward closure; Tensor.backward() replays them once in reverse topological
-order.
+precision.  The tape is implicit: each op's result records its parents and
+one vector-Jacobian function, which maps the result's gradient to one
+gradient per parent; a result computed only from constants records nothing.
+Tensor.backward() replays the tape once in reverse topological order and is
+the one place that decides which input receives a gradient.
 """
 
 from __future__ import annotations
@@ -36,23 +38,14 @@ class EmptyInput(Exception):
 class Tensor:
     """A dense array plus optional gradient buffer and autodiff linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 parents: Tuple["Tensor", ...] = (),
-                 backward: Optional[Callable[[np.ndarray], None]] = None,
-                 name: str = ""):
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad: Optional[np.ndarray] = None
-        if not requires_grad:
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self._parents: Tuple[Tensor, ...] = ()
+        self._vjp: Optional[Callable[[np.ndarray], Sequence]] = None
         self.name = name
 
     @property
@@ -73,31 +66,30 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse sweep from this (scalar) tensor; visits each node once."""
+        """Reverse sweep from this (scalar) tensor; visits each node once and
+        hands each parent that needs a gradient its share, in parent order."""
         if self.data.shape != ():
             raise ShapeError("backward() requires a scalar output")
         topo: List[Tensor] = []
         seen = set()
-
-        def visit(t: Tensor):
-            stack = [(t, False)]
-            while stack:
-                node, done = stack.pop()
-                if done:
-                    topo.append(node)
-                    continue
-                if id(node) in seen or not node.requires_grad:
-                    continue
-                seen.add(id(node))
-                stack.append((node, True))
-                for p in node._parents:
-                    stack.append((p, False))
-
-        visit(self)
+        stack = [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if id(node) in seen or not node.requires_grad:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                stack.append((p, False))
         self.accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._vjp is not None and node.grad is not None:
+                for p, g in zip(node._parents, node._vjp(node.grad)):
+                    if p.requires_grad:
+                        p.accumulate(g)
 
     def zero_grad(self):
         self.grad = None
@@ -114,47 +106,49 @@ def parameter(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+def _op(data, parents: Tuple[Tensor, ...],
+        vjp: Callable[[np.ndarray], Sequence]) -> Tensor:
+    """The result of an op: `vjp(g)` maps the result's gradient to one
+    gradient per parent, in parent order.  A result none of whose parents
+    needs a gradient is a constant and keeps no tape."""
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._vjp = vjp
+            break
+    return out
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def _same_shapes(parts: Sequence[Tensor], op: str):
+    if not parts:
+        raise EmptyInput(f"{op} of no tensors")
+    for p in parts[1:]:
+        _same_shape(parts[0], p, op)
 
 
 # --- primitive ops ----------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return Tensor(a.data + b.data, parents=(a, b), backward=bw)
+    return _op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
-
-    return Tensor(a.data - b.data, parents=(a, b), backward=bw)
+    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return Tensor(a.data * b.data, parents=(a, b), backward=bw)
+    return _op(a.data * b.data, (a, b),
+               lambda g: (g * b.data, g * a.data))
 
 
 def matmul(w: Tensor, x: Tensor) -> Tensor:
@@ -162,15 +156,9 @@ def matmul(w: Tensor, x: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim not in (1, 2) \
             or w.shape[1] != x.shape[0]:
         raise ShapeError(f"matmul: {w.shape} @ {x.shape}")
-
-    def bw(g):
-        if w.requires_grad:
-            w.accumulate(np.outer(g, x.data) if x.data.ndim == 1
-                         else g @ x.data.T)
-        if x.requires_grad:
-            x.accumulate(w.data.T @ g)
-
-    return Tensor(w.data @ x.data, parents=(w, x), backward=bw)
+    return _op(w.data @ x.data, (w, x),
+               lambda g: (np.outer(g, x.data) if x.data.ndim == 1
+                          else g @ x.data.T, w.data.T @ g))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -179,15 +167,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
             or x.shape[0] != b.shape[0]:
         raise ShapeError(f"add_bias: {x.shape} + {b.shape}")
     batched = x.data.ndim == 2
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g.sum(axis=1) if batched else g)
-
-    return Tensor(x.data + (b.data[:, None] if batched else b.data),
-                  parents=(x, b), backward=bw)
+    return _op(x.data + (b.data[:, None] if batched else b.data), (x, b),
+               lambda g: (g, g.sum(axis=1) if batched else g))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -197,21 +178,10 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
             or a.shape[0] != b.shape[0]:
         raise ShapeError(f"dot: shape mismatch {a.shape} vs {b.shape}")
     if b.data.ndim == 1:
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate(g * b.data)
-            if b.requires_grad:
-                b.accumulate(g * a.data)
-
-        return Tensor(np.dot(a.data, b.data), parents=(a, b), backward=bw)
-
-    def bw_columns(g):
-        if a.requires_grad:
-            a.accumulate(b.data @ g)
-        if b.requires_grad:
-            b.accumulate(np.outer(a.data, g))
-
-    return Tensor(a.data @ b.data, parents=(a, b), backward=bw_columns)
+        return _op(np.dot(a.data, b.data), (a, b),
+                   lambda g: (g * b.data, g * a.data))
+    return _op(a.data @ b.data, (a, b),
+               lambda g: (b.data @ g, np.outer(a.data, g)))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -219,73 +189,38 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     (H1, B) + (H2, B) -> (H1 + H2, B)."""
     if not parts:
         raise EmptyInput("concat of no tensors")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate(g[lo:hi])
-
-    return Tensor(np.concatenate([p.data for p in parts]),
-                  parents=tuple(parts), backward=bw)
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    return _op(np.concatenate([p.data for p in parts]), tuple(parts),
+               lambda g: [g[lo:hi]
+                          for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * out * (1.0 - out))
-
-    return Tensor(out, parents=(a,), backward=bw)
+    return _op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - out * out))
-
-    return Tensor(out, parents=(a,), backward=bw)
+    return _op(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def mean_of(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise EmptyInput("mean of no tensors")
-    first = parts[0]
-    for p in parts[1:]:
-        _same_shape(first, p, "mean_of")
+    _same_shapes(parts, "mean_of")
     k = float(len(parts))
-
-    def bw(g):
-        for p in parts:
-            if p.requires_grad:
-                p.accumulate(g / k)
-
-    return Tensor(np.mean([p.data for p in parts], axis=0),
-                  parents=tuple(parts), backward=bw)
+    return _op(np.mean([p.data for p in parts], axis=0), tuple(parts),
+               lambda g: [g / k] * len(parts))
 
 
 def elementwise_max(parts: Sequence[Tensor]) -> Tensor:
     """Coordinate-wise max; the gradient routes to the argmax input per
     coordinate, ties resolved toward the lowest list index."""
-    if not parts:
-        raise EmptyInput("elementwise_max of no tensors")
-    first = parts[0]
-    for p in parts[1:]:
-        _same_shape(first, p, "elementwise_max")
+    _same_shapes(parts, "elementwise_max")
     stacked = np.stack([p.data for p in parts])
     argmax = np.argmax(stacked, axis=0)  # first occurrence wins ties
     out = np.take_along_axis(stacked, argmax[None], axis=0)[0]
-
-    def bw(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p.accumulate(g * (argmax == i))
-
-    return Tensor(out, parents=tuple(parts), backward=bw)
+    return _op(out, tuple(parts),
+               lambda g: [g * (argmax == i) for i in range(len(parts))])
 
 
 def columns(parts: Sequence[Tensor]) -> Tensor:
@@ -294,24 +229,22 @@ def columns(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise EmptyInput("columns of no tensors")
     height = parts[0].shape[0]
-    offsets = [0]
+    # each part's column (a vector) or column slice (a batch) of the result
+    spans = []
+    width = 0
     for p in parts:
         if p.data.ndim not in (1, 2) or p.shape[0] != height:
             raise ShapeError(f"columns: {p.shape} next to height {height}")
-        offsets.append(offsets[-1] + (1 if p.data.ndim == 1 else p.shape[1]))
-    out = np.empty((height, offsets[-1]))
-    for p, lo, hi in zip(parts, offsets, offsets[1:]):
         if p.data.ndim == 1:
-            out[:, lo] = p.data
+            spans.append(width)
+            width += 1
         else:
-            out[:, lo:hi] = p.data
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            if p.requires_grad:
-                p.accumulate(g[:, lo] if p.data.ndim == 1 else g[:, lo:hi])
-
-    return Tensor(out, parents=tuple(parts), backward=bw)
+            spans.append(slice(width, width + p.shape[1]))
+            width += p.shape[1]
+    out = np.empty((height, width))
+    for p, span in zip(parts, spans):
+        out[:, span] = p.data
+    return _op(out, tuple(parts), lambda g: [g[:, span] for span in spans])
 
 
 def gather(x: Tensor, index) -> Tensor:
@@ -323,13 +256,12 @@ def gather(x: Tensor, index) -> Tensor:
     if not isinstance(index, (int, np.integer)):
         index = np.asarray(index, dtype=np.intp)
 
-    def bw(g):
-        if x.requires_grad:
-            grad = np.zeros_like(x.data)
-            np.add.at(grad, (slice(None), index), g)
-            x.accumulate(grad)
+    def vjp(g):
+        grad = np.zeros_like(x.data)
+        np.add.at(grad, (slice(None), index), g)
+        return (grad,)
 
-    return Tensor(x.data[:, index], parents=(x,), backward=bw)
+    return _op(x.data[:, index], (x,), vjp)
 
 
 def segment_max(x: Tensor, starts: Sequence[int]) -> Tensor:
@@ -349,17 +281,16 @@ def segment_max(x: Tensor, starts: Sequence[int]) -> Tensor:
                          f"for {width} columns")
     out = np.maximum.reduceat(x.data, starts, axis=1)
 
-    def bw(g):
-        if x.requires_grad:
-            segment = np.repeat(np.arange(len(starts)), np.diff(bounds))
-            is_max = x.data == out[:, segment]
-            first = np.minimum.reduceat(
-                np.where(is_max, np.arange(width), width), starts, axis=1)
-            grad = np.zeros_like(x.data)
-            np.put_along_axis(grad, first, g, axis=1)
-            x.accumulate(grad)
+    def vjp(g):
+        segment = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        is_max = x.data == out[:, segment]
+        first = np.minimum.reduceat(
+            np.where(is_max, np.arange(width), width), starts, axis=1)
+        grad = np.zeros_like(x.data)
+        np.put_along_axis(grad, first, g, axis=1)
+        return (grad,)
 
-    return Tensor(out, parents=(x,), backward=bw)
+    return _op(out, (x,), vjp)
 
 
 def pack(scalars: Sequence[Tensor]) -> Tensor:
@@ -369,14 +300,7 @@ def pack(scalars: Sequence[Tensor]) -> Tensor:
     for s in scalars:
         if s.data.shape != ():
             raise ShapeError("pack expects scalars")
-
-    def bw(g):
-        for i, s in enumerate(scalars):
-            if s.requires_grad:
-                s.accumulate(g[i])
-
-    return Tensor(np.array([s.data for s in scalars]),
-                  parents=tuple(scalars), backward=bw)
+    return _op(np.array([s.data for s in scalars]), tuple(scalars), list)
 
 
 def softmax_xent(scores: Tensor, truth: int) -> Tuple[Tensor, np.ndarray]:
@@ -386,14 +310,12 @@ def softmax_xent(scores: Tensor, truth: int) -> Tuple[Tensor, np.ndarray]:
         raise IndexError(f"truth index {truth} out of range for {k} scores")
     probs = softmax_probs(scores.data)
 
-    def bw(g):
-        if scores.requires_grad:
-            grad = probs.copy()
-            grad[truth] -= 1.0
-            scores.accumulate(g * grad)
+    def vjp(g):
+        grad = probs.copy()
+        grad[truth] -= 1.0
+        return (g * grad,)
 
-    loss = Tensor(-math.log(probs[truth]), parents=(scores,), backward=bw)
-    return loss, probs
+    return _op(-math.log(probs[truth]), (scores,), vjp), probs
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:

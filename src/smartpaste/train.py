@@ -38,6 +38,12 @@ class TrainConfig:
     patience: int = 5
     checkpoint: Optional[str] = None
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass
 class Item:

@@ -242,6 +242,27 @@ class TestTrain:
             assert key in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--epochs", "0", "epochs"), ("--hidden", "0", "hidden"),
+        ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-3", "batch_size")])
+    def test_option_out_of_range_fails(self, workspace, tmp_path, capsys,
+                                       flag, value, field):
+        """An out-of-range option is an error that names it, not a
+        traceback or a checkpoint of an untrained model."""
+        model = tmp_path / "m.json"
+        args = {"--variant": "loc", "--hidden": "4", "--epochs": "1",
+                flag: value}
+        argv = ["train", "--data", workspace["data"], "--valid",
+                workspace["data"], "--checkpoint", str(model)]
+        for name, v in args.items():
+            argv += [name, v]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_missing_valid_exits_2(self, workspace, tmp_path, capsys):
         """Early stopping needs held-out data: there is no fallback to the
         training set."""
@@ -387,6 +408,14 @@ class TestDumps:
         assert main(["dump-usage-vectors", "--data", workspace["data"],
                      "--model", workspace["model"], "--limit", "1"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_dump_usage_vectors_negative_limit_fails(self, workspace,
+                                                     capsys):
+        assert main(["dump-usage-vectors", "--data", workspace["data"],
+                     "--model", workspace["model"], "--limit", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--limit" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     @pytest.mark.parametrize("variant", ["grud", "hybrid"])
     def test_dump_usage_vectors_are_the_scored_ones(self, tmp_path, capsys,

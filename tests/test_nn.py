@@ -1,5 +1,6 @@
 """Autodiff ops against central finite differences, Adam, checkpoints."""
 
+import inspect
 import json
 import math
 
@@ -205,6 +206,70 @@ def _total(x):
     """Sum of every entry of a (H, B) tensor, as a scalar tensor."""
     rows = nn.dot(nn.constant(np.ones(x.shape[0])), x)
     return nn.dot(rows, nn.constant(np.ones(rows.shape[0])))
+
+
+# op -> (constant input's shape, parameter shapes, build(constant, params)):
+# each op with one input that needs no gradient
+MIXED_INPUTS = {
+    "sub": ((3,), [(3,), (3,)],
+            lambda c, p: nn.dot(nn.sub(c, p[0]), p[1])),
+    "mul": ((3,), [(3,), (3,)],
+            lambda c, p: nn.dot(nn.mul(p[0], c), p[1])),
+    "matmul": ((3, 4), [(2, 3), (2, 4)],
+               lambda c, p: _total(nn.mul(nn.matmul(p[0], c), p[1]))),
+    "add_bias": ((3, 4), [(3,), (3, 4)],
+                 lambda c, p: _total(nn.mul(nn.add_bias(c, p[0]), p[1]))),
+    "dot": ((3, 4), [(3,), (4,)],
+            lambda c, p: nn.dot(nn.dot(p[0], c), p[1])),
+    "concat": ((2,), [(3,), (5,)],
+               lambda c, p: nn.dot(nn.concat([p[0], c]), p[1])),
+    "columns": ((3,), [(3, 2), (3, 4)],
+                lambda c, p: _total(nn.mul(nn.columns([c, p[0], c]),
+                                           p[1]))),
+    "mean_of": ((3,), [(3,), (3,)],
+                lambda c, p: nn.dot(nn.mean_of([p[0], c, p[0]]), p[1])),
+    "elementwise_max": ((3,), [(3,), (3,)],
+                        lambda c, p: nn.dot(nn.elementwise_max([p[0], c]),
+                                            p[1])),
+    "pack": ((), [(3,), (2,)],
+             lambda c, p: nn.dot(nn.pack([nn.dot(p[0], p[0]), c]), p[1])),
+}
+
+
+class TestTape:
+    """Only inputs that need a gradient get one, and a result computed only
+    from constants keeps no tape."""
+
+    @pytest.mark.parametrize("op", sorted(MIXED_INPUTS))
+    def test_constant_input_gets_no_gradient(self, op):
+        shape, shapes, build = MIXED_INPUTS[op]
+        rng = np.random.default_rng(3)
+        c = nn.constant(rng.normal(size=shape))
+        gradcheck(lambda p: build(c, p), [rng.normal(size=s) for s in shapes])
+        assert c.grad is None
+
+    def test_results_of_constants_keep_no_tape(self):
+        rng = np.random.default_rng(0)
+        cell = nn.GruCellParams.__new__(nn.GruCellParams)
+        for name, t in vars(nn.GruCellParams(rng, 3, 3, "g")).items():
+            setattr(cell, name, nn.constant(t.data))
+        v = nn.constant(rng.normal(size=3))
+        m = nn.constant(rng.normal(size=(3, 3)))
+        for out in (nn.add(v, v), nn.matmul(m, v), nn.columns([v, m, v]),
+                    nn.gru_step(v, v, cell), nn.gru_step(m, m, cell)):
+            assert not out.requires_grad
+            assert out._parents == () and out._vjp is None
+
+    def test_backward_alone_hands_out_gradients(self):
+        """The one place that decides which input gets a gradient."""
+        source = inspect.getsource(nn)
+        rest = source.replace(inspect.getsource(nn.Tensor.backward), "")
+        assert ".accumulate(" in source and ".accumulate(" not in rest
+        for fn in (nn._op, nn.Tensor.__init__):
+            rest = rest.replace(inspect.getsource(fn), "")
+        assert "._parents =" not in rest and "._vjp =" not in rest
+        params = inspect.signature(nn.Tensor.__init__).parameters
+        assert not {"parents", "backward"} & set(params)
 
 
 class TestOpSemantics:
