@@ -61,8 +61,9 @@ def rank_placeholders(inst: TaskInstance, encoder: Encoder,
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
                 context_assignment: Dict[int, Optional[int]]
                 ) -> List[Tuple[int, float]]:
-    """`rank_placeholders` of one placeholder: what ICM's totals and its
-    independent start call (its sweeps read the totals' rankings)."""
+    """`rank_placeholders` of one placeholder.  Nothing in the package
+    ranks one placeholder at a time; it is the per-placeholder reference
+    the batched totals are tested against."""
     return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
 
 
@@ -70,11 +71,13 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
                    mapping: Dict[int, int]
                    ) -> Tuple[float, Dict[int, List[Tuple[int, float]]]]:
     """Pseudo-log-likelihood: sum over placeholders of the log conditional
-    probability of the assigned symbol given all the others."""
+    probability of the assigned symbol given all the others, with every
+    placeholder's ranking; all placeholders are ranked in one
+    `rank_placeholders` call."""
     total = 0.0
     rankings = {}
-    for ph in inst.placeholders:
-        ranked = rank_single(inst, encoder, ph, mapping)
+    for ph, ranked in zip(inst.placeholders, rank_placeholders(
+            inst, encoder, inst.placeholders, mapping)):
         rankings[ph.token_index] = ranked
         prob = dict(ranked)[mapping[ph.token_index]]
         total += math.log(max(prob, 1e-300))
@@ -96,15 +99,15 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     from, so a raw update can lower the total; a trial state is kept only if
     its total is not lower, which keeps the per-update total non-decreasing
     within a restart.  The first restart starts from the independent
-    per-placeholder argmax (every placeholder unbound), which tends to sit
-    in the basin of the jointly best assignment; the remaining restarts
-    start random.  `trace`, when given, collects the per-update totals of
-    each restart.
+    per-placeholder argmax (every placeholder unbound, all ranked in one
+    `rank_placeholders` call), which tends to sit in the basin of the
+    jointly best assignment; the remaining restarts start random.  `trace`,
+    when given, collects the per-update totals of each restart.
 
     Every conditional goes through one encoder, so through one
     `ProgramFlow` and one score memo: after an update moves a placeholder
     from symbol a to b, only scores keyed by a's or b's occurrences are
-    computed again."""
+    computed again, in one tape-free batch per total."""
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
         encoder = Encoder(params, inst.program,
@@ -119,9 +122,9 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     for attempt in range(max(restarts, 1)):
         if attempt == 0:
             unbound = dict.fromkeys(inst.placeholder_tokens)
-            state = assess({p.token_index: rank_single(inst, encoder, p,
-                                                       unbound)[0][0]
-                            for p in phs})
+            state = assess({p.token_index: ranked[0][0]
+                            for p, ranked in zip(phs, rank_placeholders(
+                                inst, encoder, phs, unbound))})
         else:
             state = assess({p.token_index: rng.choice(p.candidates)
                             for p in phs})

@@ -226,7 +226,10 @@ class Encoder:
     v's lexical chains and data-flow trees at t depend only on where v
     occurs, so `rank` memoises each score c(t) . u(t, v) by (t, v,
     occurrences of v) for the encoder's lifetime; it computes only the
-    missing scores, for several placeholders at once.
+    missing scores, for several placeholders at once, and reads only their
+    values, so it records no tape (`nn.no_tape`).  The context windows and
+    type representations a ranking caches are therefore constants: to
+    differentiate, encode through a fresh encoder.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  A
@@ -384,7 +387,7 @@ class Encoder:
         softmax of their scores c(t) . u(t, v), most probable first; equal
         probabilities go to the lower symbol id.  Scores missing from the
         memo (all of them at training time) are computed in one
-        `usage_batch` over every group."""
+        `usage_batch` over every group, inside `nn.no_tape()`."""
         memo = {} if self.training else self._scores
         keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
                 for ug, t, candidates in groups]
@@ -396,17 +399,18 @@ class Encoder:
                 batch.append((self, ug, t, [v for _, v, _ in absent]))
                 missing += absent
         if batch:
-            u = np.ascontiguousarray(usage_batch(batch).data.T)
+            with nn.no_tape():
+                u = np.ascontiguousarray(usage_batch(batch).data.T)
+                contexts = [self.context_repr(t).data for _, _, t, _ in batch]
             start = 0
-            for _, _, t, vs in batch:
+            for (_, _, _, vs), c in zip(batch, contexts):
                 # one contiguous row sum per candidate: unlike a BLAS
                 # product, its rounding does not depend on the other
                 # columns of the batch, so equal usage columns keep exactly
                 # equal scores
                 stop = start + len(vs)
                 memo.update(zip(missing[start:stop],
-                                (u[start:stop] * self.context_repr(t).data
-                                 ).sum(axis=1)))
+                                (u[start:stop] * c).sum(axis=1)))
                 start = stop
         ranked = []
         for (_, _, candidates), group_keys in zip(groups, keys):
@@ -550,8 +554,10 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
 def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,
                        t: int, candidates: Sequence[int]) -> str:
     """Line-delimited (instance, token, symbol, variant, values) records, one
-    per candidate at token t, encoded in one `usage_reprs` batch."""
-    u = encoder.usage_reprs(ug, t, candidates).data
+    per candidate at token t, encoded in one `usage_reprs` batch that
+    records no tape."""
+    with nn.no_tape():
+        u = encoder.usage_reprs(ug, t, candidates).data
     lines = []
     for k, v in enumerate(candidates):
         values = "\t".join(repr(x) for x in u[:, k].tolist())

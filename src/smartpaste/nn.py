@@ -9,16 +9,20 @@ move and pool columns, and `dot` scores one vector against every column.
 Wide (float64) precision is the default; tests quote all tolerances at wide
 precision.  The tape is implicit: each op's result records its parents and
 one vector-Jacobian function, which maps the result's gradient to one
-gradient per parent; a result computed only from constants records nothing.
-Tensor.backward() replays the tape once in reverse topological order and is
-the one place that decides which input receives a gradient.
+gradient per parent; a result computed only from constants records nothing,
+and neither does any result computed inside `with no_tape():`, which is for
+forwards whose values alone are read.  Tensor.backward() replays the tape
+once in reverse topological order and is the one place that decides which
+input receives a gradient.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -106,18 +110,36 @@ def parameter(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+_taping = True  # off inside `no_tape()`
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Within the block every op result is a constant: it keeps no parents
+    and no vjp, whatever its inputs, so nothing in it can be differentiated.
+    The previous setting is restored on exit, also on an exception."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
 def _op(data, parents: Tuple[Tensor, ...],
         vjp: Callable[[np.ndarray], Sequence]) -> Tensor:
     """The result of an op: `vjp(g)` maps the result's gradient to one
     gradient per parent, in parent order.  A result none of whose parents
-    needs a gradient is a constant and keeps no tape."""
+    needs a gradient, or made inside `no_tape()`, is a constant and keeps
+    no tape."""
     out = Tensor(data)
-    for p in parents:
-        if p.requires_grad:
-            out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-            break
+    if _taping:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 
@@ -304,18 +326,24 @@ def pack(scalars: Sequence[Tensor]) -> Tensor:
 
 
 def softmax_xent(scores: Tensor, truth: int) -> Tuple[Tensor, np.ndarray]:
-    """Numerically stable softmax cross-entropy; returns (loss, probs)."""
+    """Numerically stable softmax cross-entropy; returns (loss, probs).  The
+    loss is the log-sum-exp of the max-shifted scores minus the shifted
+    truth score, so it stays finite where the truth's probability
+    underflows to 0."""
     k = scores.shape[0]
     if not 0 <= truth < k:
         raise IndexError(f"truth index {truth} out of range for {k} scores")
-    probs = softmax_probs(scores.data)
+    shifted = scores.data - np.max(scores.data)
+    exp = np.exp(shifted)
+    total = np.sum(exp)
+    probs = exp / total
 
     def vjp(g):
         grad = probs.copy()
         grad[truth] -= 1.0
         return (g * grad,)
 
-    return _op(-math.log(probs[truth]), (scores,), vjp), probs
+    return _op(math.log(total) - shifted[truth], (scores,), vjp), probs
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ evaluation does: `truth_rankings` ranks all items of an instance in one
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -43,6 +44,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and above 0, got {self.lr}")
 
 
 @dataclass

@@ -245,7 +245,8 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value, field", [
         ("--epochs", "0", "epochs"), ("--hidden", "0", "hidden"),
         ("--batch-size", "0", "batch_size"),
-        ("--batch-size", "-3", "batch_size")])
+        ("--batch-size", "-3", "batch_size"), ("--lr", "-1", "lr"),
+        ("--lr", "0", "lr"), ("--lr", "nan", "lr")])
     def test_option_out_of_range_fails(self, workspace, tmp_path, capsys,
                                        flag, value, field):
         """An out-of-range option is an error that names it, not a

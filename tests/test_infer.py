@@ -1,6 +1,7 @@
 """Conditional ranking, iterated conditional modes, and paste splicing."""
 
 import gc
+import math
 import random
 
 import pytest
@@ -12,14 +13,17 @@ from smartpaste.dataflow import dataflow_uses
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
-from smartpaste.models import VARIANTS, Encoder, Hyper, ModelParams
+from smartpaste.models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
+                               ModelParams)
 from smartpaste.taskgen import extract_instances, make_instance
 
 from conftest import SUM_POSITIVE, SUM_POSITIVE_TRUTH_NAMES
 
 
-def small_model(program, variant="avgg", seed=4):
-    return ModelParams(variant, Hyper(hidden=8, tree_depth=4),
+def small_model(program, variant="avgg", seed=4,
+                context_encoder="logbilinear"):
+    return ModelParams(variant, Hyper(hidden=8, tree_depth=4,
+                                      context_encoder=context_encoder),
                        type_names=program.lattice.types,
                        lexemes=[t.text for t in program.tokens], seed=seed)
 
@@ -185,14 +189,21 @@ def icm_instances(loop_instance, tiny_instances):
     return [loop_instance, wide]
 
 
+def _close(got, want, tol=1e-12):
+    return all(abs(a - b) <= tol for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_icm_matches_reference(icm_instances, variant):
-    """Sweeps that read the state's rankings give exactly what ranking each
-    placeholder again gives: the same mapping, total, rankings and
-    per-restart trace, float for float; and the returned rankings are the
-    conditionals of the returned mapping as a fresh encoder ranks them.
-    Each side keeps its own encoder over the grid, so the two compute the
-    same score batches in the same order."""
+    """Sweeps that read the state's rankings give what ranking each
+    placeholder again gives: the same mapping, ranking order and trace
+    lengths exactly, and the same totals, probabilities and trace values
+    to 1e-12; and the returned rankings are the conditionals of the
+    returned mapping as a fresh encoder ranks them.  Each side keeps its
+    own encoder over the grid.  The values are not float for float: a
+    total ranks every placeholder in one batch while the reference's sweep
+    steps rank one, so a memoised score may first be computed in a batch
+    of another shape, whose BLAS rounding differs by about an ulp."""
     for inst in icm_instances:
         params = small_model(inst.program, variant=variant)
         got_enc, want_enc = (
@@ -211,9 +222,18 @@ def test_icm_matches_reference(icm_instances, variant):
                                          max_sweeps, random.Random(seed),
                                          want_trace)
                     assert got.mapping == want.mapping
-                    assert got.total_log_prob == want.total_log_prob
-                    assert got.rankings == want.rankings
-                    assert trace == want_trace
+                    assert abs(got.total_log_prob
+                               - want.total_log_prob) <= 1e-12
+                    assert got.rankings.keys() == want.rankings.keys()
+                    for t, ranked in want.rankings.items():
+                        assert [s for s, _ in got.rankings[t]] \
+                            == [s for s, _ in ranked]
+                        assert _close([p for _, p in got.rankings[t]],
+                                      [p for _, p in ranked])
+                    assert [len(r) for r in trace] \
+                        == [len(r) for r in want_trace]
+                    assert all(_close(a, b)
+                               for a, b in zip(trace, want_trace))
         enc = Encoder(params, inst.program,
                       placeholder_tokens=inst.placeholder_tokens)
         for ph in inst.placeholders:
@@ -222,6 +242,62 @@ def test_icm_matches_reference(icm_instances, variant):
             assert [s for s, _ in ranked] == [s for s, _ in fresh]
             assert [p for _, p in ranked] == pytest.approx(
                 [p for _, p in fresh], abs=1e-12)
+
+
+@pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_total_log_prob_matches_per_placeholder_ranking(icm_instances,
+                                                       variant, ctx_kind):
+    """A total that ranks every placeholder in one batch equals the sum of
+    the log-probabilities `rank_single` gives each placeholder alone on a
+    fresh encoder, to 1e-12, and so do its rankings' probabilities."""
+    rng = random.Random(7)
+    for inst in icm_instances:
+        params = small_model(inst.program, variant=variant,
+                             context_encoder=ctx_kind)
+
+        def fresh():
+            return Encoder(params, inst.program,
+                           placeholder_tokens=inst.placeholder_tokens)
+
+        for _ in range(3):
+            mapping = {p.token_index: rng.choice(p.candidates)
+                       for p in inst.placeholders}
+            total, rankings = total_log_prob(inst, fresh(), mapping)
+            want = 0.0
+            for ph in inst.placeholders:
+                alone = dict(rank_single(inst, fresh(), ph, mapping))
+                got = dict(rankings[ph.token_index])
+                assert got.keys() == alone.keys()
+                assert _close([got[v] for v in alone], alone.values())
+                want += math.log(max(alone[mapping[ph.token_index]], 1e-300))
+            assert abs(total - want) <= 1e-12
+
+
+@pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+def test_ranking_records_no_tape(loop_instance, ctx_kind):
+    """After ICM, every context and type representation the ranking
+    encoder cached is a constant, and no parameter holds a gradient; a
+    fresh encoder's usage representations still record a tape."""
+    inst = loop_instance
+    params = small_model(inst.program, variant="hybrid",
+                         context_encoder=ctx_kind)
+    enc = Encoder(params, inst.program,
+                  placeholder_tokens=inst.placeholder_tokens)
+    icm(inst, params, restarts=2, max_sweeps=2, rng=random.Random(0),
+        encoder=enc)
+    cached = list(enc._ctx_cache.values()) + list(enc._type_cache.values())
+    assert enc._ctx_cache and enc._type_cache
+    for t in cached:
+        assert not t.requires_grad
+        assert t._parents == () and t._vjp is None
+    assert all(p.grad is None for p in params.tensors())
+    ph = inst.placeholders[0]
+    ug = dataflow_uses(inst.program, {ph.token_index: None})
+    u = Encoder(params, inst.program,
+                placeholder_tokens=inst.placeholder_tokens
+                ).usage_reprs(ug, ph.token_index, ph.candidates)
+    assert u.requires_grad and u._parents
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -272,6 +272,31 @@ class TestTape:
         assert not {"parents", "backward"} & set(params)
 
 
+    def test_no_tape_results_keep_no_tape(self):
+        """Inside `no_tape()` a result of parameters is a constant; outside
+        it, and after a nested block ends, the tape is recorded again."""
+        w = nn.parameter(RNG.normal(size=(3, 3)))
+        v = nn.parameter(RNG.normal(size=3))
+        with nn.no_tape():
+            with nn.no_tape():
+                inner = nn.matmul(w, v)
+            outer = nn.gru_step(v, v, nn.GruCellParams(RNG, 3, 3, "g"))
+        for out in (inner, outer):
+            assert not out.requires_grad
+            assert out._parents == () and out._vjp is None
+        taped = nn.matmul(w, v)
+        assert taped.requires_grad and taped._parents == (w, v)
+
+    def test_no_tape_is_restored_after_an_exception(self):
+        w = nn.parameter(RNG.normal(size=(3, 3)))
+        with pytest.raises(nn.ShapeError):
+            with nn.no_tape():
+                nn.matmul(w, nn.constant(np.zeros(2)))
+        v = nn.parameter(RNG.normal(size=3))
+        nn.dot(nn.matmul(w, v), nn.constant(np.ones(3))).backward()
+        assert w.grad is not None and v.grad is not None
+
+
 class TestOpSemantics:
     def test_softmax_probs_sum_to_one(self):
         p = nn.softmax_probs(RNG.normal(size=9) * 50)
@@ -287,6 +312,16 @@ class TestOpSemantics:
         expect = -math.log(math.exp(2) / sum(math.exp(k) for k in (1, 2, 3)))
         assert abs(loss.item() - expect) < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_softmax_xent_finite_where_truth_underflows(self):
+        """A 1e4 score gap underflows the truth's probability to 0; the
+        loss is still the gap, and the gradient is probs - onehot."""
+        scores = nn.parameter(np.array([0.0, 1e4]))
+        loss, probs = nn.softmax_xent(scores, 0)
+        assert probs[0] == 0.0
+        assert loss.item() == 1e4
+        loss.backward()
+        assert scores.grad.tolist() == [-1.0, 1.0]
 
     def test_softmax_xent_bad_index(self):
         with pytest.raises(IndexError):
