@@ -10,14 +10,15 @@ running set" and join by union.
 
 The relations of v depend only on where v occurs, so `ProgramFlow` builds a
 program's CFGs once and solves a symbol only when its relations are asked
-for, memoised by (v, occurrences of v); a `UseGraph` is a lazy view over it
-under one occurrence map.
+for, memoised by (v, occurrences of v).  A `UseGraph` is a view over it
+that holds only what the usage encoders read: each symbol's occurrences.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .minilang import ast
@@ -150,26 +151,40 @@ def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
 
 class UseGraph:
     """Per (token, symbol) lexical and data-flow usage relations for one
-    program under a fixed occurrence map.
+    program under fixed occurrences: symbol -> its sorted token indices.
 
     A symbol's data-flow relations are solved by `flow` the first time
     `din` or `dout` asks about that symbol; the lexical ones need only
-    `occurrences`.  `df_in`/`df_out` are dicts keyed by (token, symbol):
-    their first access solves every remaining symbol and flattens the
-    relations into them, and from then on `din`/`dout` read those dicts.
-    Without a flow they start empty, for the caller to fill."""
+    `occurrences`.  `occ`, the token -> symbol map, is derived from
+    `occurrences` on first read.  `df_in`/`df_out` are dicts keyed by
+    (token, symbol): their first access solves every remaining symbol and
+    flattens the relations into them, and from then on `din`/`dout` read
+    those dicts.  Without a flow they start empty, for the caller to fill."""
 
-    def __init__(self, occ: Dict[int, int],
-                 flow: Optional["ProgramFlow"] = None,
-                 occurrences: Optional[Dict[int, Tuple[int, ...]]] = None):
-        self.occ = occ          # token -> symbol at that token
+    def __init__(self, occurrences: Dict[int, Tuple[int, ...]],
+                 flow: Optional["ProgramFlow"] = None):
+        self.occurrences = occurrences
         self.flow = flow
-        # symbol -> its sorted token indices
-        self.occurrences: Dict[int, Tuple[int, ...]] = \
-            _by_symbol(occ) if occurrences is None else occurrences
         self._relations: Dict[int, Tuple[Relation, Relation]] = {}
         self._flat: Optional[Tuple[dict, dict]] = \
             None if flow is not None else ({}, {})  # (df_in, df_out)
+
+    @cached_property
+    def occ(self) -> Dict[int, int]:
+        """token -> symbol at that token."""
+        return {t: v for v, ts in self.occurrences.items() for t in ts}
+
+    def without(self, t: int) -> "UseGraph":
+        """The view over the same flow with token t unbound: t's symbol
+        gets a new tuple, every other symbol shares this view's."""
+        v = next((v for v, ts in self.occurrences.items() if t in ts), None)
+        if v is None:
+            return self
+        occurrences = dict(self.occurrences)
+        rest = tuple(x for x in occurrences.pop(v) if x != t)
+        if rest:
+            occurrences[v] = rest
+        return UseGraph(occurrences, self.flow)
 
     def relations(self, v: int) -> Tuple[Relation, Relation]:
         """v's (df_in, df_out), each token -> set, solved on first use."""
@@ -252,8 +267,8 @@ def _function_symbols(program: TypedProgram, fn: ast.FunctionDef) -> List[int]:
 class ProgramFlow:
     """One program's CFGs, built once, and each symbol's data-flow
     relations, solved on first request and memoised by the symbol's
-    occurrences: they depend on nothing else.  A use graph under any
-    override is a view over the same flow."""
+    occurrences: they depend on nothing else.  `uses` makes the view
+    under an override; every view of the program shares the flow."""
 
     def __init__(self, program: TypedProgram):
         self.program = program
@@ -269,10 +284,6 @@ class ProgramFlow:
             for v in _function_symbols(program, fn):
                 self._graphs[v] = directions
         self.symbols = list(self._graphs)  # in function order
-        # (token set, occurrence map, per-symbol occurrences) with the
-        # tokens of the last override unbound
-        self._unbound: Tuple[Optional[FrozenSet[int]], Dict[int, int],
-                             Dict[int, Tuple[int, ...]]] = (None, {}, {})
         self._memo: Dict[Tuple[int, Tuple[int, ...]],
                          Tuple[Relation, Relation]] = {}
 
@@ -291,23 +302,9 @@ class ProgramFlow:
     def uses(self, override: Optional[Dict[int, Optional[int]]] = None
              ) -> UseGraph:
         """The use graph with placeholder tokens rebound per `override`
-        (None unbinds).  The program's occurrence map without the
-        override's tokens is kept for the last token set (ICM and
-        validation override one set per instance); a view copies it and
-        sorts again only the symbols the override binds a token to."""
-        key = frozenset(override or ())
-        if self._unbound[0] != key:
-            unbound = occurrence_map(self.program, dict.fromkeys(key))
-            self._unbound = (key, unbound, _by_symbol(unbound))
-        occ, occurrences = dict(self._unbound[1]), dict(self._unbound[2])
-        bound: Dict[int, List[int]] = {}
-        for t, sid in (override or {}).items():
-            if sid is not None:
-                occ[t] = sid
-                bound.setdefault(sid, []).append(t)
-        for v, ts in bound.items():
-            occurrences[v] = tuple(sorted(occurrences.get(v, ()) + tuple(ts)))
-        return UseGraph(occ, self, occurrences)
+        (None unbinds)."""
+        return UseGraph(_by_symbol(occurrence_map(self.program, override)),
+                        self)
 
 
 def dataflow_uses(program: TypedProgram,

@@ -41,21 +41,17 @@ def rank_placeholders(inst: TaskInstance, encoder: Encoder,
                       ) -> List[List[Tuple[int, float]]]:
     """Each placeholder's candidates ranked by conditional probability with
     every other placeholder bound per context_assignment (`None` leaves it
-    unbound); each placeholder's usage relations are viewed under that
-    binding through the encoder's flow (the ranked placeholder itself is
-    unbound).  Ties break toward the lowest symbol id.  This is the one path
-    from a binding to a ranking: its missing scores are computed in one
-    `Encoder.rank` batch over all of `phs`."""
-    groups = []
-    for ph in phs:
-        t = ph.token_index
-        override: Dict[int, Optional[int]] = {t: None}
-        for other in inst.placeholders:
-            if other.token_index != t:
-                override[other.token_index] = \
-                    context_assignment[other.token_index]
-        groups.append((encoder.flow.uses(override), t, ph.candidates))
-    return encoder.rank(groups)
+    unbound).  One view, made through the encoder's flow, binds every
+    placeholder; each ranked placeholder is ranked on that view with its own
+    token unbound (`UseGraph.without`), so a lone ranked placeholder needs
+    no binding of its own.  Ties break toward the lowest symbol id.  This is
+    the one path from a binding to a ranking: its missing scores are
+    computed in one `Encoder.rank` batch over all of `phs`."""
+    lone = phs[0].token_index if len(phs) == 1 else None
+    bound = encoder.flow.uses({t: context_assignment[t]
+                               for t in inst.placeholder_tokens if t != lone})
+    return encoder.rank([(bound.without(ph.token_index), ph.token_index,
+                          ph.candidates) for ph in phs])
 
 
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
@@ -108,6 +104,10 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     `ProgramFlow` and one score memo: after an update moves a placeholder
     from symbol a to b, only scores keyed by a's or b's occurrences are
     computed again, in one tape-free batch per total."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
         encoder = Encoder(params, inst.program,
@@ -119,7 +119,7 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
         return Assignment(mapping, total, rankings)
 
     best: Optional[Assignment] = None
-    for attempt in range(max(restarts, 1)):
+    for attempt in range(restarts):
         if attempt == 0:
             unbound = dict.fromkeys(inst.placeholder_tokens)
             state = assess({p.token_index: ranked[0][0]

@@ -222,14 +222,15 @@ class Encoder:
     `flow` solves them per symbol on demand for the use graphs of the
     encoder's program.
 
-    Outside training, type representations are fixed too, and a candidate
-    v's lexical chains and data-flow trees at t depend only on where v
-    occurs, so `rank` memoises each score c(t) . u(t, v) by (t, v,
-    occurrences of v) for the encoder's lifetime; it computes only the
-    missing scores, for several placeholders at once, and reads only their
-    values, so it records no tape (`nn.no_tape`).  The context windows and
-    type representations a ranking caches are therefore constants: to
-    differentiate, encode through a fresh encoder.
+    Type representations are fixed for the encoder's lifetime too (a
+    training encoder draws each symbol's subset once, from its seed and the
+    symbol), and a candidate v's lexical chains and data-flow trees at t
+    depend only on where v occurs, so `rank` memoises each score
+    c(t) . u(t, v) by (t, v, occurrences of v) for the encoder's lifetime.
+    It computes only the missing scores, for several placeholders at once,
+    and reads only their values, so it records no tape (`nn.no_tape`).  The
+    context windows and type representations a ranking caches are therefore
+    constants: to differentiate, encode through a fresh encoder.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  A
@@ -261,7 +262,7 @@ class Encoder:
         # batched context computation
         self._pending: Dict[int, List[Tensor]] = {}
         self._type_cache: Dict[int, Tensor] = {}
-        # (t, v, occurrences of v) -> score; inference only
+        # (t, v, occurrences of v) -> score
         self._scores: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
         self._zero = nn.constant(np.zeros(self.hyper.hidden))
 
@@ -386,9 +387,9 @@ class Encoder:
         """For each (view, t, candidates) group, its candidates with the
         softmax of their scores c(t) . u(t, v), most probable first; equal
         probabilities go to the lower symbol id.  Scores missing from the
-        memo (all of them at training time) are computed in one
-        `usage_batch` over every group, inside `nn.no_tape()`."""
-        memo = {} if self.training else self._scores
+        memo are computed in one `usage_batch` over every group, inside
+        `nn.no_tape()`."""
+        memo = self._scores
         keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
                 for ug, t, candidates in groups]
         batch: List[UsageGroup] = []

@@ -9,8 +9,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataflow import EPS, Cfg, UseGraph, _function_symbols, build_cfg, \
-    occurrence_map
+from .dataflow import EPS, Cfg, UseGraph, _by_symbol, _function_symbols, \
+    build_cfg, occurrence_map
 from .minilang.checker import TypedProgram
 
 
@@ -53,8 +53,8 @@ def oracle_dataflow(program: TypedProgram, loop_bound: int = 3,
                     cap: int = 200_000) -> UseGraph:
     """df_in/df_out by exhaustive path enumeration: the union over enumerated
     executions of the most recent (resp. next) occurrence at each token."""
-    occ = occurrence_map(program, override)
-    ug = UseGraph(occ=occ)
+    ug = UseGraph(_by_symbol(occurrence_map(program, override)))
+    occ, df_in, df_out = ug.occ, ug.df_in, ug.df_out
 
     for fn in program.ast.functions:
         cfg = build_cfg(program, fn)
@@ -66,7 +66,7 @@ def oracle_dataflow(program: TypedProgram, loop_bound: int = 3,
                 v_here = occ.get(t)
                 for v in syms:
                     key = (t, v)
-                    ug.df_in[key] = ug.df_in.get(key, frozenset()) | {last[v]}
+                    df_in[key] = df_in.get(key, frozenset()) | {last[v]}
                 if v_here in last:
                     last[v_here] = t
             nxt = {v: EPS for v in syms}
@@ -74,7 +74,7 @@ def oracle_dataflow(program: TypedProgram, loop_bound: int = 3,
                 v_here = occ.get(t)
                 for v in syms:
                     key = (t, v)
-                    ug.df_out[key] = ug.df_out.get(key, frozenset()) | {nxt[v]}
+                    df_out[key] = df_out.get(key, frozenset()) | {nxt[v]}
                 if v_here in nxt:
                     nxt[v_here] = t
     return ug

@@ -40,7 +40,7 @@ class TrainConfig:
     checkpoint: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "patience"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")

@@ -246,7 +246,8 @@ class TestTrain:
         ("--epochs", "0", "epochs"), ("--hidden", "0", "hidden"),
         ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-3", "batch_size"), ("--lr", "-1", "lr"),
-        ("--lr", "0", "lr"), ("--lr", "nan", "lr")])
+        ("--lr", "0", "lr"), ("--lr", "nan", "lr"),
+        ("--patience", "0", "patience"), ("--patience", "-2", "patience")])
     def test_option_out_of_range_fails(self, workspace, tmp_path, capsys,
                                        flag, value, field):
         """An out-of-range option is an error that names it, not a
@@ -306,6 +307,16 @@ class TestEval:
         assert "full-snippet" in out
         assert "accuracy" in out
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--restarts", "0", "restarts"), ("--max-sweeps", "-3", "max_sweeps")])
+    def test_search_option_out_of_range_fails(self, workspace, capsys, flag,
+                                              value, field):
+        assert main(["eval", "--data", workspace["data"], "--model",
+                     workspace["model"], "--mode", "full-snippet",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_single_mode(self, workspace, capsys):
         assert main(["eval", "--data", workspace["data"], "--model",
                      workspace["model"], "--mode", "per-placeholder"]) == 0
@@ -350,6 +361,22 @@ class TestPaste:
         err = capsys.readouterr().err
         assert err.count("->") == 8  # one decision line per placeholder
         parse(tokenize(out.read_text()))
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--restarts", "0", "restarts"), ("--max-sweeps", "-1", "max_sweeps")])
+    def test_search_option_out_of_range_fails(self, workspace, tmp_path,
+                                              capsys, flag, value, field):
+        target = tmp_path / "target.ml0"
+        snippet = tmp_path / "snippet.ml0"
+        target.write_text(TARGET)
+        snippet.write_text(SNIPPET)
+        out = tmp_path / "out.ml0"
+        assert main(["paste", "--target", str(target), "--snippet",
+                     str(snippet), "--at", "3:3", "--model",
+                     workspace["model"], flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
 
     def test_variant_mismatch_fails(self, workspace, tmp_path, capsys):
         target = tmp_path / "target.ml0"

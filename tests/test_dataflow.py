@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import dataflow, generator
-from smartpaste.dataflow import (EPS, ProgramFlow, UseGraph, build_cfg,
-                                 dataflow_uses, dump_dataflow, occurrence_map)
-from smartpaste.infer import icm
+from smartpaste.dataflow import (EPS, ProgramFlow, build_cfg, dataflow_uses,
+                                 dump_dataflow, occurrence_map)
+from smartpaste.infer import icm, rank_placeholders
 from smartpaste.minilang import compile_source
 from smartpaste.models import Hyper, ModelParams, build_vocab
 from smartpaste.oracle import enumerate_paths, oracle_dataflow
-from smartpaste.taskgen import make_instance
+from smartpaste.taskgen import Placeholder, TaskInstance, make_instance
 
 from conftest import SUM_POSITIVE, SUM_POSITIVE_OCCURRENCES
 
@@ -192,31 +192,62 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
         assert fast.dout(*key) == slow.dout(*key), (override, key)
 
 
+class _Recorder:
+    """Stands in for an encoder: keeps the views it is asked to rank."""
+
+    def __init__(self, flow):
+        self.flow = flow
+        self.groups = []
+
+    def rank(self, groups):
+        self.groups = list(groups)
+        return [[] for _ in groups]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from(generator.PROFILES), st.randoms(use_true_random=False))
-def test_views_copy_only_what_an_override_moves(seed, profile, rnd):
-    """Views of one flow under random overrides (any token unbound, rebound
-    to any symbol or to its own) have the occurrence map and per-symbol
-    occurrences that a use graph built from scratch has, and leave the
-    flow's base map as it was."""
+def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
+    """Random occurrences made placeholders, bound at random (unbound, to
+    their own symbol or to any symbol) and ranked in random subsets: each
+    view that `rank_placeholders` derives from its one bound view has the
+    occurrences, token map and relations of a use graph built from scratch
+    with the ranked placeholder unbound, and its token map is the
+    occurrence map.  A missing binding of an unranked placeholder is a
+    KeyError."""
     prog = compile_source(
         generator.generate_file(random.Random(seed), profile, 0, 0))
-    flow = ProgramFlow(prog)
-    tokens = range(len(prog.tokens))
+    occurs = [t.index for t in prog.tokens if t.symbol is not None]
+    tokens = sorted(rnd.sample(occurs, min(len(occurs), rnd.randint(1, 6))))
+    inst = TaskInstance(prog, (tokens[0], tokens[-1]),
+                        [Placeholder(t, prog.tokens[t].symbol, [], [])
+                         for t in tokens])
     symbols = [None] + [s.id for s in prog.symbols]
-    for _ in range(4):
-        override = {}
-        for t in rnd.sample(tokens, min(len(tokens), rnd.randint(0, 6))):
-            own = prog.tokens[t].symbol
-            override[t] = own if own is not None and rnd.random() < 0.25 \
-                else rnd.choice(symbols)
-        view = flow.uses(override)
-        fresh = UseGraph(occurrence_map(prog, override), flow)
-        assert view.occ == fresh.occ, override
-        assert view.occurrences == fresh.occurrences, override
-    assert flow.uses().occurrences == \
-        UseGraph(occurrence_map(prog)).occurrences
+    encoder = _Recorder(ProgramFlow(prog))
+    for _ in range(3):
+        binding = {t: prog.tokens[t].symbol if rnd.random() < 0.25
+                   else rnd.choice(symbols) for t in tokens}
+        phs = rnd.sample(inst.placeholders, rnd.randint(1, len(tokens)))
+        if len(phs) == 1 and rnd.random() < 0.5:
+            del binding[phs[0].token_index]  # a lone one needs no binding
+        rank_placeholders(inst, encoder, phs, binding)
+        assert [t for _, t, _ in encoder.groups] == \
+            [ph.token_index for ph in phs]
+        for view, t, _ in encoder.groups:
+            override = {**binding, t: None}
+            fresh = ProgramFlow(prog).uses(override)
+            assert view.occurrences == fresh.occurrences, override
+            assert view.occ == fresh.occ == occurrence_map(prog, override)
+            for v in fresh.flow.symbols:
+                for u in range(len(prog.tokens)):
+                    assert view.din(u, v) == fresh.din(u, v), (override, u)
+                    assert view.dout(u, v) == fresh.dout(u, v), (override, u)
+        unranked = [t for t in tokens
+                    if t not in {ph.token_index for ph in phs}]
+        if unranked:
+            del binding[unranked[0]]
+            with pytest.raises(KeyError):
+                rank_placeholders(inst, encoder, phs, binding)
 
 
 class TestProgramFlow:
