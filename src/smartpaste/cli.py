@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from . import evaluation, generator, taskgen, train as training
 from .dataflow import dataflow_uses, dump_dataflow
-from .infer import NoCandidates, SpliceError, paste
+from .infer import NoCandidates, SpliceError, check_search, paste
 from .minilang import compile_source
 from .minilang.checker import CheckError
 from .minilang.lexer import LexError
@@ -242,6 +242,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_search(args.restarts, args.max_sweeps)
     params, _ = ModelParams.load(args.model)
     instances = taskgen.read_instances(args.data)
     sections = {}

@@ -211,15 +211,23 @@ class UseGraph:
     def df_out(self) -> Dict[Tuple[int, int], FrozenSet[int]]:
         return self._flatten()[1]
 
-    def lex_prev(self, t: int, v: int) -> Optional[int]:
+    def lex_chain(self, t: int, v: int, n: int, direction: str
+                  ) -> List[int]:
+        """Up to n occurrence positions of v before (prev) or after (next)
+        t, nearest last for prev chains (chronological) and nearest first
+        for next chains: a slice of v's sorted occurrences."""
         occ = self.occurrences.get(v, ())
-        i = bisect_left(occ, t)
-        return occ[i - 1] if i else None
+        if direction == "prev":
+            i = bisect_left(occ, t)
+            return list(occ[max(i - n, 0):i])
+        i = bisect_right(occ, t)
+        return list(occ[i:i + n])
+
+    def lex_prev(self, t: int, v: int) -> Optional[int]:
+        return (self.lex_chain(t, v, 1, "prev") or [None])[0]
 
     def lex_next(self, t: int, v: int) -> Optional[int]:
-        occ = self.occurrences.get(v, ())
-        i = bisect_right(occ, t)
-        return occ[i] if i < len(occ) else None
+        return (self.lex_chain(t, v, 1, "next") or [None])[0]
 
     def din(self, t: int, v: int) -> FrozenSet[int]:
         if self._flat is not None:

@@ -80,6 +80,14 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
     return total, rankings
 
 
+def check_search(restarts: int, max_sweeps: int):
+    """Reject the `icm` options it cannot run with, before any work."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
+
+
 def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
         max_sweeps: int = 10, rng: Optional[random.Random] = None,
         encoder: Optional[Encoder] = None,
@@ -104,10 +112,7 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
     `ProgramFlow` and one score memo: after an update moves a placeholder
     from symbol a to b, only scores keyed by a's or b's occurrences are
     computed again, in one tape-free batch per total."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
+    check_search(restarts, max_sweeps)
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
         encoder = Encoder(params, inst.program,

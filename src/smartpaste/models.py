@@ -5,12 +5,11 @@ windowed context representation, the five usage-representation variants
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, \
-    Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -216,11 +215,15 @@ class Encoder:
     """Forward computation over one program view.
 
     Context windows are static for an instance: every placeholder position
-    shows the PLACEHOLDER embedding regardless of its current assignment, so
-    context vectors are cached for the encoder's lifetime.  The lexical and
-    data-flow relations are supplied per call and do change during inference;
-    `flow` solves them per symbol on demand for the use graphs of the
-    encoder's program.
+    shows the PLACEHOLDER embedding regardless of its current assignment.
+    The usage encoders read c at the variable tokens and placeholders only,
+    so the encoder keeps one context bank for its lifetime: `bank` is
+    (H, P + 1), column 0 is c(EPS) = 0 and column `positions[t]` is c(t),
+    the P positions in token order.  It is filled on first need, in one
+    batch with the banks of the other encoders of a `usage_batch`.  The
+    lexical and data-flow relations are supplied per call and do change
+    during inference; `flow` solves them per symbol on demand for the use
+    graphs of the encoder's program.
 
     Type representations are fixed for the encoder's lifetime too (a
     training encoder draws each symbol's subset once, from its seed and the
@@ -229,21 +232,20 @@ class Encoder:
     c(t) . u(t, v) by (t, v, occurrences of v) for the encoder's lifetime.
     It computes only the missing scores, for several placeholders at once,
     and reads only their values, so it records no tape (`nn.no_tape`).  The
-    context windows and type representations a ranking caches are therefore
+    context bank and type representations a ranking fills are therefore
     constants: to differentiate, encode through a fresh encoder.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
-    candidates) groups at once; `usage_reprs` is its one-group call.  A
-    structural walk first visits each candidate's chains and data-flow trees
-    in the order of the per-candidate recursion, group after group, then
-    each group's own c(t) window; that order numbers the columns, and no
-    type-dropout draw depends on it: a training encoder draws from its own
+    candidates) groups at once; `usage_reprs` is its one-group call.  It
+    walks each candidate's chains and data-flow trees, group after group,
+    onto the fixed columns of the encoders' banks; no type-dropout draw
+    depends on the walk's order: a training encoder draws from its own
     seed, taken from `rng` when it is made, and the symbol.  The
-    arithmetic then runs in column batches: every new context window of
-    every encoder in one batch, and every tree depth (a `grug` chain is a
-    one-child tree) of every candidate of every group in one GRU step per
-    direction.  A training step (one encoder per item), a validation
-    instance and an ICM update all go through it.
+    arithmetic then runs in column batches: every missing bank in one
+    batch, and every tree depth (a `grug` chain is a one-child tree) of
+    every candidate of every group in one GRU step per direction.  A
+    training step (one encoder per item), a validation instance and an ICM
+    update all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -257,14 +259,17 @@ class Encoder:
         self.training = training
         self._seed = (rng if rng is not None else random.Random(0)
                       ).getrandbits(64) if training else None
-        self._ctx_cache: Dict[int, Tensor] = {}
-        # position -> its window's token representations, awaiting the next
-        # batched context computation
-        self._pending: Dict[int, List[Tensor]] = {}
+        # position -> its column of `bank`: EPS, then every variable token
+        # and placeholder in token order
+        variables = {tok.index for tok in program.tokens
+                     if tok.symbol is not None}
+        self.positions: Dict[int, int] = {
+            t: col for col, t in enumerate(
+                [EPS] + sorted(variables | self.placeholder_tokens))}
+        self.bank: Optional[Tensor] = None  # (H, P + 1), see `_fill_banks`
         self._type_cache: Dict[int, Tensor] = {}
         # (t, v, occurrences of v) -> score
         self._scores: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
-        self._zero = nn.constant(np.zeros(self.hyper.hidden))
 
     @cached_property
     def flow(self) -> ProgramFlow:
@@ -310,45 +315,24 @@ class Encoder:
             return self.type_embed(tok.symbol)
         return embs.get(tok.text, embs[UNK])
 
-    def _request_context(self, t: int):
-        """Resolve the window of t's context; `_flush_contexts` computes it."""
-        if t == EPS or t in self._ctx_cache or t in self._pending:
-            return
-        c = self.hyper.window
-        self._pending[t] = [self.token_repr(t - c + i) for i in range(c)] \
-            + [self.token_repr(t + 1 + i) for i in range(c)]
-
     def context_repr(self, t: int) -> Tensor:
-        """The context vector of position t; c(EPS) is the zero vector."""
-        if t == EPS:
-            return self._zero
-        self._request_context(t)
-        _flush_contexts([self])
-        return self._ctx_cache[t]
+        """The context vector of a variable token or placeholder t, one
+        column of the bank; c(EPS) is the zero vector."""
+        _fill_banks([self])
+        return nn.gather(self.bank, self.positions[t])
 
     # -- usage representations --
 
-    def _lex_chain(self, ug: UseGraph, t: int, v: int, direction: str
-                   ) -> List[int]:
-        """Up to chain_len occurrence positions of v before (prev) or after
-        (next) t, nearest last for prev chains (chronological) and nearest
-        first for next chains: a slice of v's sorted occurrences."""
-        occ = ug.occurrences.get(v, ())
-        n = self.hyper.chain_len
-        if direction == "prev":
-            i = bisect_left(occ, t)
-            return list(occ[max(i - n, 0):i])
-        i = bisect_right(occ, t)
-        return list(occ[i:i + n])
-
     def _index_tree(self, ug: UseGraph, t: int, v: int, k: int,
-                    direction: str, index: _TreeIndex, use):
+                    direction: str, index: _TreeIndex, base: int):
         """Walk candidate k's bounded data-flow unrolling from t in the
         order of the recursive TreeGRU (children sorted, each child's
-        subtree before its context) and add its nodes to `index`.  A node
+        subtree before its context) and add its nodes to `index`, reading
+        the context of position x from column `base + positions[x]`.  A node
         at depth 0, at EPS or without children is the leaf: the type
         representation.  Repeated (position, depth) subtrees are shared."""
         rel = ug.din if direction == "prev" else ug.dout
+        cols = self.positions
         memo: Dict[Tuple[int, int], int] = {}
 
         def state(pos: int, depth: int) -> int:
@@ -362,14 +346,14 @@ class Encoder:
                 edges = []
                 for child in children:
                     below = state(child, depth - 1)
-                    edges.append((below, use(child)))
+                    edges.append((below, base + cols[child]))
                 memo[key] = index.add_node(depth, edges)
             return memo[key]
 
         index.roots.append(state(t, self.hyper.tree_depth))
-        # the recursive closure refers to itself, and through `use` to the
-        # encoder: break the cycle, so that a batch's encoders and tape are
-        # freed when the batch is done, not when the cycle collector runs
+        # the recursive closure refers to itself: break the cycle, so that
+        # the walk's index and use graph are freed with their last
+        # reference, not when the cycle collector runs
         del state
 
     def usage_reprs(self, ug: UseGraph, t: int,
@@ -388,7 +372,7 @@ class Encoder:
         softmax of their scores c(t) . u(t, v), most probable first; equal
         probabilities go to the lower symbol id.  Scores missing from the
         memo are computed in one `usage_batch` over every group, inside
-        `nn.no_tape()`."""
+        `nn.no_tape()`, and scored against the bank's c(t) columns."""
         memo = self._scores
         keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
                 for ug, t, candidates in groups]
@@ -402,9 +386,9 @@ class Encoder:
         if batch:
             with nn.no_tape():
                 u = np.ascontiguousarray(usage_batch(batch).data.T)
-                contexts = [self.context_repr(t).data for _, _, t, _ in batch]
             start = 0
-            for (_, _, _, vs), c in zip(batch, contexts):
+            for _, _, t, vs in batch:
+                c = self.bank.data[:, self.positions[t]]
                 # one contiguous row sum per candidate: unlike a BLAS
                 # product, its rounding does not depend on the other
                 # columns of the batch, so equal usage columns keep exactly
@@ -427,39 +411,44 @@ class Encoder:
 UsageGroup = Tuple[Encoder, UseGraph, int, Sequence[int]]
 
 
-def _flush_contexts(encoders: Sequence[Encoder]):
-    """c(t) = W_C [f_prev(window before t), f_next(window after t)] for
-    every position requested from the encoders, which share one model: one
-    column per (encoder, position), all in one batch."""
-    pending = []
-    for enc in encoders:
-        if enc._pending:
-            pending += [(enc, t, window) for t, window in enc._pending.items()]
-            enc._pending = {}
-    if not pending:
+def _fill_banks(encoders: Sequence[Encoder]):
+    """c(t) = W_C [f_prev(window before t), f_next(window after t)] at every
+    position of each encoder that has no bank yet, all in one batch (the
+    encoders share one model); each such encoder's bank is then one gather
+    of that block: the zero column c(EPS), then its positions in order."""
+    todo = [enc for enc in encoders if enc.bank is None]
+    if not todo:
         return
-    p = encoders[0].params
+    p = todo[0].params
     c = p.hyper.window
-    slots = [nn.columns([w[i] for _, _, w in pending]) for i in range(2 * c)]
-    prev, nxt = slots[:c], slots[c:]
-    if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
-        fp = nn.matmul(p.pos_prev[0], prev[0])
-        for i in range(1, c):
-            fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
-        fn = nn.matmul(p.pos_next[0], nxt[0])
-        for i in range(1, c):
-            fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
-    else:
-        zero = nn.constant(np.zeros((p.hyper.hidden, len(pending))))
-        fp = zero
-        for x in prev:
-            fp = nn.gru_step(fp, x, p.ctx_gru_prev)
-        fn = zero
-        for x in reversed(nxt):
-            fn = nn.gru_step(fn, x, p.ctx_gru_next)
-    block = nn.matmul(p.w_c, nn.concat([fp, fn]))
-    for j, (enc, t, _) in enumerate(pending):
-        enc._ctx_cache[t] = nn.gather(block, j)
+    windows = [[enc.token_repr(t + i) for i in range(-c, c + 1) if i]
+               for enc in todo for t in list(enc.positions)[1:]]
+    parts = [nn.constant(np.zeros((p.hyper.hidden, 1)))]
+    if windows:
+        slots = [nn.columns([w[i] for w in windows]) for i in range(2 * c)]
+        prev, nxt = slots[:c], slots[c:]
+        if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
+            fp = nn.matmul(p.pos_prev[0], prev[0])
+            for i in range(1, c):
+                fp = nn.add(fp, nn.matmul(p.pos_prev[i], prev[i]))
+            fn = nn.matmul(p.pos_next[0], nxt[0])
+            for i in range(1, c):
+                fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
+        else:
+            zero = nn.constant(np.zeros((p.hyper.hidden, len(windows))))
+            fp = zero
+            for x in prev:
+                fp = nn.gru_step(fp, x, p.ctx_gru_prev)
+            fn = zero
+            for x in reversed(nxt):
+                fn = nn.gru_step(fn, x, p.ctx_gru_next)
+        parts.append(nn.matmul(p.w_c, nn.concat([fp, fn])))
+    block = nn.columns(parts)
+    start = 1
+    for enc in todo:
+        stop = start + len(enc.positions) - 1
+        enc.bank = nn.gather(block, [0, *range(start, stop)])
+        start = stop
 
 
 def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
@@ -482,58 +471,45 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     one column per candidate in group order: (H, sum of the K).  The
     groups' encoders share one model.
 
-    The structural walk visits the groups in order, then each group's own
-    c(t) window is requested, in group order; one context flush covers the
-    windows of every encoder; that order numbers the columns (hence the
-    BLAS rounding).  Context columns are keyed by (encoder, position); the
-    chain lists and one `_TreeIndex` per direction (`grug`'s chains or the
-    data-flow trees) hold every group in global candidate columns, so each
-    depth is one GRU step per direction over the whole batch."""
+    The banks of the encoders that lack one are filled in one batch, and
+    the contexts are the encoders' banks side by side, in order of first
+    appearance: an encoder whose bank starts at column `base` reads c(x)
+    from column `base + positions[x]`.  The chain lists and one
+    `_TreeIndex` per direction (`grug`'s chains or the data-flow trees)
+    hold every group in global candidate columns, so each depth is one GRU
+    step per direction over the whole batch."""
     params = groups[0][0].params
     variant = params.variant
+    n = params.hyper.chain_len
     k_all = sum([len(group[3]) for group in groups])
-    # column j + 1 of the contexts is c(position) of encoder for the j-th
-    # (encoder, position) the walk uses; column 0 is c(EPS) = 0
-    ctx_keys: List[Tuple[Encoder, int]] = []
-    ctx_cols: Dict[Encoder, Dict[int, int]] = {}  # position -> column
+    encoders = list(dict.fromkeys(group[0] for group in groups))
+    _fill_banks(encoders)
+    bases = dict(zip(encoders, accumulate(
+        (len(enc.positions) for enc in encoders), initial=0)))
     chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
     trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
     k = 0
     for enc, ug, t, candidates in groups:
-        cols = ctx_cols.setdefault(enc, {EPS: 0})
-
-        def use(x: int, enc: Encoder = enc, cols: Dict[int, int] = cols
-                ) -> int:
-            col = cols.get(x)
-            if col is None:
-                enc._request_context(x)
-                col = cols[x] = len(ctx_keys) + 1
-                ctx_keys.append((enc, x))
-            return col
-
+        base, cols = bases[enc], enc.positions
         for v in candidates:
             if variant in ("avgg", "grug", "hybrid"):
                 for d in ("prev", "next"):
-                    chain = [use(x) for x in enc._lex_chain(ug, t, v, d)]
+                    chain = [base + cols[x] for x in ug.lex_chain(t, v, n, d)]
                     if variant == "grug":
-                        trees[d].add_chain(k, chain, params.hyper.chain_len)
+                        trees[d].add_chain(k, chain, n)
                     else:
                         chains[d].append(chain)
             if variant in ("grud", "hybrid"):
                 for d in ("prev", "next"):
-                    enc._index_tree(ug, t, v, k, d, trees[d], use)
+                    enc._index_tree(ug, t, v, k, d, trees[d], base)
             k += 1
-    for enc, _, t, _ in groups:
-        enc._request_context(t)
-    _flush_contexts(list(ctx_cols))
 
     leaves = nn.columns([enc.type_embed(v)
                          for enc, _, _, candidates in groups
                          for v in candidates])
     if variant == "loc":
         return leaves
-    contexts = nn.columns([groups[0][0]._zero]
-                          + [enc._ctx_cache[x] for enc, x in ctx_keys])
+    contexts = nn.columns([enc.bank for enc in encoders])
     p = params
     if variant in ("avgg", "hybrid"):
         mean = np.zeros((contexts.shape[1], k_all))

@@ -23,7 +23,7 @@ from smartpaste.minilang import ast, compile_source
 from smartpaste.models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
                                ModelParams, build_vocab)
 from smartpaste.oracle import finite_diff_grad, oracle_dataflow, oracle_map
-from smartpaste.taskgen import extract_instances, make_instance
+from smartpaste.taskgen import make_instance
 from smartpaste.train import (TrainConfig, fit, make_items,
                               per_placeholder_accuracy)
 

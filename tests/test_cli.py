@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from smartpaste import evaluation
 from smartpaste.cli import build_parser, main
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
@@ -316,6 +317,19 @@ class TestEval:
                      flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    def test_search_option_checked_before_any_section(self, workspace,
+                                                      capsys, monkeypatch):
+        """With the default --mode all, a bad --restarts exits 1 before the
+        per-placeholder section, which comes first, is computed."""
+        calls = []
+        monkeypatch.setattr(evaluation, "eval_per_placeholder",
+                            lambda *args: calls.append(args))
+        assert main(["eval", "--data", workspace["data"], "--model",
+                     workspace["model"], "--restarts", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "restarts" in err
+        assert calls == []
 
     def test_single_mode(self, workspace, capsys):
         assert main(["eval", "--data", workspace["data"], "--model",

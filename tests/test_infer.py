@@ -15,9 +15,9 @@ from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
 from smartpaste.models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
                                ModelParams)
-from smartpaste.taskgen import extract_instances, make_instance
+from smartpaste.taskgen import make_instance
 
-from conftest import SUM_POSITIVE, SUM_POSITIVE_TRUTH_NAMES
+from conftest import SUM_POSITIVE_TRUTH_NAMES
 
 
 def small_model(program, variant="avgg", seed=4,
@@ -276,9 +276,10 @@ def test_total_log_prob_matches_per_placeholder_ranking(icm_instances,
 
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
 def test_ranking_records_no_tape(loop_instance, ctx_kind):
-    """After ICM, every context and type representation the ranking
-    encoder cached is a constant, and no parameter holds a gradient; a
-    fresh encoder's usage representations still record a tape."""
+    """After ICM, the ranking encoder's context bank and every type
+    representation it cached are constants, and no parameter holds a
+    gradient; a fresh encoder's usage representations still record a
+    tape."""
     inst = loop_instance
     params = small_model(inst.program, variant="hybrid",
                          context_encoder=ctx_kind)
@@ -286,8 +287,8 @@ def test_ranking_records_no_tape(loop_instance, ctx_kind):
                   placeholder_tokens=inst.placeholder_tokens)
     icm(inst, params, restarts=2, max_sweeps=2, rng=random.Random(0),
         encoder=enc)
-    cached = list(enc._ctx_cache.values()) + list(enc._type_cache.values())
-    assert enc._ctx_cache and enc._type_cache
+    cached = [enc.bank] + list(enc._type_cache.values())
+    assert enc.bank is not None and enc._type_cache
     for t in cached:
         assert not t.requires_grad
         assert t._parents == () and t._vjp is None

@@ -76,9 +76,11 @@ class PerVectorReference:
 
         return state(t, self.hyper.tree_depth)
 
+    def chain(self, ug, t, v, direction):
+        return ug.lex_chain(t, v, self.hyper.chain_len, direction)
+
     def avgg(self, ug, t, v):
-        chain = self.enc._lex_chain(ug, t, v, "prev") \
-            + self.enc._lex_chain(ug, t, v, "next")
+        chain = self.chain(ug, t, v, "prev") + self.chain(ug, t, v, "next")
         base = self.enc.type_embed(v)
         if not chain:
             return base
@@ -86,9 +88,9 @@ class PerVectorReference:
 
     def grug(self, ug, t, v):
         hp = hn = self.enc.type_embed(v)
-        for x in self.enc._lex_chain(ug, t, v, "prev"):
+        for x in self.chain(ug, t, v, "prev"):
             hp = nn.gru_step(hp, self.context(x), self.p.usage_prev)
-        for x in self.enc._lex_chain(ug, t, v, "next"):
+        for x in self.chain(ug, t, v, "next"):
             hn = nn.gru_step(hn, self.context(x), self.p.usage_next)
         return nn.matmul(self.p.w_usage, nn.concat([hp, hn]))
 
@@ -241,8 +243,9 @@ class TestContextRepresentation:
     def test_context_depends_on_position(self, lattice_program,
                                          lattice_params):
         enc = Encoder(lattice_params, lattice_program)
-        assert not np.array_equal(enc.context_repr(10).data,
-                                  enc.context_repr(20).data)
+        first, *_, last = _variable_tokens(lattice_program)
+        assert not np.array_equal(enc.context_repr(first).data,
+                                  enc.context_repr(last).data)
 
     def test_gru_context_encoder(self, lattice_program):
         params = ModelParams(
@@ -250,7 +253,42 @@ class TestContextRepresentation:
             type_names=lattice_program.lattice.types | {"int"},
             lexemes=[], seed=0)
         enc = Encoder(params, lattice_program)
-        assert enc.context_repr(10).shape == (8,)
+        assert enc.context_repr(_variable_tokens(lattice_program)[0]
+                                ).shape == (8,)
+
+    @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+    def test_bank_columns_are_windows_alone(self, lattice_program, ctx_kind):
+        """Every column of a bank, filled in one batch with another
+        encoder's, is c(t) computed from that position's window alone; the
+        columns follow token order over the variable tokens and
+        placeholders.  One inference encoder and one training encoder
+        whose type dropout drops part of a closure."""
+        params = ModelParams(
+            "avgg", Hyper(hidden=6, context_encoder=ctx_kind),
+            type_names=lattice_program.lattice.types | {"int"},
+            lexemes=["int", "=", ";", "(", ")", "+=", "use"], seed=2)
+        hole = _variable_tokens(lattice_program)[-1]
+        inference = Encoder(params, lattice_program, placeholder_tokens=[hole])
+        training = Encoder(params, lattice_program, placeholder_tokens=[hole],
+                           training=True, rng=random.Random(1))
+        a = next(s.id for s in lattice_program.symbols if s.name == "a")
+        assert not np.array_equal(training.type_embed(a).data,
+                                  inference.type_embed(a).data)
+        ug = dataflow_uses(lattice_program, {hole: None})
+        usage_batch([(enc, ug, hole, [a]) for enc in (training, inference)])
+        for enc in (inference, training):
+            assert list(enc.positions) == [EPS] + _variable_tokens(
+                lattice_program)
+            assert list(enc.positions.values()) == list(
+                range(len(enc.positions)))
+            ref = PerVectorReference(enc)
+            for t, col in enc.positions.items():
+                assert np.abs(enc.bank.data[:, col]
+                              - ref.context(t).data).max() <= 1e-12
+
+
+def _variable_tokens(program):
+    return [tok.index for tok in program.tokens if tok.symbol is not None]
 
 
 @pytest.fixture(scope="module")
@@ -443,9 +481,6 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
     order) or `lex_next` from t, at every token, for every symbol."""
     prog = compile_source(SUM_POSITIVE)
     ug = dataflow_uses(prog, override={35: None})
-    params = ModelParams("avgg", Hyper(hidden=4, chain_len=chain_len),
-                         ["int", "int[]"], [], seed=0)
-    enc = Encoder(params, prog)
     for t in range(-1, len(prog.tokens) + 1):
         for v in [s.id for s in prog.symbols] + [999]:
             for direction, step in (("prev", ug.lex_prev),
@@ -458,7 +493,7 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
                     want.append(cur)
                 if direction == "prev":
                     want.reverse()
-                assert enc._lex_chain(ug, t, v, direction) == want
+                assert ug.lex_chain(t, v, chain_len, direction) == want
 
 
 @pytest.mark.parametrize("zero_context", [False, True])
@@ -552,8 +587,8 @@ def test_reused_encoder_ranks_like_a_fresh_one(variant, ctx_kind, rnd):
 
 class TestTreeIndex:
     """The bounded data-flow unrolling that `Encoder._index_tree` hands to
-    the TreeGRU, walked with each context column named by its position, and
-    the one-child trees of `grug`'s lexical chains."""
+    the TreeGRU, with each context column named by the position `positions`
+    gives it, and the one-child trees of `grug`'s lexical chains."""
 
     @staticmethod
     def index(depth, t, name, direction):
@@ -562,8 +597,13 @@ class TestTreeIndex:
         params = ModelParams("grud", Hyper(hidden=4, tree_depth=depth),
                              ["int", "int[]"], [], seed=0)
         index = _TreeIndex(1)
-        Encoder(params, prog)._index_tree(dataflow_uses(prog), t, sid, 0,
-                                          direction, index, lambda x: x)
+        enc = Encoder(params, prog)
+        enc._index_tree(dataflow_uses(prog), t, sid, 0, direction, index, 0)
+        position = {col: x for x, col in enc.positions.items()}
+        index.levels = {d: (child_cols, [position[c] for c in ctx_cols],
+                            starts)
+                        for d, (child_cols, ctx_cols, starts)
+                        in index.levels.items()}
         return index
 
     @pytest.mark.parametrize("depth", [1, 3, 8])

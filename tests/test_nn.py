@@ -376,6 +376,18 @@ class TestAdam:
         expect = np.array([1.0, 2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(p.data, expect, atol=1e-12)
 
+    def test_zero_gradient_after_a_nonzero_one_moves(self):
+        """A zero gradient is not a missing one: the first moment left by
+        an earlier nonzero gradient still takes a step."""
+        p = nn.parameter(np.array([1.0]))
+        state = nn.AdamState([p])
+        p.grad = np.array([0.5])
+        nn.adam_step([p], state, lr=0.1)
+        before = p.data.copy()
+        p.grad = np.zeros(1)
+        nn.adam_step([p], state, lr=0.1)
+        assert p.data[0] < before[0]
+
     def test_skips_parameters_without_gradient(self):
         p = nn.parameter(np.array([7.0]))
         state = nn.AdamState([p])

@@ -1,11 +1,9 @@
 """Snippet selection, placeholder construction, serialization, splits."""
 
-import random
-
 import pytest
 
-from smartpaste.minilang import compile_source, reconstruct, tokenize
-from smartpaste.taskgen import (CorpusSplit, InsufficientData, NoPlaceholders,
+from smartpaste.minilang import reconstruct, tokenize
+from smartpaste.taskgen import (InsufficientData, NoPlaceholders,
                                 extract_instances, instance_from_json,
                                 instance_to_json, make_instance,
                                 select_snippets, split_corpus)

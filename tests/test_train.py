@@ -15,8 +15,8 @@ from smartpaste.infer import rank_single
 from smartpaste.minilang import compile_source
 from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import extract_instances
-from smartpaste.train import (Item, ItemCache, NonFiniteLoss, TrainConfig,
-                              fit, make_batches, make_items,
+from smartpaste.train import (ItemCache, NonFiniteLoss, TrainConfig, fit,
+                              make_batches, make_items,
                               per_placeholder_accuracy, train_step,
                               truth_rankings)
 
