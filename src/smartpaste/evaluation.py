@@ -2,9 +2,11 @@
 and the same-type analysis with its precision-recall summary.
 
 Every ranking goes through `infer.rank_placeholders` on one inference
-`Encoder` per instance: one placeholder at a time under ICM's bindings for
-full-snippet metrics, all of an instance's placeholders in one call with the
-others at their truth (`train.truth_rankings`) for the others."""
+`Encoder` per instance, one call for all of an instance's placeholders:
+full-snippet metrics take ICM's final rankings, where each total ranks every
+placeholder with the others at their assigned symbols; the other metrics
+rank every placeholder with the others at their truth
+(`train.truth_rankings`)."""
 
 from __future__ import annotations
 

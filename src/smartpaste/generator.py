@@ -310,6 +310,10 @@ def generate_corpus(seed: int, n_projects: int, files_per_project: int,
                     ) -> Dict[str, List[Tuple[str, str]]]:
     """Deterministic corpus keyed by project; optionally written to disk as
     one directory per project with .ml0 files."""
+    for name, n in (("n_projects", n_projects),
+                    ("files_per_project", files_per_project)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     corpus: Dict[str, List[Tuple[str, str]]] = {}
     for p in range(n_projects):
         project = f"proj{p:02d}"

@@ -1,5 +1,6 @@
 """Task-instance construction: snippet selection, placeholder substitution,
-candidate sets, corpus splits, and the line-delimited JSON instance format."""
+candidate sets, corpus splits, and the versioned line-delimited JSON instance
+file: one record per program and one (id, program, span) per instance."""
 
 from __future__ import annotations
 
@@ -8,11 +9,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .minilang import ast
-from .minilang.checker import (CheckError, TypeLattice, TypedProgram, check,
-                               vars_in_scope)
-from .minilang.lexer import LexError, tokenize
-from .minilang.parser import ParseError, parse
+from .minilang import ast, compile_source
+from .minilang.checker import CheckError, TypedProgram, vars_in_scope
+from .minilang.lexer import LexError
+from .minilang.parser import ParseError
 
 
 class NoPlaceholders(Exception):
@@ -58,6 +58,8 @@ def select_snippets(program: TypedProgram, max_tokens: int = 80
     """Candidate snippet intervals: single-statement subtrees and contiguous
     sibling-statement runs, capped at max_tokens and required to contain at
     least one non-defining variable occurrence."""
+    if max_tokens < 1:
+        raise ValueError(f"max_tokens must be at least 1, got {max_tokens}")
     intervals = set()
     for fn in program.ast.functions:
         for stmt in ast.walk_statements(fn.body):
@@ -106,90 +108,83 @@ def extract_instances(program: TypedProgram, max_tokens: int = 80
     return out
 
 
-# --- serialization ----------------------------------------------------------
+# --- instance files ---------------------------------------------------------
 
-def instance_to_json(inst: TaskInstance) -> str:
-    p = inst.program
-    rec = {
-        "program_id": p.file_id,
-        "tokens": [
-            {"text": t.text, "kind": t.kind,
-             **({"symbol_id": t.symbol} if t.symbol is not None else {}),
-             **({"is_def": True} if t.is_def else {})}
-            for t in p.tokens],
-        "types": [{"name": n, "supers": sorted(p.lattice.supers[n])}
-                  for n in sorted(p.lattice.supers)],
-        "symbols": [{"id": s.id, "name": s.name, "type": s.declared_type}
-                    for s in p.symbols],
-        "snippet_span": list(inst.snippet_span),
-        "placeholders": [
-            {"token_index": ph.token_index, "truth": ph.truth,
-             "candidates": ph.candidates,
-             "same_type_candidates": ph.same_type_candidates}
-            for ph in inst.placeholders],
-        "instance_id": inst.instance_id,
-    }
-    return json.dumps(rec, sort_keys=True)
-
-
-def instance_from_json(line: str) -> TaskInstance:
-    """Rebuild a TaskInstance by re-checking the token stream; symbol ids are
-    assigned in declaration order and therefore reproduce the record's ids."""
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError("record is not a JSON object")
-    source = " ".join(t["text"] for t in rec["tokens"])
-    tokens = tokenize(source)
-    lattice = TypeLattice()
-    for ty in rec["types"]:
-        lattice.add_type(ty["name"], ty["supers"])
-    program = check(parse(tokens), tokens, lattice=lattice,
-                    file_id=rec["program_id"])
-    for s, sr in zip(program.symbols, rec["symbols"]):
-        if s.id != sr["id"] or s.name != sr["name"] \
-                or s.declared_type != sr["type"]:
-            raise ValueError(f"symbol table mismatch for {rec['program_id']}")
-    for ph in rec["placeholders"]:
-        if not (isinstance(ph["token_index"], int)
-                and 0 <= ph["token_index"] < len(tokens)
-                and isinstance(ph["truth"], int)
-                and _is_int_list(ph["candidates"])
-                and _is_int_list(ph["same_type_candidates"])):
-            raise ValueError(f"ill-typed placeholder {ph!r:.80}")
-    placeholders = [Placeholder(token_index=ph["token_index"],
-                                truth=ph["truth"],
-                                candidates=ph["candidates"],
-                                same_type_candidates=ph["same_type_candidates"])
-                    for ph in rec["placeholders"]]
-    return TaskInstance(program=program,
-                        snippet_span=tuple(rec["snippet_span"]),
-                        placeholders=placeholders,
-                        instance_id=rec.get("instance_id", ""))
+INSTANCE_FORMAT_VERSION = 1
 
 
 def write_instances(instances: List[TaskInstance], path: str):
+    """A format_version header, then each program (told apart by identity)
+    as its file id and token texts just before its first instance, and each
+    instance as its id, the number of its program record and its span."""
+    numbers: Dict[int, int] = {}  # id(program) -> its program record number
     with open(path, "w") as f:
+        f.write(json.dumps({"format_version": INSTANCE_FORMAT_VERSION}) + "\n")
         for inst in instances:
-            f.write(instance_to_json(inst) + "\n")
+            p = inst.program
+            if id(p) not in numbers:
+                numbers[id(p)] = len(numbers)
+                f.write(json.dumps({"program": p.file_id,
+                                    "tokens": [t.text for t in p.tokens]})
+                        + "\n")
+            f.write(json.dumps({"instance": inst.instance_id,
+                                "program": numbers[id(p)],
+                                "span": list(inst.snippet_span)}) + "\n")
 
 
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(e, int) for e in x)
+def _program(rec: dict) -> TypedProgram:
+    file_id, texts = rec["program"], rec["tokens"]
+    if not (isinstance(file_id, str) and isinstance(texts, list)
+            and all(isinstance(t, str) for t in texts)):
+        raise ValueError("a program record is a file id and a list of "
+                         "token texts")
+    return compile_source(" ".join(texts), file_id=file_id)
+
+
+def _instance(rec: dict, programs: List[TypedProgram]) -> TaskInstance:
+    instance_id, n, span = rec["instance"], rec["program"], rec["span"]
+    if not (isinstance(instance_id, str) and type(n) is int
+            and isinstance(span, list) and len(span) == 2
+            and all(type(x) is int for x in span)):
+        raise ValueError("an instance record is an id, a program number "
+                         "and a span [lo, hi]")
+    if not 0 <= n < len(programs):
+        raise ValueError(f"program {n} is not one of the {len(programs)} "
+                         f"program records above")
+    lo, hi = span
+    if not 0 <= lo <= hi < len(programs[n].tokens):
+        raise ValueError(f"span {span} is not within the "
+                         f"{len(programs[n].tokens)} tokens of program {n}")
+    return make_instance(programs[n], (lo, hi), instance_id)
 
 
 def read_instances(path: str) -> List[TaskInstance]:
-    """Every record of an instance file; a record that is not valid JSON,
-    lacks a field, has one of the wrong type or does not compile raises
-    ValueError naming the file and line."""
+    """Every instance of an instance file, its placeholders derived by
+    make_instance; the instances of one program record share its
+    TypedProgram.  A bad header or record raises ValueError naming the file
+    and line."""
+    programs: List[TypedProgram] = []
     out = []
     with open(path) as f:
-        for number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+        records = ((n, line) for n, line in enumerate(f, start=1)
+                   if line.strip())
+        for k, (number, line) in enumerate(records):
             try:
-                out.append(instance_from_json(line))
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("record is not a JSON object")
+                if k == 0:
+                    if rec != {"format_version": INSTANCE_FORMAT_VERSION}:
+                        raise ValueError(
+                            f"unsupported format_version "
+                            f"{rec.get('format_version')!r}; this reader "
+                            f"reads {INSTANCE_FORMAT_VERSION}")
+                elif "instance" in rec:
+                    out.append(_instance(rec, programs))
+                else:
+                    programs.append(_program(rec))
             except (KeyError, TypeError, ValueError, LexError, ParseError,
-                    CheckError) as e:
+                    CheckError, NoPlaceholders) as e:
                 raise ValueError(f"{path}:{number}: bad instance record: "
                                  f"{type(e).__name__}: {e}") from e
     return out
@@ -209,6 +204,9 @@ def split_corpus(files_by_project: Dict[str, List[str]], seed: int,
                  unseen_fraction: float = 0.0) -> CorpusSplit:
     """Hold out whole projects for unseen_test, then split the remaining
     files 60-5-35 along files."""
+    if not 0 <= unseen_fraction <= 1:
+        raise ValueError(f"unseen_fraction must be in [0, 1], got "
+                         f"{unseen_fraction}")
     rng = random.Random(seed)
     projects = sorted(files_by_project)
     n_unseen = int(round(unseen_fraction * len(projects)))

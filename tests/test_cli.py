@@ -13,7 +13,8 @@ from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
 from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
-from smartpaste.taskgen import make_instance, read_instances, write_instances
+from smartpaste.taskgen import (INSTANCE_FORMAT_VERSION, make_instance,
+                                read_instances, write_instances)
 from smartpaste.train import ItemCache, make_items
 
 from conftest import SUM_POSITIVE
@@ -67,14 +68,44 @@ class TestGenerate:
         b = open(os.path.join(other, "proj00", "file000.ml0")).read()
         assert a != b
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--projects", "-1", "n_projects"), ("--projects", "0", "n_projects"),
+        ("--files-per-project", "0", "files_per_project")])
+    def test_corpus_size_out_of_range_fails(self, tmp_path, capsys, flag,
+                                            value, field):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_writes_jsonl(self, workspace, capsys):
-        lines = open(workspace["data"]).read().splitlines()
-        assert lines
-        for line in lines:
-            record = json.loads(line)
-            assert {"instance_id", "tokens", "placeholders"} <= set(record)
+        """A format_version header, then each program record before the
+        instance records that name it by number."""
+        records = [json.loads(line)
+                   for line in open(workspace["data"]).read().splitlines()]
+        assert records[0] == {"format_version": INSTANCE_FORMAT_VERSION}
+        programs = 0
+        for record in records[1:]:
+            if "instance" in record:
+                assert set(record) == {"instance", "program", "span"}
+                assert 0 <= record["program"] < programs
+            else:
+                assert set(record) == {"program", "tokens"}
+                programs += 1
+        assert programs and len(records) > 1 + programs
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_max_tokens_out_of_range_fails(self, workspace, tmp_path,
+                                           capsys, value):
+        out = tmp_path / "x.jsonl"
+        assert main(["extract", "--corpus", workspace["corpus"], "--out",
+                     str(out), "--max-tokens", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_tokens" in err
+        assert not out.exists()
 
     def test_missing_corpus_fails(self, tmp_path, capsys):
         assert main(["extract", "--corpus", str(tmp_path / "nope"),
@@ -100,6 +131,20 @@ class TestSplit:
             for proj in os.listdir(corpus)
             for name in os.listdir(os.path.join(corpus, proj)))
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
+    def test_unseen_fraction_out_of_range_fails(self, tmp_path, capsys,
+                                                value):
+        corpus = str(tmp_path / "corpus")
+        assert main(["generate", "--seed", "5", "--projects", "5",
+                     "--files-per-project", "4", "--profile", "tiny",
+                     "--out", corpus]) == 0
+        out = tmp_path / "split.json"
+        assert main(["split", "--corpus", corpus, "--unseen-fraction",
+                     value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unseen_fraction" in err
+        assert not out.exists()
 
     def test_too_few_files_fails(self, workspace, tmp_path, capsys):
         assert main(["split", "--seed", "0", "--corpus",
@@ -146,12 +191,14 @@ class TestTrain:
         assert "bad config line" in capsys.readouterr().err
 
     def test_malformed_record_fails(self, workspace, tmp_path, capsys):
-        for path in _malformed_records(workspace, tmp_path):
+        for path, line in _malformed_records(workspace, tmp_path):
             assert main(["train", "--data", path, "--valid",
                          workspace["data"], "--checkpoint",
                          str(tmp_path / "m.json")]) == 1
-            assert f"error: {path}:2: bad instance record" in \
-                capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: {path}:{line}: bad instance record")
+            assert "Traceback" not in err
 
     def test_resume_continues_epoch_numbering(self, workspace, tmp_path,
                                               capsys):
@@ -278,26 +325,45 @@ class TestTrain:
 
 
 def _malformed_records(workspace, tmp_path):
-    """Instance files that each break one record on line 2: no tokens, bad
-    JSON, an ill-typed placeholder."""
+    """(path, line) of instance files that each break one record: line 3,
+    the first instance record, is bad JSON, lacks its span, names program -1
+    or a program not yet defined, or has a span past the last token or
+    without a variable use; or line 1 is a record in the unversioned format
+    that had no header, or a header of another version."""
     with open(workspace["data"]) as f:
-        good = f.readline()
-    rec = json.loads(good)
-    rec["placeholders"][0]["token_index"] = "x"
-    for k, bad in enumerate(['{"program_id": "x"}', '{"program_id": ',
-                             json.dumps(rec)]):
+        header, program, instance = f.readline(), f.readline(), f.readline()
+    n_tokens = len(json.loads(program)["tokens"])
+    broken = ['{"instance": ']
+    for key, value in [("span", None), ("program", -1), ("program", 1),
+                       ("span", [0, n_tokens]), ("span", [0, 0])]:
+        rec = json.loads(instance)
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+        broken.append(json.dumps(rec))
+    files = [(header + program + bad + "\n", 3) for bad in broken]
+    unversioned = {"instance_id": "x#0", "program_id": "x",
+                   "snippet_span": [0, 0], "placeholders": [], "symbols": [],
+                   "tokens": [{"kind": "ident", "symbol_id": 0,
+                               "text": "x"}], "types": []}
+    files += [(json.dumps(unversioned) + "\n", 1),
+              ('{"format_version": 2}\n' + program + instance, 1)]
+    for k, (text, line) in enumerate(files):
         path = tmp_path / f"bad{k}.jsonl"
-        path.write_text(good + bad + "\n")
-        yield str(path)
+        path.write_text(text)
+        yield str(path), line
 
 
 class TestEval:
     def test_malformed_record_fails(self, workspace, tmp_path, capsys):
-        for path in _malformed_records(workspace, tmp_path):
+        for path, line in _malformed_records(workspace, tmp_path):
             assert main(["eval", "--data", path, "--model",
                          workspace["model"], "--restarts", "1"]) == 1
-            assert f"error: {path}:2: bad instance record" in \
-                capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: {path}:{line}: bad instance record")
+            assert "Traceback" not in err
 
     def test_all_sections(self, workspace, capsys):
         assert main(["eval", "--data", workspace["data"], "--model",

@@ -1,12 +1,16 @@
 """Snippet selection, placeholder construction, serialization, splits."""
 
+import json
+
 import pytest
 
-from smartpaste.minilang import reconstruct, tokenize
-from smartpaste.taskgen import (InsufficientData, NoPlaceholders,
-                                extract_instances, instance_from_json,
-                                instance_to_json, make_instance,
-                                select_snippets, split_corpus)
+from smartpaste import generator
+from smartpaste.minilang import compile_source, reconstruct, tokenize
+from smartpaste.taskgen import (INSTANCE_FORMAT_VERSION, InsufficientData,
+                                NoPlaceholders, extract_instances,
+                                make_instance, read_instances,
+                                select_snippets, split_corpus,
+                                write_instances)
 
 from conftest import (SUM_POSITIVE, SUM_POSITIVE_TRUTH_NAMES,
                       SUM_POSITIVE_USES)
@@ -59,21 +63,53 @@ class TestExtraction:
         assert len(set(ids)) == len(ids)
 
 
+def _fields(instances):
+    return [(inst.instance_id, inst.snippet_span,
+             [t.text for t in inst.program.tokens],
+             [(p.token_index, p.truth, p.candidates, p.same_type_candidates)
+              for p in inst.placeholders])
+            for inst in instances]
+
+
 class TestSerialization:
-    def test_round_trip(self, sum_positive_program):
-        inst = make_instance(sum_positive_program, (17, 46), "fix#0")
-        line = instance_to_json(inst)
-        back = instance_from_json(line)
-        assert back.instance_id == "fix#0"
-        assert back.snippet_span == inst.snippet_span
-        assert [t.text for t in back.program.tokens] == \
-            [t.text for t in inst.program.tokens]
-        assert [(p.token_index, p.truth, p.candidates)
-                for p in back.placeholders] == \
-            [(p.token_index, p.truth, p.candidates)
-             for p in inst.placeholders]
-        # a second round trip is byte-identical
-        assert instance_to_json(back) == line
+    def test_round_trip(self, tmp_path):
+        """On every generator profile, reading back what write_instances
+        wrote gives extract_instances's output, one TypedProgram per
+        program, and writing it again gives the same bytes."""
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for profile in sorted(generator.PROFILES):
+            for seed in (0, 1):
+                insts = []
+                corpus = generator.generate_corpus(seed, 2, 2, profile)
+                for proj, files in sorted(corpus.items()):
+                    for name, src in files:
+                        insts += extract_instances(
+                            compile_source(src, file_id=f"{proj}/{name}"), 60)
+                write_instances(insts, str(first))
+                back = read_instances(str(first))
+                assert _fields(back) == _fields(insts), (profile, seed)
+                assert len({id(i.program) for i in back}) == \
+                    len({id(i.program) for i in insts})
+                write_instances(back, str(second))
+                assert second.read_bytes() == first.read_bytes()
+
+    def test_programs_sharing_a_file_id_stay_apart(self, tmp_path):
+        """Two compilations of one source, both with file id "<memory>",
+        are two program records and read back as two programs."""
+        a, b = compile_source(SUM_POSITIVE), compile_source(SUM_POSITIVE)
+        insts = [make_instance(a, (17, 46), "a#0"),
+                 make_instance(b, (17, 46), "b#0"),
+                 make_instance(a, (12, 49), "a#1")]
+        path = tmp_path / "x.jsonl"
+        write_instances(insts, str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[0] == {"format_version": INSTANCE_FORMAT_VERSION}
+        assert [r["program"] for r in records[1:]] == \
+            ["<memory>", 0, "<memory>", 1, 0]
+        back = read_instances(str(path))
+        assert back[0].program is back[2].program
+        assert back[1].program is not back[0].program
+        assert _fields(back) == _fields(insts)
 
     def test_reconstruct_truth_restores_names(self, sum_positive_program):
         inst = make_instance(sum_positive_program, (17, 46))
