@@ -198,7 +198,13 @@ def _cmd_train(args) -> int:
     overrides = _read_config_file(args.config)
 
     def opt(name, cast, default):
-        return cast(overrides[name]) if name in overrides else default
+        if name not in overrides:
+            return default
+        try:
+            return cast(overrides[name])
+        except ValueError:
+            raise CliError(f"{name} in {args.config} must be "
+                           f"{cast.__name__}, got {overrides[name]!r}")
 
     # the model options given on the command line or in --config
     given = {name: opt(name, type(default), getattr(args, name))

@@ -69,7 +69,6 @@ class Index(Expr):
 @dataclass
 class Call(Expr):
     func: str = ""
-    func_token: int = -1
     args: List[Expr] = field(default_factory=list)
 
 
@@ -229,22 +228,3 @@ def stmt_exprs(stmt: Stmt):
         yield stmt.value
     elif isinstance(stmt, ExprStmt):
         yield stmt.expr
-
-
-def structurally_equal(a, b) -> bool:
-    """Equality over node kinds and meaningful fields, ignoring spans and
-    token indices (used by round-trip tests)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Node):
-        skip = {"span", "token", "name_token", "func_token"}
-        for f in a.__dataclass_fields__:
-            if f in skip:
-                continue
-            if not structurally_equal(getattr(a, f), getattr(b, f)):
-                return False
-        return True
-    if isinstance(a, list):
-        return (isinstance(b, list) and len(a) == len(b)
-                and all(structurally_equal(x, y) for x, y in zip(a, b)))
-    return a == b

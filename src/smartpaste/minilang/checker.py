@@ -44,7 +44,6 @@ class Symbol:
     declared_type: str
     scope_span: Tuple[int, int]
     decl_token: int
-    function: str = ""
 
     def __repr__(self):
         return f"Symbol({self.id}, {self.name}: {self.declared_type})"
@@ -111,14 +110,9 @@ class TypedProgram:
     symbols: List[Symbol]
     lattice: TypeLattice
     file_id: str = "<memory>"
-    holes: FrozenSet[int] = frozenset()
 
     def symbol(self, sid: int) -> Symbol:
         return self.symbols[sid]
-
-    def occurrences(self, sid: int) -> List[int]:
-        """Token indices of all occurrences of a symbol (defs included)."""
-        return [tok.index for tok in self.tokens if tok.symbol == sid]
 
 
 def vars_in_scope(program: TypedProgram, t: int) -> Set[int]:
@@ -200,8 +194,7 @@ class _Checker:
             raise RedeclError(
                 f"redeclaration of {name!r} in function {fn.name!r}")
         sym = Symbol(id=len(self.symbols), name=name, declared_type=type_key,
-                     scope_span=scope_span, decl_token=name_token,
-                     function=fn.name)
+                     scope_span=scope_span, decl_token=name_token)
         self.symbols.append(sym)
         env[name] = sym
         tok = self.tokens[name_token]
@@ -385,4 +378,4 @@ def check(program: ast.Program, tokens: List[Token],
         tok.is_def = False
     symbols = _Checker(program, tokens, lattice, holes).run()
     return TypedProgram(tokens=tokens, ast=program, symbols=symbols,
-                        lattice=lattice, file_id=file_id, holes=holes)
+                        lattice=lattice, file_id=file_id)

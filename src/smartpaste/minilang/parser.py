@@ -9,10 +9,9 @@ from .lexer import Token
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, token_index: int, expected=None):
+    def __init__(self, message: str, token_index: int):
         super().__init__(message)
         self.token_index = token_index
-        self.expected = expected or []
 
 
 TYPE_KEYWORDS = {"int", "bool", "string"}
@@ -58,7 +57,7 @@ class Parser:
         if t is None or t.text != text:
             raise ParseError(
                 f"expected {text!r}, found {t.text if t else 'end of input'!r}",
-                self.pos, expected=[text])
+                self.pos)
         return self.advance()
 
     def expect_identifier(self) -> Token:
@@ -66,7 +65,7 @@ class Parser:
         if t is None or t.kind != "identifier":
             raise ParseError(
                 f"expected identifier, found {t.text if t else 'end of input'!r}",
-                self.pos, expected=["identifier"])
+                self.pos)
         return self.advance()
 
     # -- grammar --
@@ -121,7 +120,7 @@ class Parser:
         start = self.pos
         t = self.peek()
         if t is None or (t.kind != "identifier" and t.text not in TYPE_KEYWORDS):
-            raise ParseError("expected a type name", self.pos, expected=["type"])
+            raise ParseError("expected a type name", self.pos)
         self.advance()
         is_array = False
         if self.at("[") and self.at("]", 1):
@@ -159,7 +158,7 @@ class Parser:
         stmts = []
         while not self.at("}"):
             if self.peek() is None:
-                raise ParseError("unterminated block", self.pos, expected=["}"])
+                raise ParseError("unterminated block", self.pos)
             stmts.append(self.parse_statement())
         self.expect("}")
         return ast.Block(span=(start, self.pos - 1), statements=stmts)
@@ -330,7 +329,7 @@ class Parser:
                         args.append(self.parse_expr())
                 self.expect(")")
                 return ast.Call(span=(start, self.pos - 1), func=t.text,
-                                func_token=t.index, args=args)
+                                args=args)
             return ast.Var(span=(start, start), name=t.text, token=t.index)
         raise ParseError(f"expected expression, found {t.text!r}", self.pos)
 

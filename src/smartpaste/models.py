@@ -47,8 +47,15 @@ class Hyper:
     unk_types: bool = False
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+        for name, low in (("hidden", 1), ("window", 1), ("chain_len", 0),
+                          ("tree_depth", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, "
+                                 f"got {getattr(self, name)}")
+        # type_embed redraws until a supertype survives dropout
+        if not 0 <= self.type_dropout < 1:
+            raise ValueError(f"type_dropout must be in [0, 1), "
+                             f"got {self.type_dropout}")
         if self.context_encoder not in CONTEXT_ENCODERS:
             raise VariantError(
                 f"unknown context encoder {self.context_encoder!r}")
@@ -167,7 +174,7 @@ class ModelParams:
                                  f"{cfg[key]!r:.60}")
         try:
             hyper = Hyper(**cfg["hyper"])
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"checkpoint config 'hyper' is ill-formed: "
                              f"{e}") from e
         params = cls(cfg["variant"], hyper, cfg["types"], cfg["lexemes"])
@@ -176,7 +183,15 @@ class ModelParams:
             missing = set(named) ^ set(loaded)
             raise ValueError(f"checkpoint parameter mismatch: {sorted(missing)}")
         for name, t in named.items():
-            t.data[...] = loaded[name].data
+            data = loaded[name].data
+            if data.shape != t.data.shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape "
+                                 f"{data.shape}, the model needs "
+                                 f"{t.data.shape}")
+            if not np.isfinite(data).all():
+                raise ValueError(f"checkpoint parameter {name!r} holds a "
+                                 f"value that is not finite")
+            t.data[...] = data
         return params, cfg
 
 

@@ -190,6 +190,16 @@ class TestTrain:
                      str(tmp_path / "m.json")]) == 1
         assert "bad config line" in capsys.readouterr().err
 
+    def test_bad_config_value_names_key_and_file(self, workspace, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hidden = 4.5\n")
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: hidden in {cfg} must be int, got '4.5'\n"
+
     def test_malformed_record_fails(self, workspace, tmp_path, capsys):
         for path, line in _malformed_records(workspace, tmp_path):
             assert main(["train", "--data", path, "--valid",
@@ -490,16 +500,50 @@ class TestPaste:
             del doc["config"][key]
         else:
             doc["config"][key] = value
+        assert self._paste_with(doc, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+    def _paste_with(self, doc, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         target = tmp_path / "target.ml0"
         snippet = tmp_path / "snippet.ml0"
         target.write_text(TARGET)
         snippet.write_text(SNIPPET)
-        assert main(["paste", "--target", str(target), "--snippet",
-                     str(snippet), "--at", "3:3", "--model", str(bad)]) == 1
+        return main(["paste", "--target", str(target), "--snippet",
+                     str(snippet), "--at", "3:3", "--model", str(bad)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 0), ("type_dropout", 1.0)])
+    def test_out_of_range_hyper_fails(self, workspace, tmp_path, capsys,
+                                      field, value):
+        """window 0 crashed context encoding; type_dropout 1 never ends
+        the training encoder's redraw loop."""
+        with open(workspace["model"]) as f:
+            doc = json.load(f)
+        doc["config"]["hyper"][field] = value
+        assert self._paste_with(doc, tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(key) in err
+        assert err.startswith("error: checkpoint") and field in err
+
+    @pytest.mark.parametrize("case", ["shape", "nan"])
+    def test_bad_parameter_values_fail(self, workspace, tmp_path, capsys,
+                                       case):
+        """A vector stored for the (4, 8) matrix w_c would broadcast into
+        equal rows; a NaN would make every ranking fall back to id order."""
+        with open(workspace["model"]) as f:
+            doc = json.load(f)
+        rec = doc["params"]["w_c"]
+        if case == "shape":
+            rec["shape"], rec["data"] = [8], rec["data"][:8]
+        else:
+            rec["data"][3] = float("nan")
+        assert self._paste_with(doc, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint parameter 'w_c'")
+        if case == "shape":
+            assert "(8,)" in err and "(4, 8)" in err
 
 
 class TestDumps:

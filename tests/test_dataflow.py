@@ -325,8 +325,9 @@ def test_dataflow_wellformed(seed):
     src = generator.generate_file(random.Random(seed), "tiny", 0, 0)
     prog = compile_source(src)
     ug = dataflow_uses(prog)
+    occ = occurrence_map(prog)
     for t, v in ug.occ.items():
-        occ_v = set(prog.occurrences(v))
+        occ_v = {u for u, w in occ.items() if w == v}
         assert ug.din(t, v) <= occ_v | {EPS}
         assert ug.dout(t, v) <= occ_v | {EPS}
         prev, nxt = ug.lex_prev(t, v), ug.lex_next(t, v)

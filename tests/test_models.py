@@ -337,6 +337,14 @@ class TestVariants:
         with pytest.raises(VariantError):
             Hyper(context_encoder="transformer")
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0), ("window", 0), ("chain_len", -1), ("tree_depth", -1),
+        ("type_dropout", -0.1), ("type_dropout", 1.0),
+        ("type_dropout", float("nan"))])
+    def test_out_of_range_hyper_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyper(**{field: value})
+
     def test_hybrid_combines_both(self, variant_setup):
         prog, ug, use = variant_setup
         params = ModelParams("hybrid", Hyper(hidden=8, tree_depth=4),
