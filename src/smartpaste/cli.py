@@ -15,7 +15,8 @@ from typing import Dict, List, Optional
 
 from . import evaluation, generator, taskgen, train as training
 from .dataflow import dataflow_uses, dump_dataflow
-from .infer import NoCandidates, SpliceError, check_search, paste
+from .infer import (DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, NoCandidates,
+                    SpliceError, check_search, paste)
 from .minilang import compile_source
 from .minilang.checker import CheckError
 from .minilang.lexer import LexError
@@ -37,12 +38,18 @@ def _add_seed(p: argparse.ArgumentParser):
                    help="RNG seed (default: $SMARTPASTE_SEED or 0)")
 
 
+def _add_search(p: argparse.ArgumentParser):
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+
+
 # the `train` options a --config file may set
 CONFIG_KEYS = ("variant", "context_encoder", "hidden", "epochs", "batch_size",
                "lr", "patience")
 # the `train` options a --resume checkpoint fixes, with a new model's defaults
-MODEL_DEFAULTS = {"variant": "hybrid", "context_encoder": "logbilinear",
-                  "hidden": 64}
+MODEL_DEFAULTS = {"variant": "hybrid",
+                  "context_encoder": Hyper.context_encoder,
+                  "hidden": Hyper.hidden}
 
 
 def _read_config_file(path: Optional[str]) -> Dict[str, str]:
@@ -102,10 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--context-encoder", choices=CONTEXT_ENCODERS)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=5)
+    defaults = training.TrainConfig()
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--patience", type=int, default=defaults.patience)
     p.add_argument("--config", default=None,
                    help="key=value file overriding the options above")
     p.add_argument("--checkpoint", default="model.json",
@@ -121,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="all",
                    choices=["per-placeholder", "full-snippet", "same-type",
                             "all"])
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-sweeps", type=int, default=10)
+    _add_search(p)
 
     p = sub.add_parser("paste", help="splice a snippet and infer variables")
     _add_seed(p)
@@ -133,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--variant", default=None, choices=VARIANTS,
                    help="must match the checkpoint when given")
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-sweeps", type=int, default=10)
+    _add_search(p)
     p.add_argument("--out", default=None,
                    help="write the rewritten program here (default: stdout)")
 
@@ -166,7 +172,11 @@ def _instances_from_corpus(corpus_dir: str, max_tokens: int
     out = []
     for project, files in sorted(generator.load_corpus_dir(corpus_dir).items()):
         for name, source in files:
-            program = compile_source(source, file_id=f"{project}/{name}")
+            file_id = f"{project}/{name}"
+            try:
+                program = compile_source(source, file_id=file_id)
+            except (LexError, ParseError, CheckError) as e:
+                raise CliError(f"{file_id}: {e}") from e
             out.extend(taskgen.extract_instances(program, max_tokens))
     return out
 

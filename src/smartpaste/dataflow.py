@@ -44,15 +44,18 @@ class Cfg:
     entry: int = 0
     exit: int = 0
 
-    def new_node(self, kind: str, tokens=()) -> int:
+    def new_node(self, kind: str, tokens=(), preds=()) -> int:
+        """A new node, entered from each of `preds`."""
         n = CfgNode(id=len(self.nodes), kind=kind, tokens=list(tokens))
         self.nodes.append(n)
         self.succs[n.id] = []
+        self.add_edges(preds, n.id)
         return n.id
 
-    def add_edge(self, a: int, b: int):
-        if b not in self.succs[a]:
-            self.succs[a].append(b)
+    def add_edges(self, preds, b: int):
+        for a in preds:
+            if b not in self.succs[a]:
+                self.succs[a].append(b)
 
     @property
     def preds(self) -> Dict[int, List[int]]:
@@ -78,65 +81,37 @@ def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
     def lower(stmt: ast.Stmt, pred_ids: List[int]) -> List[int]:
         """Attach stmt's subgraph after pred_ids; return the dangling exits."""
         if isinstance(stmt, ast.Block):
+            if not stmt.statements:
+                return [cfg.new_node("empty", (), pred_ids)]
             cur = pred_ids
             for s in stmt.statements:
                 cur = lower(s, cur)
-            if not stmt.statements:
-                nid = cfg.new_node("empty")
-                for p in pred_ids:
-                    cfg.add_edge(p, nid)
-                return [nid]
             return cur
         if isinstance(stmt, ast.If):
-            cond = cfg.new_node("cond", _span_tokens(stmt.cond.span))
-            for p in pred_ids:
-                cfg.add_edge(p, cond)
+            cond = cfg.new_node("cond", _span_tokens(stmt.cond.span), pred_ids)
             out = lower(stmt.then, [cond])
             if stmt.orelse is not None:
-                out = out + lower(stmt.orelse, [cond])
-            else:
-                out = out + [cond]
-            return out
+                return out + lower(stmt.orelse, [cond])
+            return out + [cond]
         if isinstance(stmt, ast.While):
-            cond = cfg.new_node("cond", _span_tokens(stmt.cond.span))
-            for p in pred_ids:
-                cfg.add_edge(p, cond)
-            body_out = lower(stmt.body, [cond])
-            for b in body_out:
-                cfg.add_edge(b, cond)  # back-edge
+            cond = cfg.new_node("cond", _span_tokens(stmt.cond.span), pred_ids)
+            cfg.add_edges(lower(stmt.body, [cond]), cond)  # back-edges
             return [cond]
         if isinstance(stmt, ast.For):
             cur = pred_ids
             if stmt.init is not None:
-                init = cfg.new_node("init", _span_tokens(stmt.init.span))
-                for p in cur:
-                    cfg.add_edge(p, init)
-                cur = [init]
-            if stmt.cond is not None:
-                cond = cfg.new_node("cond", _span_tokens(stmt.cond.span))
-            else:
-                cond = cfg.new_node("cond")
-            for p in cur:
-                cfg.add_edge(p, cond)
-            body_out = lower(stmt.body, [cond])
+                cur = [cfg.new_node("init", _span_tokens(stmt.init.span), cur)]
+            cond = cfg.new_node("cond", () if stmt.cond is None
+                                else _span_tokens(stmt.cond.span), cur)
+            cur = lower(stmt.body, [cond])
             if stmt.step is not None:
-                step = cfg.new_node("step", _span_tokens(stmt.step.span))
-                for b in body_out:
-                    cfg.add_edge(b, step)
-                cfg.add_edge(step, cond)  # back-edge
-            else:
-                for b in body_out:
-                    cfg.add_edge(b, cond)
+                cur = [cfg.new_node("step", _span_tokens(stmt.step.span), cur)]
+            cfg.add_edges(cur, cond)  # back-edges
             return [cond]
+        nid = cfg.new_node("stmt", _span_tokens(stmt.span), pred_ids)
         if isinstance(stmt, ast.Return):
-            nid = cfg.new_node("stmt", _span_tokens(stmt.span))
-            for p in pred_ids:
-                cfg.add_edge(p, nid)
-            cfg.add_edge(nid, exit_)
+            cfg.add_edges([nid], exit_)
             return []
-        nid = cfg.new_node("stmt", _span_tokens(stmt.span))
-        for p in pred_ids:
-            cfg.add_edge(p, nid)
         return [nid]
 
     out = lower(fn.body, [entry])
@@ -144,8 +119,7 @@ def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
     # graph: break the cycle, so that the graph is freed with its last
     # reference, not when the cycle collector runs
     del lower
-    for o in out:
-        cfg.add_edge(o, exit_)
+    cfg.add_edges(out, exit_)
     return cfg
 
 
@@ -153,19 +127,21 @@ class UseGraph:
     """Per (token, symbol) lexical and data-flow usage relations for one
     program under fixed occurrences: symbol -> its sorted token indices.
 
-    A symbol's data-flow relations are solved by `flow` the first time
-    `din` or `dout` asks about that symbol; the lexical ones need only
-    `occurrences`.  `occ`, the token -> symbol map, is derived from
-    `occurrences` on first read.  `df_in`/`df_out` are dicts keyed by
-    (token, symbol): their first access solves every remaining symbol and
-    flattens the relations into them, and from then on `din`/`dout` read
-    those dicts.  Without a flow they start empty, for the caller to fill."""
+    The lexical relations need only `occurrences`; a symbol's data-flow
+    relations are its `relations`, which `flow` solves and memoises by
+    (symbol, occurrences), so every view with the same occurrences of a
+    symbol reads the same dicts.  The usage encoders read `relations`, so a
+    view they walk needs a flow.  `occ`, the token -> symbol map, is derived
+    from `occurrences` on first read.  `df_in`/`df_out` are the relations
+    flattened into dicts keyed by (token, symbol): their first access
+    solves every symbol, and from then on `din`/`dout` read those dicts.
+    Without a flow they start empty, for the caller to fill (the path
+    oracle's views, which are never walked)."""
 
     def __init__(self, occurrences: Dict[int, Tuple[int, ...]],
                  flow: Optional["ProgramFlow"] = None):
         self.occurrences = occurrences
         self.flow = flow
-        self._relations: Dict[int, Tuple[Relation, Relation]] = {}
         self._flat: Optional[Tuple[dict, dict]] = \
             None if flow is not None else ({}, {})  # (df_in, df_out)
 
@@ -187,11 +163,8 @@ class UseGraph:
         return UseGraph(occurrences, self.flow)
 
     def relations(self, v: int) -> Tuple[Relation, Relation]:
-        """v's (df_in, df_out), each token -> set, solved on first use."""
-        if v not in self._relations:
-            self._relations[v] = self.flow.relations(
-                v, self.occurrences.get(v, ()))
-        return self._relations[v]
+        """v's (df_in, df_out), each token -> set, from the flow's memo."""
+        return self.flow.relations(v, self.occurrences.get(v, ()))
 
     def _flatten(self):
         if self._flat is None:

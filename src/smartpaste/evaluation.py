@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .infer import icm
+from .infer import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, icm
 from .models import ModelParams
 from .taskgen import TaskInstance
 from .train import make_items, truth_rankings
@@ -73,7 +73,8 @@ def eval_per_placeholder(params: ModelParams,
 
 
 def eval_full_snippet(params: ModelParams, instances: Sequence[TaskInstance],
-                      restarts: int = 5, max_sweeps: int = 10,
+                      restarts: int = DEFAULT_RESTARTS,
+                      max_sweeps: int = DEFAULT_MAX_SWEEPS,
                       seed: int = 0) -> MetricsReport:
     """Joint inference per instance; placeholder metrics come from the final
     conditional rankings of the winning restart."""

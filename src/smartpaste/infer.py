@@ -9,12 +9,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .minilang import ast, compile_source
-from .minilang.checker import (CheckError, TypedProgram, check,
-                               vars_in_scope)
+from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
 from .models import Encoder, ModelParams
-from .taskgen import Placeholder, TaskInstance
+from .taskgen import Placeholder, TaskInstance, make_placeholder
+
+
+# the search's defaults: ICM restarts, and sweeps per restart
+DEFAULT_RESTARTS = 5
+DEFAULT_MAX_SWEEPS = 10
 
 
 class SpliceError(Exception):
@@ -88,8 +92,9 @@ def check_search(restarts: int, max_sweeps: int):
         raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
 
 
-def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
-        max_sweeps: int = 10, rng: Optional[random.Random] = None,
+def icm(inst: TaskInstance, params: ModelParams,
+        restarts: int = DEFAULT_RESTARTS, max_sweeps: int = DEFAULT_MAX_SWEEPS,
+        rng: Optional[random.Random] = None,
         encoder: Optional[Encoder] = None,
         trace: Optional[List[List[float]]] = None) -> Assignment:
     """Iterated conditional modes: random initialization, sweeps over
@@ -155,16 +160,21 @@ def icm(inst: TaskInstance, params: ModelParams, restarts: int = 5,
 
 # --- paste ------------------------------------------------------------------
 
-def _snippet_token_count(snippet_source: str) -> int:
-    """Number of tokens in a snippet that parses as a statement sequence."""
+def _parse_snippet(snippet_source: str) -> Tuple[int, List[int]]:
+    """Number of tokens in a snippet that parses as a statement sequence,
+    and the positions of its variable uses (its `Var` tokens) in order."""
     try:
         tokens = tokenize(snippet_source)
         parser = Parser(tokens)
         if parser.peek() is None:
             raise SpliceError("snippet contains no statements")
+        uses = []
         while parser.peek() is not None:
-            parser.parse_statement()
-        return len(tokens)
+            for stmt in ast.walk_statements(parser.parse_statement()):
+                uses += [e.token for top in ast.stmt_exprs(stmt)
+                         for e in ast.walk_exprs(top)
+                         if isinstance(e, ast.Var)]
+        return len(tokens), sorted(uses)
     except ParseError as e:
         raise SpliceError(f"snippet does not parse: {e}") from e
 
@@ -198,12 +208,12 @@ def _statement_insertion_index(program: TypedProgram, line: int, col: int
     return best, index
 
 
-def _splice_source(program: TypedProgram, snippet_source: str,
+def _splice_source(program: TypedProgram, source: str, snippet_source: str,
                    line: int, col: int) -> Tuple[str, int]:
-    """Insert the snippet text at a statement boundary of the target source,
-    right before the anchor token's text; returns (new source, anchor token
-    index).  The spliced program's tokens before the anchor are the target's,
-    so the snippet's tokens start at that index."""
+    """Insert the snippet text at a statement boundary of the program's
+    source, right before the anchor token's text; returns (new source,
+    anchor token index).  The spliced program's tokens before the anchor are
+    the target's, so the snippet's tokens start at that index."""
     block, index = _statement_insertion_index(program, line, col)
     if index < len(block.statements):
         anchor = block.statements[index].span[0]
@@ -212,44 +222,32 @@ def _splice_source(program: TypedProgram, snippet_source: str,
     offset = sum(len(tok.leading) + len(tok.text)
                  for tok in program.tokens[:anchor]) \
         + len(program.tokens[anchor].leading)
-    original = reconstruct(program.tokens)
-    return original[:offset] + snippet_source.strip() + "\n" \
-        + original[offset:], anchor
+    return source[:offset] + snippet_source.strip() + "\n" \
+        + source[offset:], anchor
 
 
 def make_paste_instance(target_source: str, snippet_source: str,
                         line: int, col: int, file_id: str = "<paste>"
                         ) -> TaskInstance:
-    """Splice, placeholderize the snippet's non-defining variable uses, and
-    type-check the result with those tokens as typed holes.  The returned
-    TaskInstance has truth = -1 for every placeholder."""
+    """Splice, placeholderize the snippet's variable uses (its `Var`
+    tokens: a declaration's name is not one), and type-check the result
+    with those tokens as typed holes.  The returned TaskInstance has
+    truth = -1 for every placeholder."""
     try:
         target = compile_source(target_source)
     except (CheckError, ParseError) as e:
         raise SpliceError(f"target does not compile: {e}") from e
-    n_snippet = _snippet_token_count(snippet_source)
+    n_snippet, uses = _parse_snippet(snippet_source)
 
-    spliced_source, first = _splice_source(target, snippet_source, line, col)
-    snippet_tokens = range(first, first + n_snippet)
+    spliced_source, first = _splice_source(target, target_source,
+                                           snippet_source, line, col)
     tokens = tokenize(spliced_source)
     try:
         prog_ast = parse(tokens)
     except ParseError as e:
         raise SpliceError(f"spliced program does not parse: {e}") from e
-
-    # identify variable-use tokens in the snippet syntactically: defining
-    # occurrences stay known, every other Var token becomes a hole
-    holes = set()
-    def_tokens = set()
-    for fn in prog_ast.functions:
-        for stmt in ast.walk_statements(fn.body):
-            if isinstance(stmt, ast.Decl):
-                def_tokens.add(stmt.name_token)
-            for e in ast.stmt_exprs(stmt):
-                for sub in ast.walk_exprs(e):
-                    if isinstance(sub, ast.Var) and sub.token in snippet_tokens:
-                        holes.add(sub.token)
-    holes -= def_tokens
+    # the snippet's tokens start at the anchor, so its uses are shifted by it
+    holes = [first + t for t in uses]
     if not holes:
         raise SpliceError("snippet has no variable uses to infer")
 
@@ -259,22 +257,20 @@ def make_paste_instance(target_source: str, snippet_source: str,
     except CheckError as e:
         raise SpliceError(f"spliced program does not check: {e}") from e
 
-    snippet_span = (snippet_tokens[0], snippet_tokens[-1])
-    placeholders = []
-    for t in sorted(holes):
-        candidates = sorted(vars_in_scope(program, t))
-        if not candidates:
-            raise NoCandidates(f"no variable in scope at token {t}")
-        placeholders.append(Placeholder(token_index=t, truth=-1,
-                                        candidates=candidates,
-                                        same_type_candidates=[]))
-    return TaskInstance(program=program, snippet_span=snippet_span,
+    placeholders = [make_placeholder(program, t) for t in holes]
+    for ph in placeholders:
+        if not ph.candidates:
+            raise NoCandidates(f"no variable in scope at token "
+                               f"{ph.token_index}")
+    return TaskInstance(program=program,
+                        snippet_span=(first, first + n_snippet - 1),
                         placeholders=placeholders, instance_id=file_id)
 
 
 def paste(target_source: str, snippet_source: str, line: int, col: int,
-          params: ModelParams, restarts: int = 5, max_sweeps: int = 10,
-          seed: int = 0) -> Tuple[str, Assignment, TaskInstance]:
+          params: ModelParams, restarts: int = DEFAULT_RESTARTS,
+          max_sweeps: int = DEFAULT_MAX_SWEEPS, seed: int = 0
+          ) -> Tuple[str, Assignment, TaskInstance]:
     """Splice + infer + substitute; returns the rewritten program text, the
     chosen assignment with per-placeholder rankings, and the instance."""
     inst = make_paste_instance(target_source, snippet_source, line, col)

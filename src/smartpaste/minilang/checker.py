@@ -8,7 +8,7 @@ nominal names, and the distinguished UNK_TYPE for unknown/unrepresented types
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import ast
 from .lexer import Token
@@ -367,12 +367,12 @@ class _Checker:
 
 
 def check(program: ast.Program, tokens: List[Token],
-          lattice: Optional[TypeLattice] = None, file_id: str = "<memory>",
+          file_id: str = "<memory>",
           holes: FrozenSet[int] = frozenset()) -> TypedProgram:
     """Resolve and type-check a parsed program.  `holes` marks variable-use
     tokens of unknown identity (used by paste); they type as UNK_TYPE and do
     not resolve to a symbol."""
-    lattice = lattice if lattice is not None else TypeLattice()
+    lattice = TypeLattice()
     for tok in tokens:
         tok.symbol = None
         tok.is_def = False

@@ -49,13 +49,20 @@ class Hyper:
     def __post_init__(self):
         for name, low in (("hidden", 1), ("window", 1), ("chain_len", 0),
                           ("tree_depth", 0)):
-            if getattr(self, name) < low:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
                 raise ValueError(f"{name} must be at least {low}, "
-                                 f"got {getattr(self, name)}")
+                                 f"got {value}")
+        if type(self.unk_types) is not bool:
+            raise ValueError(f"unk_types must be true or false, "
+                             f"got {self.unk_types!r}")
         # type_embed redraws until a supertype survives dropout
-        if not 0 <= self.type_dropout < 1:
-            raise ValueError(f"type_dropout must be in [0, 1), "
-                             f"got {self.type_dropout}")
+        if type(self.type_dropout) not in (int, float) \
+                or not 0 <= self.type_dropout < 1:
+            raise ValueError(f"type_dropout must be a number in [0, 1), "
+                             f"got {self.type_dropout!r}")
         if self.context_encoder not in CONTEXT_ENCODERS:
             raise VariantError(
                 f"unknown context encoder {self.context_encoder!r}")
@@ -346,14 +353,14 @@ class Encoder:
         the context of position x from column `base + positions[x]`.  A node
         at depth 0, at EPS or without children is the leaf: the type
         representation.  Repeated (position, depth) subtrees are shared."""
-        rel = ug.din if direction == "prev" else ug.dout
+        rel = ug.relations(v)[0 if direction == "prev" else 1]
         cols = self.positions
         memo: Dict[Tuple[int, int], int] = {}
 
         def state(pos: int, depth: int) -> int:
             if depth <= 0 or pos == EPS:
                 return k
-            children = sorted(rel(pos, v))
+            children = sorted(rel.get(pos, ()))
             if not children:
                 return k
             key = (pos, depth)

@@ -77,22 +77,28 @@ def select_snippets(program: TypedProgram, max_tokens: int = 80
     return sorted(s for s in intervals if qualifies(s))
 
 
+def make_placeholder(program: TypedProgram, t: int, truth: int = -1
+                     ) -> Placeholder:
+    """The placeholder at token t: its candidates are the variables in
+    scope there, in id order, and its same-type candidates those declared
+    with the truth's type, or none when the truth is unknown (-1)."""
+    candidates = sorted(vars_in_scope(program, t))
+    same_type = []
+    if truth != -1:
+        truth_type = program.symbol(truth).declared_type
+        same_type = [c for c in candidates
+                     if program.symbol(c).declared_type == truth_type]
+    return Placeholder(token_index=t, truth=truth, candidates=candidates,
+                       same_type_candidates=same_type)
+
+
 def make_instance(program: TypedProgram, span: Tuple[int, int],
                   instance_id: str = "") -> TaskInstance:
     """Placeholder every non-defining variable occurrence in the span;
     defining occurrences (declarations) keep their identity."""
-    placeholders = []
-    for tok in program.tokens[span[0]:span[1] + 1]:
-        if tok.symbol is None or tok.is_def:
-            continue
-        truth = tok.symbol
-        candidates = sorted(vars_in_scope(program, tok.index))
-        truth_type = program.symbol(truth).declared_type
-        same_type = [c for c in candidates
-                     if program.symbol(c).declared_type == truth_type]
-        placeholders.append(Placeholder(
-            token_index=tok.index, truth=truth, candidates=candidates,
-            same_type_candidates=same_type))
+    placeholders = [make_placeholder(program, tok.index, tok.symbol)
+                    for tok in program.tokens[span[0]:span[1] + 1]
+                    if tok.symbol is not None and not tok.is_def]
     if not placeholders:
         raise NoPlaceholders(f"no qualifying occurrence in span {span}")
     return TaskInstance(program=program, snippet_span=span,

@@ -1,21 +1,22 @@
 """End-to-end command-line workflow: generate, extract, split, train, eval,
 paste, and the dump commands, all run in-process through main()."""
 
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from smartpaste import evaluation
-from smartpaste.cli import build_parser, main
+from smartpaste import evaluation, infer
+from smartpaste.cli import MODEL_DEFAULTS, build_parser, main
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
 from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import (INSTANCE_FORMAT_VERSION, make_instance,
                                 read_instances, write_instances)
-from smartpaste.train import ItemCache, make_items
+from smartpaste.train import ItemCache, TrainConfig, make_items
 
 from conftest import SUM_POSITIVE
 from test_infer import SNIPPET, TARGET
@@ -111,6 +112,23 @@ class TestExtract:
         assert main(["extract", "--corpus", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken, message", [
+        ("int f(int a) { return a }", "expected ';', found '}'"),
+        ("int f(int a) { return b; }", "undeclared variable 'b'"),
+        ("int f(int a) { return a $ a; }", "")])
+    def test_broken_file_is_named(self, tmp_path, capsys, broken, message):
+        """Among the files of a corpus, the error names the one that does
+        not compile."""
+        (tmp_path / "corpus" / "proj").mkdir(parents=True)
+        (tmp_path / "corpus" / "proj" / "good.ml0").write_text(SUM_POSITIVE)
+        (tmp_path / "corpus" / "proj" / "bad.ml0").write_text(broken)
+        out = tmp_path / "x.jsonl"
+        assert main(["extract", "--corpus", str(tmp_path / "corpus"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: proj/bad.ml0: ") and message in err
+        assert not out.exists()
 
 
 class TestSplit:
@@ -515,11 +533,15 @@ class TestPaste:
                      str(snippet), "--at", "3:3", "--model", str(bad)])
 
     @pytest.mark.parametrize("field, value", [
-        ("window", 0), ("type_dropout", 1.0)])
+        ("window", 0), ("type_dropout", 1.0), ("hidden", 4.0),
+        ("hidden", True), ("window", 2.5), ("chain_len", 2.5),
+        ("tree_depth", 1.5), ("unk_types", "no"), ("type_dropout", "0.5")])
     def test_out_of_range_hyper_fails(self, workspace, tmp_path, capsys,
                                       field, value):
         """window 0 crashed context encoding; type_dropout 1 never ends
-        the training encoder's redraw loop."""
+        the training encoder's redraw loop; a size that is not an integer
+        crashed building the model, or silently truncated a chain or a
+        tree; the string "no" made every type unknown."""
         with open(workspace["model"]) as f:
             doc = json.load(f)
         doc["config"]["hyper"][field] = value
@@ -634,6 +656,28 @@ class TestParser:
         with pytest.raises(SystemExit) as e:
             main(["generate", "--profile", "quantum", "--out", "x"])
         assert e.value.code == 2
+
+    def test_defaults_are_the_library_defaults(self):
+        """train, eval and paste without their options run with the
+        defaults of TrainConfig, Hyper and the search functions."""
+        parse_args = build_parser().parse_args
+        args = parse_args(["train", "--data", "d", "--valid", "v"])
+        config = TrainConfig()
+        assert (args.epochs, args.batch_size, args.lr, args.patience) == \
+            (config.epochs, config.batch_size, config.lr, config.patience)
+        hyper = Hyper()
+        assert (MODEL_DEFAULTS["hidden"], MODEL_DEFAULTS["context_encoder"]) \
+            == (hyper.hidden, hyper.context_encoder)
+        for argv, function in (
+                (["eval", "--data", "d", "--model", "m"],
+                 evaluation.eval_full_snippet),
+                (["paste", "--target", "t", "--snippet", "s", "--at", "1:1",
+                  "--model", "m"], infer.paste)):
+            args = parse_args(argv)
+            for fn in (function, infer.icm):
+                defaults = inspect.signature(fn).parameters
+                assert args.restarts == defaults["restarts"].default
+                assert args.max_sweeps == defaults["max_sweeps"].default
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("SMARTPASTE_SEED", "42")

@@ -1,6 +1,6 @@
-"""Every module under src/ and tests/ uses each name it imports.  An import
-that is kept on purpose says so with `# noqa` on one of its lines; names a
-module lists in `__all__` count as used."""
+"""Every module under src/, tests/ and bench/ uses each name it imports.
+An import that is kept on purpose says so with `# noqa` on one of its lines;
+names a module lists in `__all__` count as used."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted(
-    (ROOT / "tests").rglob("*.py"))
+    (ROOT / "tests").rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(path):

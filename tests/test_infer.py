@@ -358,6 +358,28 @@ class TestPaste:
         assert set(best.mapping) == {p.token_index for p in out.placeholders}
         parse(tokenize(rewritten))  # placeholder-free and syntactically valid
 
+    def test_holes_are_the_snippets_variable_uses(self):
+        """Every variable use in the snippet becomes a placeholder, also a
+        use of a variable the snippet declares; a type name, a declared
+        name and a called function do not."""
+        target = ("type Base; type Leaf implements Base; "
+                  "extern fn mk() -> Leaf; extern fn use(Base) -> int; "
+                  "int f(Leaf a, int n) { int m = n; return m; }")
+        snippet = "Base b = mk();\nm += use(b) + use(a) + n;"
+        inst = make_paste_instance(target, snippet, 1,
+                                   target.index("return") + 1)
+        tokens = inst.program.tokens
+        assert [(p.token_index, tokens[p.token_index].text)
+                for p in inst.placeholders] == \
+            [(47, "m"), (51, "b"), (56, "a"), (59, "n")]
+        for p in inst.placeholders:
+            assert {inst.program.symbol(c).name for c in p.candidates} == \
+                {"a", "n", "m", "b"}
+            assert p.truth == -1 and p.same_type_candidates == []
+        lo, hi = inst.snippet_span
+        assert " ".join(t.text for t in tokens[lo:hi + 1]) == \
+            "Base b = mk ( ) ; m += use ( b ) + use ( a ) + n ;"
+
     def test_bad_snippet_rejected(self):
         with pytest.raises(SpliceError):
             make_paste_instance(TARGET, "for (int i = 0; i <", 3, 3)

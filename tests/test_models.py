@@ -340,7 +340,9 @@ class TestVariants:
     @pytest.mark.parametrize("field, value", [
         ("hidden", 0), ("window", 0), ("chain_len", -1), ("tree_depth", -1),
         ("type_dropout", -0.1), ("type_dropout", 1.0),
-        ("type_dropout", float("nan"))])
+        ("type_dropout", float("nan")), ("hidden", 4.0), ("hidden", True),
+        ("window", 2.5), ("chain_len", 2.5), ("tree_depth", 1.5),
+        ("unk_types", "no"), ("type_dropout", "0.5")])
     def test_out_of_range_hyper_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             Hyper(**{field: value})
