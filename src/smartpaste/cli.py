@@ -281,11 +281,16 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_at(at: str) -> tuple:
+    """The 1-based (line, column) of an `--at LINE:COL` argument."""
     try:
         line, col = at.split(":")
-        return int(line), int(col)
+        line, col = int(line), int(col)
     except ValueError:
         raise CliError(f"--at expects LINE:COL, got {at!r}")
+    if line < 1 or col < 1:
+        raise CliError(f"--at expects LINE:COL with LINE, COL >= 1, "
+                       f"got {at!r}")
+    return line, col
 
 
 def _cmd_paste(args) -> int:

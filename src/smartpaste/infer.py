@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
-from .minilang.lexer import reconstruct, tokenize
+from .minilang.lexer import LexError, reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
 from .models import Encoder, ModelParams
 from .taskgen import Placeholder, TaskInstance, make_placeholder
@@ -175,7 +175,7 @@ def _parse_snippet(snippet_source: str) -> Tuple[int, List[int]]:
                          for e in ast.walk_exprs(top)
                          if isinstance(e, ast.Var)]
         return len(tokens), sorted(uses)
-    except ParseError as e:
+    except (LexError, ParseError) as e:
         raise SpliceError(f"snippet does not parse: {e}") from e
 
 
@@ -235,7 +235,7 @@ def make_paste_instance(target_source: str, snippet_source: str,
     truth = -1 for every placeholder."""
     try:
         target = compile_source(target_source)
-    except (CheckError, ParseError) as e:
+    except (CheckError, LexError, ParseError) as e:
         raise SpliceError(f"target does not compile: {e}") from e
     n_snippet, uses = _parse_snippet(snippet_source)
 

@@ -2,9 +2,11 @@
 element-wise and segment max pooling, softmax cross-entropy, and Adam.
 
 The ops the encoders use take a vector of shape (H,) or a column batch of
-shape (H, B), one example per column: `matmul`, `add_bias`, `gru_step` and
-the element-wise ops work on either, `gather`, `columns` and `segment_max`
-move and pool columns, and `dot` scores one vector against every column.
+shape (H, B), one example per column: `add`, `matmul` and `gru_step` work
+on either, `gather`, `columns` and `segment_max` move and pool columns, and
+`dot` scores one vector against every column.  The GRU cell is one op: its
+gates, candidate state and output are computed in numpy, and one
+hand-written vjp returns the gradients of its state, input and parameters.
 
 Wide (float64) precision is the default; tests quote all tolerances at wide
 precision.  The tape is implicit: each op's result records its parents and
@@ -162,17 +164,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    return _op(a.data * b.data, (a, b),
-               lambda g: (g * b.data, g * a.data))
-
-
 def matmul(w: Tensor, x: Tensor) -> Tensor:
     """W @ x for a vector x of shape (N,) or a column batch of shape (N, B)."""
     if w.data.ndim != 2 or x.data.ndim not in (1, 2) \
@@ -181,16 +172,6 @@ def matmul(w: Tensor, x: Tensor) -> Tensor:
     return _op(w.data @ x.data, (w, x),
                lambda g: (np.outer(g, x.data) if x.data.ndim == 1
                           else g @ x.data.T, w.data.T @ g))
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x + b, the (H,) bias b broadcast over the columns of an (H, B) x."""
-    if b.data.ndim != 1 or x.data.ndim not in (1, 2) \
-            or x.shape[0] != b.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} + {b.shape}")
-    batched = x.data.ndim == 2
-    return _op(x.data + (b.data[:, None] if batched else b.data), (x, b),
-               lambda g: (g, g.sum(axis=1) if batched else g))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -215,16 +196,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _op(np.concatenate([p.data for p in parts]), tuple(parts),
                lambda g: [g[lo:hi]
                           for lo, hi in zip(offsets[:-1], offsets[1:])])
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _op(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _op(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def mean_of(parts: Sequence[Tensor]) -> Tensor:
@@ -390,13 +361,44 @@ class GruCellParams:
 def gru_step(h: Tensor, x: Tensor, p: GruCellParams) -> Tensor:
     """z = s(Wz x + Uz h + bz); r = s(Wr x + Ur h + br);
     hcand = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*hcand.
-    h and x are (H,) vectors or (H, B) column batches."""
-    z = sigmoid(add_bias(add(matmul(p.wz, x), matmul(p.uz, h)), p.bz))
-    r = sigmoid(add_bias(add(matmul(p.wr, x), matmul(p.ur, h)), p.br))
-    hcand = tanh(add_bias(add(matmul(p.wh, x), matmul(p.uh, mul(r, h))),
-                          p.bh))
-    one_minus_z = sub(constant(np.ones_like(z.data)), z)
-    return add(mul(one_minus_z, h), mul(z, hcand))
+    h and x are (H,) vectors or (H, B) column batches; a vector runs as a
+    one-column batch.  One op: its parents are h, x and the cell's nine
+    tensors, and its vjp returns their eleven gradients."""
+    if h.data.ndim not in (1, 2) or x.data.ndim != h.data.ndim \
+            or h.shape[1:] != x.shape[1:] or h.shape[0] != p.uz.shape[1] \
+            or x.shape[0] != p.wz.shape[1]:
+        raise ShapeError(f"gru_step: h {h.shape}, x {x.shape} for a cell "
+                         f"of {p.wz.shape[1]} -> {p.uz.shape[1]}")
+    vector = h.data.ndim == 1
+    hd = h.data[:, None] if vector else h.data
+    xd = x.data[:, None] if vector else x.data
+    z = 1.0 / (1.0 + np.exp(-(p.wz.data @ xd + p.uz.data @ hd
+                              + p.bz.data[:, None])))
+    r = 1.0 / (1.0 + np.exp(-(p.wr.data @ xd + p.ur.data @ hd
+                              + p.br.data[:, None])))
+    rh = r * hd
+    cand = np.tanh(p.wh.data @ xd + p.uh.data @ rh + p.bh.data[:, None])
+    keep = 1.0 - z
+    out = keep * hd + z * cand
+
+    def vjp(g):
+        g = g[:, None] if vector else g
+        # the gates' and the candidate's pre-activation gradients
+        a_cand = g * z * (1.0 - cand * cand)
+        d_rh = p.uh.data.T @ a_cand
+        a_r = d_rh * hd * r * (1.0 - r)
+        a_z = g * (cand - hd) * z * keep
+        dh = g * keep + d_rh * r + p.uz.data.T @ a_z \
+            + p.ur.data.T @ a_r
+        dx = p.wz.data.T @ a_z + p.wr.data.T @ a_r + p.wh.data.T @ a_cand
+        if vector:
+            dh, dx = dh[:, 0], dx[:, 0]
+        return (dh, dx,
+                a_z @ xd.T, a_z @ hd.T, a_z.sum(axis=1),
+                a_r @ xd.T, a_r @ hd.T, a_r.sum(axis=1),
+                a_cand @ xd.T, a_cand @ rh.T, a_cand.sum(axis=1))
+
+    return _op(out[:, 0] if vector else out, (h, x, *p.tensors()), vjp)
 
 
 # --- optimizer --------------------------------------------------------------

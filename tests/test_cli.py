@@ -506,6 +506,38 @@ class TestPaste:
                      workspace["model"]]) == 1
         assert "LINE:COL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [["--at", "3:0"], ["--at", "3:-2"],
+                                    ["--at=-1:3"]])
+    def test_position_below_one_fails(self, workspace, tmp_path, capsys, at):
+        """Lines and columns count from 1; 3:0 used to paste at 3:1."""
+        target = tmp_path / "target.ml0"
+        snippet = tmp_path / "snippet.ml0"
+        target.write_text(TARGET)
+        snippet.write_text(SNIPPET)
+        out = tmp_path / "out.ml0"
+        assert main(["paste", "--target", str(target), "--snippet",
+                     str(snippet), *at, "--model", workspace["model"],
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --at expects LINE:COL with LINE, "
+                              "COL >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side, text, message", [
+        ("target", TARGET.replace("return sum;", "return sum $ 1;"),
+         "target does not compile: illegal character '$' at 3:14"),
+        ("snippet", "c = a $ b;",
+         "snippet does not parse: illegal character '$' at 1:7")])
+    def test_lex_error_names_the_input(self, workspace, tmp_path, capsys,
+                                       side, text, message):
+        sources = {"target": TARGET, "snippet": SNIPPET, side: text}
+        for name, source in sources.items():
+            (tmp_path / f"{name}.ml0").write_text(source)
+        assert main(["paste", "--target", str(tmp_path / "target.ml0"),
+                     "--snippet", str(tmp_path / "snippet.ml0"), "--at",
+                     "3:3", "--model", workspace["model"]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("key, value", [
         ("variant", None), ("hyper", None), ("types", None),
         ("lexemes", None), ("variant", 3), ("hyper", [16]),

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from smartpaste import nn
 from smartpaste.oracle import finite_diff_grad
 
+import nn_reference as ref
+
 RNG = np.random.default_rng(42)
 
 
@@ -38,8 +40,8 @@ class TestOpGradients:
     def test_add_sub_mul(self):
         a, b = RNG.normal(size=5), RNG.normal(size=5)
         gradcheck(lambda p: nn.dot(nn.add(p[0], p[1]), p[0]), [a, b])
-        gradcheck(lambda p: nn.dot(nn.sub(p[0], p[1]), p[1]), [a, b])
-        gradcheck(lambda p: nn.dot(nn.mul(p[0], p[1]), p[0]), [a, b])
+        gradcheck(lambda p: nn.dot(ref.sub(p[0], p[1]), p[1]), [a, b])
+        gradcheck(lambda p: nn.dot(ref.mul(p[0], p[1]), p[0]), [a, b])
 
     def test_matvec_dot_concat(self):
         w, x, y = RNG.normal(size=(4, 5)), RNG.normal(size=5), \
@@ -50,7 +52,7 @@ class TestOpGradients:
 
     def test_nonlinearities(self):
         x = RNG.normal(size=6)
-        gradcheck(lambda p: nn.dot(nn.sigmoid(p[0]), nn.tanh(p[0])), [x])
+        gradcheck(lambda p: nn.dot(ref.sigmoid(p[0]), ref.tanh(p[0])), [x])
 
     def test_mean_and_pack(self):
         a, b = RNG.normal(size=3), RNG.normal(size=3)
@@ -105,15 +107,15 @@ class TestBatchedOps:
     def test_matmul_batch_gradient(self):
         w, x, y = RNG.normal(size=(4, 3)), RNG.normal(size=(3, 5)), \
             RNG.normal(size=(4, 5))
-        gradcheck(lambda p: _total(nn.mul(nn.matmul(p[0], p[1]), p[2])),
+        gradcheck(lambda p: _total(ref.mul(nn.matmul(p[0], p[1]), p[2])),
                   [w, x, y])
 
     def test_add_bias_broadcasts(self):
         x, b = RNG.normal(size=(3, 4)), RNG.normal(size=3)
         weights = RNG.normal(size=(3, 4))
-        gradcheck(lambda p: _total(nn.mul(nn.add_bias(p[0], p[1]),
-                                          nn.constant(weights))), [x, b])
-        got = nn.add_bias(nn.constant(x), nn.constant(b)).data
+        gradcheck(lambda p: _total(ref.mul(ref.add_bias(p[0], p[1]),
+                                           nn.constant(weights))), [x, b])
+        got = ref.add_bias(nn.constant(x), nn.constant(b)).data
         assert np.array_equal(got, x + b[:, None])
 
     def test_dot_against_columns(self):
@@ -125,8 +127,8 @@ class TestBatchedOps:
     def test_columns_gradient(self):
         a, b = RNG.normal(size=3), RNG.normal(size=(3, 2))
         weights = RNG.normal(size=(3, 4))
-        gradcheck(lambda p: _total(nn.mul(nn.columns([p[0], p[1], p[0]]),
-                                          nn.constant(weights))), [a, b])
+        gradcheck(lambda p: _total(ref.mul(nn.columns([p[0], p[1], p[0]]),
+                                           nn.constant(weights))), [a, b])
         with pytest.raises(nn.ShapeError):
             nn.columns([nn.constant(np.zeros(3)), nn.constant(np.zeros(2))])
 
@@ -134,8 +136,8 @@ class TestBatchedOps:
         x = RNG.normal(size=(3, 4))
         weights = RNG.normal(size=(3, 5))
         index = [2, 0, 2, 2, 1]
-        gradcheck(lambda p: _total(nn.mul(nn.gather(p[0], index),
-                                          nn.constant(weights))), [x])
+        gradcheck(lambda p: _total(ref.mul(nn.gather(p[0], index),
+                                           nn.constant(weights))), [x])
         src = nn.parameter(x.copy())
         _total(nn.gather(src, index)).backward()
         assert src.grad[:, 2].tolist() == [3.0, 3.0, 3.0]
@@ -146,8 +148,8 @@ class TestBatchedOps:
     def test_segment_max_gradient(self):
         x = RNG.normal(size=(3, 6))
         weights = RNG.normal(size=(3, 3))
-        gradcheck(lambda p: _total(nn.mul(nn.segment_max(p[0], [0, 2, 3]),
-                                          nn.constant(weights))), [x])
+        gradcheck(lambda p: _total(ref.mul(nn.segment_max(p[0], [0, 2, 3]),
+                                           nn.constant(weights))), [x])
         got = nn.segment_max(nn.constant(x), [0, 2, 3]).data
         want = np.stack([x[:, 0:2].max(axis=1), x[:, 2],
                          x[:, 3:].max(axis=1)], axis=1)
@@ -196,8 +198,8 @@ class TestBatchedOps:
         def build(p):
             c = nn.GruCellParams.__new__(nn.GruCellParams)
             (c.wz, c.uz, c.bz, c.wr, c.ur, c.br, c.wh, c.uh, c.bh) = p[2:]
-            return _total(nn.mul(nn.gru_step(p[0], p[1], c),
-                                 nn.constant(weights)))
+            return _total(ref.mul(nn.gru_step(p[0], p[1], c),
+                                  nn.constant(weights)))
 
         gradcheck(build, arrays)
 
@@ -208,24 +210,75 @@ def _total(x):
     return nn.dot(rows, nn.constant(np.ones(rows.shape[0])))
 
 
+def _cell(tensors):
+    """A GRU cell whose nine tensors are the given ones, in `tensors()`
+    order."""
+    c = nn.GruCellParams.__new__(nn.GruCellParams)
+    (c.wz, c.uz, c.bz, c.wr, c.ur, c.br, c.wh, c.uh, c.bh) = tensors
+    return c
+
+
+def _cell_shapes(input_size, hidden):
+    return [(hidden, input_size), (hidden, hidden), (hidden,)] * 3
+
+
+class TestFusedGru:
+    """`nn.gru_step`, one op with a hand-written vjp, against the cell
+    composed of about 20 tape ops in `nn_reference`."""
+
+    @pytest.mark.parametrize("input_size, hidden, batch", [
+        (3, 3, None), (5, 3, None), (5, 3, 4), (2, 4, 3)])
+    def test_matches_composed_cell(self, input_size, hidden, batch):
+        """The value and all eleven gradients; an input size other than
+        the hidden size would catch a transposed W or U."""
+        rng = np.random.default_rng(7)
+        tail = () if batch is None else (batch,)
+        cell = nn.GruCellParams(rng, input_size, hidden, "g")
+        arrays = [rng.normal(size=(hidden,) + tail),
+                  rng.normal(size=(input_size,) + tail)] + [
+            t.data + rng.normal(scale=0.5, size=t.shape)
+            for t in cell.tensors()]
+        weights = nn.constant(rng.normal(size=(hidden,) + tail))
+        results = []
+        for step in (nn.gru_step, ref.gru_step):
+            p = [nn.parameter(a.copy()) for a in arrays]
+            out = step(p[0], p[1], _cell(p[2:]))
+            loss = nn.dot(out, weights) if batch is None \
+                else _total(ref.mul(out, weights))
+            loss.backward()
+            results.append([out.data] + [t.grad for t in p])
+        fused, composed = results
+        assert len(fused) == 12
+        for a, b in zip(fused, composed):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+
+    def test_shape_errors(self):
+        cell = nn.GruCellParams(RNG, 5, 3, "g")
+        for h, x in [((3,), (3,)), ((5,), (5,)), ((3,), (5, 1)),
+                     ((3, 2), (5, 3)), ((3, 2, 1), (5, 2, 1))]:
+            with pytest.raises(nn.ShapeError):
+                nn.gru_step(nn.constant(np.zeros(h)), nn.constant(np.zeros(x)),
+                            cell)
+
+
 # op -> (constant input's shape, parameter shapes, build(constant, params)):
 # each op with one input that needs no gradient
 MIXED_INPUTS = {
     "sub": ((3,), [(3,), (3,)],
-            lambda c, p: nn.dot(nn.sub(c, p[0]), p[1])),
+            lambda c, p: nn.dot(ref.sub(c, p[0]), p[1])),
     "mul": ((3,), [(3,), (3,)],
-            lambda c, p: nn.dot(nn.mul(p[0], c), p[1])),
+            lambda c, p: nn.dot(ref.mul(p[0], c), p[1])),
     "matmul": ((3, 4), [(2, 3), (2, 4)],
-               lambda c, p: _total(nn.mul(nn.matmul(p[0], c), p[1]))),
+               lambda c, p: _total(ref.mul(nn.matmul(p[0], c), p[1]))),
     "add_bias": ((3, 4), [(3,), (3, 4)],
-                 lambda c, p: _total(nn.mul(nn.add_bias(c, p[0]), p[1]))),
+                 lambda c, p: _total(ref.mul(ref.add_bias(c, p[0]), p[1]))),
     "dot": ((3, 4), [(3,), (4,)],
             lambda c, p: nn.dot(nn.dot(p[0], c), p[1])),
     "concat": ((2,), [(3,), (5,)],
                lambda c, p: nn.dot(nn.concat([p[0], c]), p[1])),
     "columns": ((3,), [(3, 2), (3, 4)],
-                lambda c, p: _total(nn.mul(nn.columns([c, p[0], c]),
-                                           p[1]))),
+                lambda c, p: _total(ref.mul(nn.columns([c, p[0], c]),
+                                            p[1]))),
     "mean_of": ((3,), [(3,), (3,)],
                 lambda c, p: nn.dot(nn.mean_of([p[0], c, p[0]]), p[1])),
     "elementwise_max": ((3,), [(3,), (3,)],
@@ -233,6 +286,13 @@ MIXED_INPUTS = {
                                             p[1])),
     "pack": ((), [(3,), (2,)],
              lambda c, p: nn.dot(nn.pack([nn.dot(p[0], p[0]), c]), p[1])),
+    "gru_step_constant_h": (
+        (3,), [(2,)] + _cell_shapes(2, 3) + [(3,)],
+        lambda c, p: nn.dot(nn.gru_step(c, p[0], _cell(p[1:10])), p[10])),
+    "gru_step_constant_x": (
+        (2, 4), [(3, 4)] + _cell_shapes(2, 3) + [(3, 4)],
+        lambda c, p: _total(ref.mul(nn.gru_step(p[0], c, _cell(p[1:10])),
+                                    p[10]))),
 }
 
 
@@ -351,7 +411,7 @@ class TestOpSemantics:
 
     def test_backward_visits_shared_nodes_once(self):
         x = nn.parameter(np.array([3.0]))
-        y = nn.mul(x, x)           # x^2
+        y = ref.mul(x, x)          # x^2
         z = nn.dot(y, nn.constant(np.ones(1)))
         z.backward()
         assert x.grad.tolist() == [6.0]
