@@ -41,21 +41,25 @@ class Assignment:
 
 def rank_placeholders(inst: TaskInstance, encoder: Encoder,
                       phs: Sequence[Placeholder],
-                      context_assignment: Dict[int, Optional[int]]
+                      *context_assignments: Dict[int, Optional[int]]
                       ) -> List[List[Tuple[int, float]]]:
     """Each placeholder's candidates ranked by conditional probability with
-    every other placeholder bound per context_assignment (`None` leaves it
-    unbound).  One view, made through the encoder's flow, binds every
-    placeholder; each ranked placeholder is ranked on that view with its own
-    token unbound (`UseGraph.without`), so a lone ranked placeholder needs
-    no binding of its own.  Ties break toward the lowest symbol id.  This is
+    every other placeholder bound per a context assignment (`None` leaves it
+    unbound), all of `phs` under each assignment in turn.  One view per
+    assignment, made through the encoder's flow, binds every placeholder;
+    each ranked placeholder is ranked on that view with its own token
+    unbound (`UseGraph.without`), so a lone ranked placeholder needs no
+    binding of its own.  Ties break toward the lowest symbol id.  This is
     the one path from a binding to a ranking: its missing scores are
-    computed in one `Encoder.rank` batch over all of `phs`."""
+    computed in one `Encoder.rank` batch."""
     lone = phs[0].token_index if len(phs) == 1 else None
-    bound = encoder.flow.uses({t: context_assignment[t]
-                               for t in inst.placeholder_tokens if t != lone})
-    return encoder.rank([(bound.without(ph.token_index), ph.token_index,
-                          ph.candidates) for ph in phs])
+    groups = []
+    for context in context_assignments:
+        bound = encoder.flow.uses({t: context[t] for t in
+                                   inst.placeholder_tokens if t != lone})
+        groups += [(bound.without(ph.token_index), ph.token_index,
+                    ph.candidates) for ph in phs]
+    return encoder.rank(groups)
 
 
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
@@ -67,21 +71,33 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
     return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
 
 
+def assess(inst: TaskInstance, encoder: Encoder,
+           mappings: Sequence[Dict[int, int]]) -> List[Assignment]:
+    """Each mapping's pseudo-log-likelihood (the sum over placeholders of
+    the log conditional probability of the assigned symbol given all the
+    others) with every placeholder's ranking under it, all mappings ranked
+    in one `rank_placeholders` call."""
+    phs = inst.placeholders
+    ranked = rank_placeholders(inst, encoder, phs, *mappings)
+    out = []
+    for start, mapping in zip(range(0, len(ranked), len(phs)), mappings):
+        total = 0.0
+        rankings = {}
+        for ph, ranking in zip(phs, ranked[start:start + len(phs)]):
+            rankings[ph.token_index] = ranking
+            prob = dict(ranking)[mapping[ph.token_index]]
+            total += math.log(max(prob, 1e-300))
+        out.append(Assignment(mapping, total, rankings))
+    return out
+
+
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
                    mapping: Dict[int, int]
                    ) -> Tuple[float, Dict[int, List[Tuple[int, float]]]]:
-    """Pseudo-log-likelihood: sum over placeholders of the log conditional
-    probability of the assigned symbol given all the others, with every
-    placeholder's ranking; all placeholders are ranked in one
-    `rank_placeholders` call."""
-    total = 0.0
-    rankings = {}
-    for ph, ranked in zip(inst.placeholders, rank_placeholders(
-            inst, encoder, inst.placeholders, mapping)):
-        rankings[ph.token_index] = ranked
-        prob = dict(ranked)[mapping[ph.token_index]]
-        total += math.log(max(prob, 1e-300))
-    return total, rankings
+    """The pseudo-log-likelihood of one mapping and every placeholder's
+    ranking under it: `assess` of that mapping alone."""
+    state, = assess(inst, encoder, [mapping])
+    return state.total_log_prob, state.rankings
 
 
 def check_search(restarts: int, max_sweeps: int):
@@ -101,22 +117,27 @@ def icm(inst: TaskInstance, params: ModelParams,
     placeholders in token order setting each to its conditional argmax, with
     restarts; returns the restart with the highest pseudo-log-likelihood.
 
-    A restart's state is one `Assignment` made by `total_log_prob`: its
-    rankings are every placeholder's conditional under its mapping, so a
-    sweep reads each argmax from them and ranks nothing itself.  An argmax
-    update also shifts the relations every other conditional is computed
-    from, so a raw update can lower the total; a trial state is kept only if
-    its total is not lower, which keeps the per-update total non-decreasing
-    within a restart.  The first restart starts from the independent
-    per-placeholder argmax (every placeholder unbound, all ranked in one
+    A restart's state is one `Assignment` made by `assess`: its rankings
+    are every placeholder's conditional under its mapping, so a sweep reads
+    each argmax from them and ranks nothing itself.  An argmax update also
+    shifts the relations every other conditional is computed from, so a raw
+    update can lower the total; a trial state is kept only if its total is
+    not lower, which keeps the per-update total non-decreasing within a
+    restart.  The first restart starts from the independent per-placeholder
+    argmax (every placeholder unbound, all ranked in one
     `rank_placeholders` call), which tends to sit in the basin of the
     jointly best assignment; the remaining restarts start random.  `trace`,
     when given, collects the per-update totals of each restart.
 
-    Every conditional goes through one encoder, so through one
-    `ProgramFlow` and one score memo: after an update moves a placeholder
-    from symbol a to b, only scores keyed by a's or b's occurrences are
-    computed again, in one tape-free batch per total."""
+    The restarts run in lockstep, each as a `climb` that yields its trial
+    mappings: `rng` draws only the starts, so all are drawn first, in
+    restart order, and assessed in one batch; then each step assesses the
+    next trial of every restart still sweeping in one `assess` call.  Each
+    restart decides alone, so its mapping, decisions and trace are those of
+    running it by itself.  Every conditional goes through one encoder, so
+    through one `ProgramFlow` and one score memo: after an update moves a
+    placeholder from symbol a to b, only scores keyed by a's or b's
+    occurrences are computed again, in one tape-free batch per step."""
     check_search(restarts, max_sweeps)
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
@@ -124,38 +145,49 @@ def icm(inst: TaskInstance, params: ModelParams,
                           placeholder_tokens=inst.placeholder_tokens)
     phs = sorted(inst.placeholders, key=lambda p: p.token_index)
 
-    def assess(mapping: Dict[int, int]) -> Assignment:
-        total, rankings = total_log_prob(inst, encoder, mapping)
-        return Assignment(mapping, total, rankings)
-
-    best: Optional[Assignment] = None
-    for attempt in range(restarts):
-        if attempt == 0:
-            unbound = dict.fromkeys(inst.placeholder_tokens)
-            state = assess({p.token_index: ranked[0][0]
-                            for p, ranked in zip(phs, rank_placeholders(
-                                inst, encoder, phs, unbound))})
-        else:
-            state = assess({p.token_index: rng.choice(p.candidates)
-                            for p in phs})
-        restart_trace: List[float] = []
+    def climb(state: Assignment, restart_trace: List[float]):
+        # one restart's sweeps: yields each trial mapping, is sent its
+        # assessment, and returns the final state
         for _sweep in range(max_sweeps):
             changed = False
             for ph in phs:
                 t = ph.token_index
                 top = state.rankings[t][0][0]
                 if state.mapping[t] != top:
-                    trial = assess({**state.mapping, t: top})
+                    trial = yield {**state.mapping, t: top}
                     if trial.total_log_prob >= state.total_log_prob:
                         state, changed = trial, True
                 restart_trace.append(state.total_log_prob)
             if not changed:
                 break
-        if trace is not None:
-            trace.append(restart_trace)
-        if best is None or state.total_log_prob > best.total_log_prob:
-            best = state
-    return best
+        return state
+
+    unbound = dict.fromkeys(inst.placeholder_tokens)
+    starts = [{p.token_index: ranked[0][0]
+               for p, ranked in zip(phs, rank_placeholders(
+                   inst, encoder, phs, unbound))}]
+    starts += [{p.token_index: rng.choice(p.candidates) for p in phs}
+               for _ in range(restarts - 1)]
+    traces: List[List[float]] = [[] for _ in starts]
+    climbs = [climb(state, restart_trace) for state, restart_trace
+              in zip(assess(inst, encoder, starts), traces)]
+    finals: List[Optional[Assignment]] = [None] * restarts
+    # restart -> the assessment of its last trial, for each live restart
+    replies: Dict[int, Optional[Assignment]] = dict.fromkeys(range(restarts))
+    while True:
+        trials = {}
+        for r, reply in replies.items():
+            try:
+                trials[r] = climbs[r].send(reply)
+            except StopIteration as done:
+                finals[r] = done.value
+        if not trials:
+            break
+        replies = dict(zip(trials, assess(inst, encoder,
+                                          list(trials.values()))))
+    if trace is not None:
+        trace.extend(traces)
+    return max(finals, key=lambda state: state.total_log_prob)
 
 
 # --- paste ------------------------------------------------------------------

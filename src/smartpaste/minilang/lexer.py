@@ -26,11 +26,12 @@ class LexError(Exception):
         self.column = column
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One lexeme.  `leading` holds the whitespace/comments preceding it so
     that concatenating leading+text over all tokens, plus the last token's
-    `trailing`, reproduces the source."""
+    `trailing`, reproduces the source.  Slotted: a program keeps one per
+    lexeme for as long as it lives."""
 
     index: int
     text: str

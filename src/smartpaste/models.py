@@ -184,17 +184,27 @@ class ModelParams:
         except (TypeError, ValueError) as e:
             raise ValueError(f"checkpoint config 'hyper' is ill-formed: "
                              f"{e}") from e
+        # compare the sizes `hyper` asks for with the stored ones before
+        # building a model of those sizes
+        h = hyper.hidden
+        _check_shape("w_c", loaded, (h, 2 * h))
+        if hyper.context_encoder == "logbilinear":
+            for side in ("prev", "next"):
+                stored = sum(name.startswith(f"ctx.{side}") for name in loaded)
+                if stored != hyper.window:
+                    raise ValueError(f"checkpoint holds {stored} ctx.{side} "
+                                     f"matrices, but its hyper window is "
+                                     f"{hyper.window}")
         params = cls(cfg["variant"], hyper, cfg["types"], cfg["lexemes"])
         named = params.named()
         if set(named) != set(loaded):
-            missing = set(named) ^ set(loaded)
-            raise ValueError(f"checkpoint parameter mismatch: {sorted(missing)}")
+            differ = sorted(set(named) ^ set(loaded))
+            more = ", ..." if len(differ) > 5 else ""
+            raise ValueError(f"checkpoint parameter mismatch: {len(differ)} "
+                             f"names differ: {', '.join(differ[:5])}{more}")
         for name, t in named.items():
+            _check_shape(name, loaded, t.data.shape)
             data = loaded[name].data
-            if data.shape != t.data.shape:
-                raise ValueError(f"checkpoint parameter {name!r} has shape "
-                                 f"{data.shape}, the model needs "
-                                 f"{t.data.shape}")
             if not np.isfinite(data).all():
                 raise ValueError(f"checkpoint parameter {name!r} holds a "
                                  f"value that is not finite")
@@ -202,8 +212,18 @@ class ModelParams:
         return params, cfg
 
 
+def _check_shape(name: str, loaded: Dict[str, Tensor],
+                 shape: Tuple[int, ...]):
+    """Reject a checkpoint whose parameter `name` is absent or not `shape`."""
+    if name not in loaded:
+        raise ValueError(f"checkpoint has no parameter {name!r}")
+    if loaded[name].shape != shape:
+        raise ValueError(f"checkpoint parameter {name!r} has shape "
+                         f"{loaded[name].shape}, the model needs {shape}")
+
+
 class _TreeIndex:
-    """One direction's TreeGRU over all candidates of a placeholder, as
+    """One direction's TreeGRU over all candidates of a usage batch, as
     per-depth batches.  Columns of the state bank at depth d are the K type
     representations (the leaves) followed by the node states of depth d - 1;
     each depth lists its nodes' (child bank column, child context column)
@@ -215,13 +235,14 @@ class _TreeIndex:
         self.levels: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         self.roots: List[int] = []
 
-    def add_node(self, depth: int, edges: List[Tuple[int, int]]) -> int:
-        child_cols, ctx_cols, starts = self.levels.setdefault(
-            depth, ([], [], []))
+    def add_node(self, depth: int, children: List[int],
+                 contexts: List[int]) -> int:
+        """A node at `depth` whose edges are (children[i], contexts[i])."""
+        child_cols, ctx_cols, starts = self.levels.get(depth) \
+            or self.levels.setdefault(depth, ([], [], []))
         starts.append(len(child_cols))
-        for child, ctx in edges:
-            child_cols.append(child)
-            ctx_cols.append(ctx)
+        child_cols += children
+        ctx_cols += contexts
         return self.k + len(starts) - 1
 
     def add_chain(self, k: int, ctx_cols: Sequence[int], top: int):
@@ -229,7 +250,7 @@ class _TreeIndex:
         column, the last at depth `top`; an empty chain's root is leaf k."""
         node = k
         for depth, ctx in enumerate(ctx_cols, top - len(ctx_cols) + 1):
-            node = self.add_node(depth, [(node, ctx)])
+            node = self.add_node(depth, [node], [ctx])
         self.roots.append(node)
 
 
@@ -266,8 +287,9 @@ class Encoder:
     arithmetic then runs in column batches: every missing bank in one
     batch, and every tree depth (a `grug` chain is a one-child tree) of
     every candidate of every group in one GRU step per direction.  A
-    training step (one encoder per item), a validation instance and an ICM
-    update all go through it.
+    training step (one encoder per item, so its groups share no node), a
+    validation instance and a lockstep ICM step over all of its restarts
+    all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -346,37 +368,58 @@ class Encoder:
     # -- usage representations --
 
     def _index_tree(self, ug: UseGraph, t: int, v: int, k: int,
-                    direction: str, index: _TreeIndex, base: int):
+                    direction: str, index: _TreeIndex, base: int,
+                    memo: Dict[Tuple[int, int], int]):
         """Walk candidate k's bounded data-flow unrolling from t in the
         order of the recursive TreeGRU (children sorted, each child's
         subtree before its context) and add its nodes to `index`, reading
         the context of position x from column `base + positions[x]`.  A node
         at depth 0, at EPS or without children is the leaf: the type
-        representation.  Repeated (position, depth) subtrees are shared."""
+        representation.  `memo` maps (position, depth) to the column of a
+        node already added: a node's state depends only on the encoder, v,
+        v's occurrences, its position and its depth, so walks of one such
+        (encoder, v, occurrences) may share a memo, and a shared node's
+        leaves are another walk's column of the same type representation.
+        A loop, not recursion, so `tree_depth` may exceed the recursion
+        limit."""
         rel = ug.relations(v)[0 if direction == "prev" else 1]
         cols = self.positions
-        memo: Dict[Tuple[int, int], int] = {}
-
-        def state(pos: int, depth: int) -> int:
-            if depth <= 0 or pos == EPS:
-                return k
-            children = sorted(rel.get(pos, ()))
-            if not children:
-                return k
-            key = (pos, depth)
-            if key not in memo:
-                edges = []
-                for child in children:
-                    below = state(child, depth - 1)
-                    edges.append((below, base + cols[child]))
-                memo[key] = index.add_node(depth, edges)
-            return memo[key]
-
-        index.roots.append(state(t, self.hyper.tree_depth))
-        # the recursive closure refers to itself: break the cycle, so that
-        # the walk's index and use graph are freed with their last
-        # reference, not when the cycle collector runs
-        del state
+        top = self.hyper.tree_depth
+        children = top > 0 and t != EPS and rel.get(t)
+        node = memo.get((t, top)) if children else k
+        if node is not None:
+            index.roots.append(node)
+            return
+        # the node being walked: position, its children's depth, children
+        # not yet visited, edges so far; `stack` holds the nodes above it
+        pos, depth, children, child_cols, ctx_cols = \
+            t, top - 1, iter(sorted(children)), [], []
+        stack = []
+        while True:
+            for child in children:
+                col = k
+                grandchildren = depth > 0 and child != EPS and rel.get(child)
+                if grandchildren:
+                    col = memo.get((child, depth))
+                    if col is None:  # its subtree first, then its edge
+                        stack.append((pos, depth, children, child_cols,
+                                      ctx_cols))
+                        pos, depth, children, child_cols, ctx_cols = \
+                            child, depth - 1, iter(sorted(grandchildren)), \
+                            [], []
+                        break
+                child_cols.append(col)
+                ctx_cols.append(base + cols[child])
+            else:
+                node = memo[pos, depth + 1] = index.add_node(
+                    depth + 1, child_cols, ctx_cols)
+                if not stack:
+                    break
+                ctx = base + cols[pos]
+                pos, depth, children, child_cols, ctx_cols = stack.pop()
+                child_cols.append(node)
+                ctx_cols.append(ctx)
+        index.roots.append(node)
 
     def usage_reprs(self, ug: UseGraph, t: int,
                     candidates: Sequence[int]) -> Tensor:
@@ -394,20 +437,23 @@ class Encoder:
         softmax of their scores c(t) . u(t, v), most probable first; equal
         probabilities go to the lower symbol id.  Scores missing from the
         memo are computed in one `usage_batch` over every group, inside
-        `nn.no_tape()`, and scored against the bank's c(t) columns."""
+        `nn.no_tape()`, and scored against the bank's c(t) columns; a key
+        that several groups miss is computed once."""
         memo = self._scores
         keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
                 for ug, t, candidates in groups]
         batch: List[UsageGroup] = []
-        missing = []
+        missing: Dict[Tuple[int, int, Tuple[int, ...]], None] = {}
         for (ug, t, _), group_keys in zip(groups, keys):
-            absent = [key for key in group_keys if key not in memo]
+            absent = [key for key in group_keys
+                      if key not in memo and key not in missing]
             if absent:
                 batch.append((self, ug, t, [v for _, v, _ in absent]))
-                missing += absent
+                missing.update(dict.fromkeys(absent))
         if batch:
             with nn.no_tape():
                 u = np.ascontiguousarray(usage_batch(batch).data.T)
+            scores = []
             start = 0
             for _, _, t, vs in batch:
                 c = self.bank.data[:, self.positions[t]]
@@ -416,9 +462,9 @@ class Encoder:
                 # columns of the batch, so equal usage columns keep exactly
                 # equal scores
                 stop = start + len(vs)
-                memo.update(zip(missing[start:stop],
-                                (u[start:stop] * c).sum(axis=1)))
+                scores.extend((u[start:stop] * c).sum(axis=1))
                 start = stop
+            memo.update(zip(missing, scores))
         ranked = []
         for (_, _, candidates), group_keys in zip(groups, keys):
             probs = nn.softmax_probs(np.array([memo[key]
@@ -499,7 +545,12 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     from column `base + positions[x]`.  The chain lists and one
     `_TreeIndex` per direction (`grug`'s chains or the data-flow trees)
     hold every group in global candidate columns, so each depth is one GRU
-    step per direction over the whole batch."""
+    step per direction over the whole batch.  Groups of one encoder share
+    the data-flow walks of a candidate with equal occurrences (one memo per
+    direction and (encoder, v, occurrences of v), see
+    `Encoder._index_tree`), as ICM's trial mappings mostly do, so its
+    subtrees are unrolled and stepped once and a shared node's gradient
+    sums over its readers."""
     params = groups[0][0].params
     variant = params.variant
     n = params.hyper.chain_len
@@ -510,6 +561,10 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
         (len(enc.positions) for enc in encoders), initial=0)))
     chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
     trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
+    # (encoder, v, occurrences of v) -> its walk memos, one per direction;
+    # with one group per encoder (a training step) no walk can share them
+    walks: Dict[tuple, Tuple[dict, dict]] = {}
+    shared = len(encoders) < len(groups)
     k = 0
     for enc, ug, t, candidates in groups:
         base, cols = bases[enc], enc.positions
@@ -522,8 +577,12 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
                     else:
                         chains[d].append(chain)
             if variant in ("grud", "hybrid"):
-                for d in ("prev", "next"):
-                    enc._index_tree(ug, t, v, k, d, trees[d], base)
+                memos = ({}, {})
+                if shared:
+                    memos = walks.setdefault(
+                        (enc, v, ug.occurrences.get(v, ())), memos)
+                for d, memo in zip(("prev", "next"), memos):
+                    enc._index_tree(ug, t, v, k, d, trees[d], base, memo)
             k += 1
 
     leaves = nn.columns([enc.type_embed(v)
@@ -534,11 +593,17 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     contexts = nn.columns([enc.bank for enc in encoders])
     p = params
     if variant in ("avgg", "hybrid"):
-        mean = np.zeros((contexts.shape[1], k_all))
+        rows: List[int] = []
+        ks: List[int] = []
+        weights: List[float] = []
         for k, (prev, nxt) in enumerate(zip(chains["prev"], chains["next"])):
             both = prev + nxt
             if both:
-                mean[both, k] = 1.0 / len(both)
+                rows += both
+                ks += [k] * len(both)
+                weights += [1.0 / len(both)] * len(both)
+        mean = np.zeros((contexts.shape[1], k_all))
+        mean[rows, ks] = weights
         avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
         if variant == "avgg":
             return avgg

@@ -4,10 +4,13 @@ paste, and the dump commands, all run in-process through main()."""
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smartpaste
 from smartpaste import evaluation, infer
 from smartpaste.cli import MODEL_DEFAULTS, build_parser, main
 from smartpaste.minilang import compile_source
@@ -580,6 +583,42 @@ class TestPaste:
         assert self._paste_with(doc, tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and field in err
+
+    @pytest.mark.parametrize("field, value, names", [
+        ("hidden", 1000000, "'w_c'"), ("window", 100000, "ctx.prev")])
+    def test_huge_hyper_size_fails_before_allocating(self, workspace,
+                                                     tmp_path, field, value,
+                                                     names):
+        """A `hyper` size the stored parameters do not have is rejected
+        before a model of that size is built: hidden 1000000 would need
+        terabytes, and window 100000 200,000 matrices whose names a
+        mismatch message listed.  The paste runs in its own process with
+        its address space capped at 1 GiB, so a regression fails with a
+        MemoryError there, not here."""
+        with open(workspace["model"]) as f:
+            doc = json.load(f)
+        doc["config"]["hyper"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        (tmp_path / "target.ml0").write_text(TARGET)
+        (tmp_path / "snippet.ml0").write_text(SNIPPET)
+        cap = 1 << 30
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                  "from smartpaste.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       smartpaste.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "paste", "--target",
+             str(tmp_path / "target.ml0"), "--snippet",
+             str(tmp_path / "snippet.ml0"), "--at", "3:3", "--model",
+             str(bad)], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: checkpoint")
+        assert names in done.stderr and str(value) in done.stderr
+        assert "Traceback" not in done.stderr and len(done.stderr) < 200
 
     @pytest.mark.parametrize("case", ["shape", "nan"])
     def test_bad_parameter_values_fail(self, workspace, tmp_path, capsys,

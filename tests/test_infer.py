@@ -140,10 +140,12 @@ class TestIcm:
         assert set(best.rankings) == set(loop_instance.placeholder_tokens)
 
 
-def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace):
-    """ICM in its direct form: every sweep step ranks its placeholder again
-    with `rank_single`, writes the argmax into the mapping in place, and
-    reverts a move that lowers the total."""
+def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace,
+                  trials=None):
+    """ICM in its direct form: the restarts one after another, every sweep
+    step ranks its placeholder again with `rank_single`, writes the argmax
+    into the mapping in place, and reverts a move that lowers the total.
+    `trials`, when given, collects each restart's number of moves tried."""
     phs = sorted(inst.placeholders, key=lambda p: p.token_index)
     best = None
     for attempt in range(max(restarts, 1)):
@@ -156,12 +158,14 @@ def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace):
             mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
         total, rankings = total_log_prob(inst, encoder, mapping)
         restart_trace = []
+        tried = 0
         for _sweep in range(max_sweeps):
             changed = False
             for ph in phs:
                 t = ph.token_index
                 top = rank_single(inst, encoder, ph, mapping)[0][0]
                 if mapping[t] != top:
+                    tried += 1
                     previous = mapping[t]
                     mapping[t] = top
                     new_total, new_rankings = total_log_prob(
@@ -175,6 +179,8 @@ def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace):
             if not changed:
                 break
         trace.append(restart_trace)
+        if trials is not None:
+            trials.append(tried)
         if best is None or total > best.total_log_prob:
             best = Assignment(dict(mapping), total, rankings)
     return best
@@ -210,7 +216,7 @@ def test_icm_matches_reference(icm_instances, variant):
             Encoder(params, inst.program,
                     placeholder_tokens=inst.placeholder_tokens)
             for _ in range(2))
-        for restarts in (1, 3):
+        for restarts in (1, 3, 5):
             for max_sweeps in (0, 1, 5):
                 for seed in (0, 1, 2):
                     trace, want_trace = [], []
@@ -242,6 +248,47 @@ def test_icm_matches_reference(icm_instances, variant):
             assert [s for s, _ in ranked] == [s for s, _ in fresh]
             assert [p for _, p in ranked] == pytest.approx(
                 [p for _, p in fresh], abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
+    """Restarts that stop after different numbers of sweeps agree with the
+    reference run one after another, and the lockstep search makes one
+    `Encoder.rank` call per step: the unbound ranking, the starts of all
+    restarts, then one call per step over the trial mappings of the
+    restarts that still try a move, every placeholder of each."""
+    calls = []
+    rank = Encoder.rank
+
+    def counted(self, groups):
+        if self is got_enc:
+            calls.append(len(groups))
+        return rank(self, groups)
+
+    monkeypatch.setattr(Encoder, "rank", counted)
+    stopped_apart = False
+    for inst in icm_instances:
+        params = small_model(inst.program, variant=variant)
+        n = len(inst.placeholders)
+        for seed in range(4):
+            got_enc, want_enc = (
+                Encoder(params, inst.program,
+                        placeholder_tokens=inst.placeholder_tokens)
+                for _ in range(2))
+            calls.clear()
+            trace, want_trace, trials = [], [], []
+            got = icm(inst, params, restarts=5, max_sweeps=5,
+                      rng=random.Random(seed), encoder=got_enc, trace=trace)
+            want = reference_icm(inst, want_enc, 5, 5, random.Random(seed),
+                                 want_trace, trials)
+            assert got.mapping == want.mapping
+            assert [len(r) for r in trace] == [len(r) for r in want_trace]
+            assert all(_close(a, b) for a, b in zip(trace, want_trace))
+            stopped_apart |= len({len(r) for r in want_trace}) > 1
+            assert calls == [n, 5 * n] + [
+                n * sum(tried > step for tried in trials)
+                for step in range(max(trials))]
+    assert stopped_apart
 
 
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)

@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smartpaste import nn
+from smartpaste import models, nn
 from smartpaste.dataflow import EPS, dataflow_uses
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
@@ -549,6 +550,138 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
         assert np.abs(a - b).max() <= 1e-12
 
 
+def _trial_groups(variant, ctx_kind="logbilinear", tree_depth=6):
+    """The groups one lockstep ICM step hands `usage_batch` for two trial
+    mappings of the pasted loop, the truth and the truth with its first
+    placeholder moved: per mapping one view binding every placeholder, and
+    each placeholder ranked on it with its own token unbound.  Most
+    candidates keep their occurrences across the groups of both views."""
+    prog = compile_source(SUM_POSITIVE)
+    inst = make_instance(prog, (17, 46))
+    types, lexemes = build_vocab([inst])
+    params = ModelParams(variant, Hyper(hidden=6, tree_depth=tree_depth,
+                                        context_encoder=ctx_kind),
+                         types, lexemes, seed=2)
+    enc = Encoder(params, prog, placeholder_tokens=inst.placeholder_tokens)
+    truth = {ph.token_index: ph.truth for ph in inst.placeholders}
+    first = inst.placeholders[0]
+    moved = {**truth, first.token_index: next(
+        v for v in first.candidates if v != first.truth)}
+    groups = []
+    for mapping in (truth, moved):
+        bound = enc.flow.uses(mapping)
+        groups += [(enc, bound.without(ph.token_index), ph.token_index,
+                    ph.candidates) for ph in inst.placeholders]
+    return params, groups
+
+
+@pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_usage_batch_shares_nodes_across_groups(variant, ctx_kind):
+    """Groups of one encoder whose candidates share v and v's occurrences
+    share their data-flow nodes in one `usage_batch`: values and gradients
+    still match one `usage_reprs` per group on a fresh encoder to 1e-12."""
+    params, groups = _trial_groups(variant, ctx_kind)
+    rng = np.random.default_rng(4)
+    probe = nn.constant(rng.normal(size=6))
+    weights = nn.constant(rng.normal(size=sum(len(g[3]) for g in groups)))
+
+    batched = usage_batch(groups)
+    g_batched = _grads(params, nn.dot(nn.dot(probe, batched), weights))
+    per_group = [Encoder(params, enc.program,
+                         placeholder_tokens=enc.placeholder_tokens
+                         ).usage_reprs(ug, t, cands)
+                 for enc, ug, t, cands in groups]
+    g_per_group = _grads(params, nn.dot(nn.dot(probe, nn.columns(per_group)),
+                                        weights))
+    want = np.concatenate([u.data for u in per_group], axis=1)
+    assert np.abs(batched.data - want).max() <= 1e-12
+    for a, b in zip(g_batched, g_per_group):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_rank_computes_each_missing_score_once(monkeypatch):
+    """Groups of one `Encoder.rank` call that miss the same (t, v,
+    occurrences of v) score, as two trial mappings' groups do, encode that
+    candidate once, and a second call encodes nothing."""
+    params, groups = _trial_groups("grud")
+    enc = groups[0][0]
+    columns = []
+    batch = models.usage_batch
+    monkeypatch.setattr(models, "usage_batch", lambda groups: (
+        columns.append(sum(len(g[3]) for g in groups)), batch(groups))[1])
+    ranked = enc.rank([g[1:] for g in groups])
+    assert columns == [len({(t, v, ug.occurrences.get(v, ()))
+                            for _, ug, t, cands in groups for v in cands})]
+    assert columns[0] < sum(len(g[3]) for g in groups)
+    assert enc.rank([g[1:] for g in groups]) == ranked
+    assert len(columns) == 1
+
+
+def test_add_node_runs_once_per_distinct_node(monkeypatch):
+    """A usage batch adds one TreeGRU node per distinct (v, occurrences of
+    v, direction, position, depth) of a node with children, counted here
+    from the recursive definition of the unrolling; one batch per group
+    adds more, since it shares nodes only within a group."""
+    depth = 6
+    _, groups = _trial_groups("grud", tree_depth=depth)
+    calls = []
+    add_node = _TreeIndex.add_node
+    monkeypatch.setattr(_TreeIndex, "add_node", lambda self, d, *edges: (
+        calls.append(d), add_node(self, d, *edges))[1])
+
+    distinct = set()
+
+    def walk(rel, key, pos, d):
+        if d > 0 and pos != EPS and rel.get(pos) \
+                and (key, pos, d) not in distinct:
+            distinct.add((key, pos, d))
+            for child in rel[pos]:
+                walk(rel, key, child, d - 1)
+
+    for _, ug, t, cands in groups:
+        for v in cands:
+            for direction, rel in zip(("prev", "next"), ug.relations(v)):
+                walk(rel, (v, ug.occurrences.get(v, ()), direction), t, depth)
+
+    usage_batch(groups)
+    assert len(calls) == len(distinct)
+    calls.clear()
+    for group in groups:
+        usage_batch([group])
+    assert len(calls) > len(distinct)
+
+
+def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():
+    """With its only occurrence unbound a candidate has empty chains, and
+    its `avgg` usage is its type representation alone."""
+    prog = compile_source("int f(int a) { return 0; }")
+    a = next(tok for tok in prog.tokens if tok.text == "a")
+    ug = dataflow_uses(prog, override={a.index: None})
+    params = ModelParams("avgg", Hyper(hidden=4), ["int"], [], seed=0)
+    enc = Encoder(params, prog, placeholder_tokens=[a.index])
+    u = enc.usage_reprs(ug, a.index, [a.symbol])
+    assert np.array_equal(u.data[:, 0], enc.type_embed(a.symbol).data)
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    """A tree depth past Python's recursion limit unrolls a loop's
+    data-flow tree to full depth and encodes to finite values."""
+    depth = sys.getrecursionlimit() + 50
+    prog = compile_source(SUM_POSITIVE)
+    params = ModelParams("grud", Hyper(hidden=4, tree_depth=depth),
+                         ["int", "int[]"], [], seed=0)
+    enc = Encoder(params, prog)
+    i = next(s.id for s in prog.symbols if s.name == "i")
+    ug = dataflow_uses(prog)
+    index = _TreeIndex(1)
+    enc._index_tree(ug, 35, i, 0, "prev", index, 0, {})
+    assert set(index.levels) == set(range(1, depth + 1))
+    with nn.no_tape():
+        u = enc.usage_reprs(ug, 35, [i])
+    assert u.shape == (4, 1) and np.isfinite(u.data).all()
+
+
 @pytest.mark.parametrize("variant, takes_max", [("grug", False),
                                                 ("grud", True)])
 def test_segment_max_runs_only_on_levels_with_several_edges(
@@ -608,7 +741,8 @@ class TestTreeIndex:
                              ["int", "int[]"], [], seed=0)
         index = _TreeIndex(1)
         enc = Encoder(params, prog)
-        enc._index_tree(dataflow_uses(prog), t, sid, 0, direction, index, 0)
+        enc._index_tree(dataflow_uses(prog), t, sid, 0, direction, index, 0,
+                        {})
         position = {col: x for x, col in enc.positions.items()}
         index.levels = {d: (child_cols, [position[c] for c in ctx_cols],
                             starts)
@@ -713,6 +847,22 @@ class TestPersistence:
         nn.save_checkpoint(path, named, cfg)
         with pytest.raises(ValueError):
             ModelParams.load(path)
+
+
+def test_load_names_a_few_mismatched_parameters(tmp_path):
+    """A checkpoint with parameters the model does not have is rejected
+    with their count and at most five of their names."""
+    params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
+    named = params.named()
+    for i in range(8):
+        named[f"extra{i}"] = nn.constant(np.zeros(4))
+    path = str(tmp_path / "m.json")
+    nn.save_checkpoint(path, named, params.config())
+    with pytest.raises(ValueError) as err:
+        ModelParams.load(path)
+    message = str(err.value)
+    assert "8 names differ" in message
+    assert sum(f"extra{i}" in message for i in range(8)) == 5
 
 
 def test_build_vocab_threshold():
