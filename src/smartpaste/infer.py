@@ -6,13 +6,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .dataflow import UseGraph
 from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import LexError, reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
-from .models import Encoder, ModelParams
+from .models import Encoder, ModelParams, padded, ranking, softmax_rows
 from .taskgen import Placeholder, TaskInstance, make_placeholder
 
 
@@ -71,33 +75,146 @@ def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
     return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
 
 
-def assess(inst: TaskInstance, encoder: Encoder,
-           mappings: Sequence[Dict[int, int]]) -> List[Assignment]:
-    """Each mapping's pseudo-log-likelihood (the sum over placeholders of
-    the log conditional probability of the assigned symbol given all the
-    others) with every placeholder's ranking under it, all mappings ranked
-    in one `rank_placeholders` call."""
-    phs = inst.placeholders
-    ranked = rank_placeholders(inst, encoder, phs, *mappings)
-    out = []
-    for start, mapping in zip(range(0, len(ranked), len(phs)), mappings):
-        total = 0.0
-        rankings = {}
-        for ph, ranking in zip(phs, ranked[start:start + len(phs)]):
-            rankings[ph.token_index] = ranking
-            prob = dict(ranking)[mapping[ph.token_index]]
-            total += math.log(max(prob, 1e-300))
-        out.append(Assignment(mapping, total, rankings))
-    return out
-
-
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
                    mapping: Dict[int, int]
                    ) -> Tuple[float, Dict[int, List[Tuple[int, float]]]]:
-    """The pseudo-log-likelihood of one mapping and every placeholder's
-    ranking under it: `assess` of that mapping alone."""
-    state, = assess(inst, encoder, [mapping])
-    return state.total_log_prob, state.rankings
+    """The pseudo-log-likelihood of one mapping (the sum over placeholders
+    of the log conditional probability of the assigned symbol given all the
+    others) and every placeholder's ranking under it: ICM's score matrix
+    of that mapping alone."""
+    matrix = _ScoreMatrix(inst, encoder)
+    state, = _lockstep(encoder, [matrix.state(mapping)])
+    return state.total, matrix.rankings(state)
+
+
+@dataclass
+class _State:
+    """One mapping as ICM holds it: each symbol's occurrences with every
+    placeholder bound per the mapping, the padded (P, K) score matrix of
+    its conditionals, their row probabilities and its total."""
+
+    mapping: Dict[int, int]
+    occurrences: Dict[int, Tuple[int, ...]]
+    scores: np.ndarray
+    probs: np.ndarray
+    total: float
+
+
+class _ScoreMatrix:
+    """An instance's placeholders as the rows of a score matrix: row s
+    holds c(s) . u(s, v) for each candidate v, padded with -inf to the
+    most candidates.  Row s reads each symbol's occurrences under the
+    mapping with s unbound, so a move of t from a to b changes only the a
+    and b entries of the other rows, and nothing of t's row.  `rows` and
+    `move` yield the (view, token, candidates) groups whose scores they
+    need and are sent the scores, so that `_lockstep` can score the groups
+    of several in one batch."""
+
+    def __init__(self, inst: TaskInstance, encoder: Encoder):
+        self.flow = encoder.flow
+        self.phs = inst.placeholders
+        self.tokens = inst.placeholder_tokens
+        self.widths = [len(ph.candidates) for ph in self.phs]
+        # per row: candidate -> its column
+        self.cols = [{v: i for i, v in enumerate(ph.candidates)}
+                     for ph in self.phs]
+
+    def _group(self, occurrences: Dict[int, Tuple[int, ...]],
+               mapping: Dict[int, Optional[int]], s: int,
+               shared: UseGraph, vs: Sequence[int]):
+        # row s's view: `shared` unless s holds one of the symbols vs
+        t = self.phs[s].token_index
+        own = mapping[t]
+        if own in vs:
+            shared = UseGraph({**occurrences, own: tuple(
+                x for x in occurrences[own] if x != t)}, self.flow)
+        return shared, t, vs
+
+    def _total(self, mapping: Dict[int, int], probs: np.ndarray) -> float:
+        # summed in placeholder order, so a total is the same float
+        # whichever path computed it
+        total = 0.0
+        for s, (ph, cols) in enumerate(zip(self.phs, self.cols)):
+            total += math.log(max(float(probs[s, cols[mapping[
+                ph.token_index]]]), 1e-300))
+        return total
+
+    def rows(self, mapping: Dict[int, Optional[int]]):
+        """Every row's scores and probabilities, and each symbol's
+        occurrences, with the placeholders bound per `mapping` (`None`
+        leaves one unbound)."""
+        occurrences = self.flow.uses(
+            {t: mapping[t] for t in self.tokens}).occurrences
+        shared = UseGraph(occurrences, self.flow)
+        scores = yield [self._group(occurrences, mapping, s, shared,
+                                    ph.candidates)
+                        for s, ph in enumerate(self.phs)]
+        scores = padded(scores, self.widths)
+        return scores, softmax_rows(scores, self.widths), occurrences
+
+    def state(self, mapping: Dict[int, int]):
+        """The state of a mapping, every row scored."""
+        scores, probs, occurrences = yield from self.rows(mapping)
+        return _State(mapping, occurrences, scores, probs,
+                      self._total(mapping, probs))
+
+    def move(self, state: _State, t: int, b: int):
+        """The state after t moves from its symbol a to b: only the a and b
+        entries of the rows other than t's are scored again."""
+        a = state.mapping[t]
+        mapping = {**state.mapping, t: b}
+        occurrences = {**state.occurrences,
+                       a: tuple(x for x in state.occurrences[a] if x != t),
+                       b: tuple(sorted(state.occurrences.get(b, ()) + (t,)))}
+        shared = UseGraph(occurrences, self.flow)
+        # candidates are in id order (`make_placeholder`)
+        pair = sorted((a, b))
+        changed, groups = [], []
+        for s, cols in enumerate(self.cols):
+            vs = [v for v in pair if v in cols]
+            if vs and self.phs[s].token_index != t:
+                changed.append(s)
+                groups.append(self._group(occurrences, mapping, s, shared,
+                                          vs))
+        rescored = yield groups
+        scores, probs = state.scores.copy(), state.probs.copy()
+        if changed:
+            at = [(s, self.cols[s][v])
+                  for s, (_, _, vs) in zip(changed, groups) for v in vs]
+            scores[tuple(zip(*at))] = [x for row in rescored for x in row]
+            probs[changed] = softmax_rows(
+                scores[changed], [self.widths[s] for s in changed])
+        return _State(mapping, occurrences, scores, probs,
+                      self._total(mapping, probs))
+
+    def top(self, probs: np.ndarray, s: int) -> int:
+        """Row s's most probable candidate: the first maximum, so with
+        candidates in id order (`make_placeholder`) the lowest id."""
+        return self.phs[s].candidates[int(np.argmax(probs[s]))]
+
+    def rankings(self, state: _State) -> Dict[int, List[Tuple[int, float]]]:
+        return {ph.token_index: ranking(ph.candidates, probs)
+                for ph, probs in zip(self.phs, state.probs)}
+
+
+def _lockstep(encoder: Encoder, searches: List[Generator]) -> list:
+    """Run generators that yield scoring groups and are sent their scores
+    in lockstep: each step scores the groups of every generator still
+    running in one `Encoder.scores` call.  Returns their results."""
+    results: list = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        scores = iter(encoder.scores([g for groups in pending.values()
+                                      for g in groups]))
+        replies = {i: list(islice(scores, len(groups)))
+                   for i, groups in pending.items()}
+        pending = {}
+        for i, reply in replies.items():
+            try:
+                pending[i] = searches[i].send(reply)
+            except StopIteration as done:
+                results[i] = done.value
+    return results
 
 
 def check_search(restarts: int, max_sweeps: int):
@@ -117,77 +234,63 @@ def icm(inst: TaskInstance, params: ModelParams,
     placeholders in token order setting each to its conditional argmax, with
     restarts; returns the restart with the highest pseudo-log-likelihood.
 
-    A restart's state is one `Assignment` made by `assess`: its rankings
-    are every placeholder's conditional under its mapping, so a sweep reads
-    each argmax from them and ranks nothing itself.  An argmax update also
-    shifts the relations every other conditional is computed from, so a raw
-    update can lower the total; a trial state is kept only if its total is
-    not lower, which keeps the per-update total non-decreasing within a
-    restart.  The first restart starts from the independent per-placeholder
-    argmax (every placeholder unbound, all ranked in one
-    `rank_placeholders` call), which tends to sit in the basin of the
-    jointly best assignment; the remaining restarts start random.  `trace`,
-    when given, collects the per-update totals of each restart.
+    A restart's state is its mapping's `_ScoreMatrix` row probabilities
+    and total, so a sweep reads each argmax from them.  An argmax update
+    also shifts the relations every other conditional is computed from, so
+    a raw update can lower the total; a trial state is kept only if its
+    total is not lower, which keeps the per-update total non-decreasing
+    within a restart.  The first restart starts from the independent
+    per-placeholder argmax (every placeholder unbound), which tends to sit
+    in the basin of the jointly best assignment; the remaining restarts
+    start random.  `trace`, when given, collects the per-update totals of
+    each restart.
 
-    The restarts run in lockstep, each as a `climb` that yields its trial
-    mappings: `rng` draws only the starts, so all are drawn first, in
-    restart order, and assessed in one batch; then each step assesses the
-    next trial of every restart still sweeping in one `assess` call.  Each
-    restart decides alone, so its mapping, decisions and trace are those of
-    running it by itself.  Every conditional goes through one encoder, so
-    through one `ProgramFlow` and one score memo: after an update moves a
-    placeholder from symbol a to b, only scores keyed by a's or b's
-    occurrences are computed again, in one tape-free batch per step."""
+    The restarts run in lockstep, each as a `climb` that yields the groups
+    its states need scored: `rng` draws only the starts, so all are drawn
+    first, in restart order, and scored in one batch; then each step
+    scores the next trial of every restart still sweeping in one batch.
+    Each restart decides alone, so its mapping, decisions and trace are
+    those of running it by itself.  Every score goes through one encoder's
+    memo, and a trial that moves a placeholder from a to b asks only for
+    the a and b entries of the other rows.  The rankings of the returned
+    restart are built once, at the end."""
     check_search(restarts, max_sweeps)
     rng = rng if rng is not None else random.Random(0)
     if encoder is None:
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-    phs = sorted(inst.placeholders, key=lambda p: p.token_index)
+    matrix = _ScoreMatrix(inst, encoder)
+    row = {ph.token_index: s for s, ph in enumerate(matrix.phs)}
+    sweep_order = sorted(row)
 
-    def climb(state: Assignment, restart_trace: List[float]):
-        # one restart's sweeps: yields each trial mapping, is sent its
-        # assessment, and returns the final state
+    def climb(mapping: Dict[int, int], restart_trace: List[float]):
+        # one restart's sweeps over its states; returns the final state
+        state = yield from matrix.state(mapping)
         for _sweep in range(max_sweeps):
             changed = False
-            for ph in phs:
-                t = ph.token_index
-                top = state.rankings[t][0][0]
+            for t in sweep_order:
+                top = matrix.top(state.probs, row[t])
                 if state.mapping[t] != top:
-                    trial = yield {**state.mapping, t: top}
-                    if trial.total_log_prob >= state.total_log_prob:
+                    trial = yield from matrix.move(state, t, top)
+                    if trial.total >= state.total:
                         state, changed = trial, True
-                restart_trace.append(state.total_log_prob)
+                restart_trace.append(state.total)
             if not changed:
                 break
         return state
 
-    unbound = dict.fromkeys(inst.placeholder_tokens)
-    starts = [{p.token_index: ranked[0][0]
-               for p, ranked in zip(phs, rank_placeholders(
-                   inst, encoder, phs, unbound))}]
-    starts += [{p.token_index: rng.choice(p.candidates) for p in phs}
-               for _ in range(restarts - 1)]
+    _, probs, _ = _lockstep(encoder, [matrix.rows(
+        dict.fromkeys(inst.placeholder_tokens))])[0]
+    starts = [{t: matrix.top(probs, row[t]) for t in sweep_order}]
+    starts += [{t: rng.choice(matrix.phs[row[t]].candidates)
+                for t in sweep_order} for _ in range(restarts - 1)]
     traces: List[List[float]] = [[] for _ in starts]
-    climbs = [climb(state, restart_trace) for state, restart_trace
-              in zip(assess(inst, encoder, starts), traces)]
-    finals: List[Optional[Assignment]] = [None] * restarts
-    # restart -> the assessment of its last trial, for each live restart
-    replies: Dict[int, Optional[Assignment]] = dict.fromkeys(range(restarts))
-    while True:
-        trials = {}
-        for r, reply in replies.items():
-            try:
-                trials[r] = climbs[r].send(reply)
-            except StopIteration as done:
-                finals[r] = done.value
-        if not trials:
-            break
-        replies = dict(zip(trials, assess(inst, encoder,
-                                          list(trials.values()))))
+    finals = _lockstep(encoder, [climb(start, restart_trace) for
+                                 start, restart_trace in zip(starts, traces)])
     if trace is not None:
         trace.extend(traces)
-    return max(finals, key=lambda state: state.total_log_prob)
+    best = max(finals, key=lambda state: state.total)
+    return Assignment(best.mapping, best.total, matrix.rankings(best))
 
 
 # --- paste ------------------------------------------------------------------

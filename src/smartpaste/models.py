@@ -27,6 +27,11 @@ PLACEHOLDER = "<placeholder>"
 
 DEFAULT_RARE_THRESHOLD = 2  # lexemes seen fewer times map to UNK
 
+# Tokens the context window reads on each side of a position, at most.  A
+# GRU-context checkpoint stores nothing sized by the window, so nothing else
+# bounds the 2 x window GRU steps each position of each bank fill runs.
+MAX_WINDOW = 32
+
 
 class VariantError(Exception):
     pass
@@ -55,6 +60,9 @@ class Hyper:
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, "
                                  f"got {value}")
+        if self.window > MAX_WINDOW:
+            raise ValueError(f"window must be at most {MAX_WINDOW}, "
+                             f"got {self.window}")
         if type(self.unk_types) is not bool:
             raise ValueError(f"unk_types must be true or false, "
                              f"got {self.unk_types!r}")
@@ -271,12 +279,13 @@ class Encoder:
     Type representations are fixed for the encoder's lifetime too (a
     training encoder draws each symbol's subset once, from its seed and the
     symbol), and a candidate v's lexical chains and data-flow trees at t
-    depend only on where v occurs, so `rank` memoises each score
+    depend only on where v occurs, so `scores` memoises each score
     c(t) . u(t, v) by (t, v, occurrences of v) for the encoder's lifetime.
     It computes only the missing scores, for several placeholders at once,
     and reads only their values, so it records no tape (`nn.no_tape`).  The
     context bank and type representations a ranking fills are therefore
-    constants: to differentiate, encode through a fresh encoder.
+    constants: to differentiate, encode through a fresh encoder.  `rank`
+    turns a call's scores into rankings.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  It
@@ -431,12 +440,11 @@ class Encoder:
         """The usage representation of one candidate v at token t."""
         return nn.gather(self.usage_reprs(ug, t, [v]), 0)
 
-    def rank(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
-             ) -> List[List[Tuple[int, float]]]:
-        """For each (view, t, candidates) group, its candidates with the
-        softmax of their scores c(t) . u(t, v), most probable first; equal
-        probabilities go to the lower symbol id.  Scores missing from the
-        memo are computed in one `usage_batch` over every group, inside
+    def scores(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
+               ) -> List[List[float]]:
+        """For each (view, t, candidates) group, the scores c(t) . u(t, v)
+        of its candidates in order.  Scores missing from the memo are
+        computed in one `usage_batch` over every group, inside
         `nn.no_tape()`, and scored against the bank's c(t) columns; a key
         that several groups miss is computed once."""
         memo = self._scores
@@ -453,26 +461,56 @@ class Encoder:
         if batch:
             with nn.no_tape():
                 u = np.ascontiguousarray(usage_batch(batch).data.T)
-            scores = []
-            start = 0
-            for _, _, t, vs in batch:
-                c = self.bank.data[:, self.positions[t]]
-                # one contiguous row sum per candidate: unlike a BLAS
-                # product, its rounding does not depend on the other
-                # columns of the batch, so equal usage columns keep exactly
-                # equal scores
-                stop = start + len(vs)
-                scores.extend((u[start:stop] * c).sum(axis=1))
-                start = stop
-            memo.update(zip(missing, scores))
-        ranked = []
-        for (_, _, candidates), group_keys in zip(groups, keys):
-            probs = nn.softmax_probs(np.array([memo[key]
-                                               for key in group_keys]))
-            order = sorted(range(len(candidates)),
-                           key=lambda i: (-probs[i], candidates[i]))
-            ranked.append([(candidates[i], float(probs[i])) for i in order])
-        return ranked
+            c = self.bank.data.T[[self.positions[t] for _, _, t, vs in batch
+                                  for _ in vs]]
+            # one contiguous row sum per candidate: unlike a BLAS product,
+            # its rounding does not depend on the other columns of the
+            # batch, so equal usage columns keep exactly equal scores
+            memo.update(zip(missing, (u * c).sum(axis=1)))
+        return [[memo[key] for key in group_keys] for group_keys in keys]
+
+    def rank(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
+             ) -> List[List[Tuple[int, float]]]:
+        """For each (view, t, candidates) group, its candidates with the
+        softmax of their `scores`, most probable first; equal probabilities
+        go to the lower symbol id."""
+        widths = [len(candidates) for _, _, candidates in groups]
+        probs = softmax_rows(padded(self.scores(groups), widths), widths)
+        return [ranking(candidates, p)
+                for (_, _, candidates), p in zip(groups, probs)]
+
+
+def padded(rows: Sequence[Sequence[float]], widths: Sequence[int]
+           ) -> np.ndarray:
+    """Score rows of the given widths as one matrix, each row padded at its
+    end with -inf up to the widest."""
+    out = np.full((len(rows), max(widths, default=0)), -np.inf)
+    for row, scores, width in zip(out, rows, widths):
+        row[:width] = scores
+    return out
+
+
+def softmax_rows(scores: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """Each row's softmax over its first `widths[i]` entries, 0 in the
+    padding.  Rows of one width go through `nn.softmax_probs` together and
+    the padding never enters it: a sum's rounding depends on its length,
+    so a row's probabilities are bit for bit those of the row alone."""
+    if set(widths) == {scores.shape[1]}:  # no padding
+        return nn.softmax_probs(scores)
+    probs = np.zeros_like(scores)
+    for width in set(widths):
+        rows = [i for i, w in enumerate(widths) if w == width]
+        probs[rows, :width] = nn.softmax_probs(scores[rows, :width])
+    return probs
+
+
+def ranking(candidates: Sequence[int], probs: np.ndarray
+            ) -> List[Tuple[int, float]]:
+    """The candidates with their probabilities, most probable first; equal
+    probabilities go to the lower symbol id."""
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (-probs[i], candidates[i]))
+    return [(candidates[i], float(probs[i])) for i in order]
 
 
 # One group of a usage batch: (encoder, use graph, token t, candidates).
@@ -489,12 +527,22 @@ def _fill_banks(encoders: Sequence[Encoder]):
         return
     p = todo[0].params
     c = p.hyper.window
-    windows = [[enc.token_repr(t + i) for i in range(-c, c + 1) if i]
-               for enc in todo for t in list(enc.positions)[1:]]
+    offsets = [i for i in range(-c, c + 1) if i]
+    # each encoder's window tokens embedded once: row k of `cols` holds the
+    # columns of `reprs` in the window of the k-th position, slot by slot
+    reprs: List[Tensor] = []
+    rows: List[List[int]] = []
+    for enc in todo:
+        column: Dict[int, int] = {}  # window token -> its column of reprs
+        rows += [[column.setdefault(t + i, len(reprs) + len(column))
+                  for i in offsets] for t in list(enc.positions)[1:]]
+        reprs += [enc.token_repr(t) for t in column]
+    cols = np.array(rows, dtype=np.intp).reshape(-1, 2 * c)
     parts = [nn.constant(np.zeros((p.hyper.hidden, 1)))]
-    if windows:
-        slots = [nn.columns([w[i] for w in windows]) for i in range(2 * c)]
-        prev, nxt = slots[:c], slots[c:]
+    if len(cols):
+        tokens = nn.columns(reprs)
+        windows = [nn.gather(tokens, cols[:, i]) for i in range(2 * c)]
+        prev, nxt = windows[:c], windows[c:]
         if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
             fp = nn.matmul(p.pos_prev[0], prev[0])
             for i in range(1, c):
@@ -503,7 +551,7 @@ def _fill_banks(encoders: Sequence[Encoder]):
             for i in range(1, c):
                 fn = nn.add(fn, nn.matmul(p.pos_next[i], nxt[i]))
         else:
-            zero = nn.constant(np.zeros((p.hyper.hidden, len(windows))))
+            zero = nn.constant(np.zeros((p.hyper.hidden, len(cols))))
             fp = zero
             for x in prev:
                 fp = nn.gru_step(fp, x, p.ctx_gru_prev)

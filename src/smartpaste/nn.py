@@ -243,7 +243,9 @@ def columns(parts: Sequence[Tensor]) -> Tensor:
 def gather(x: Tensor, index) -> Tensor:
     """Columns of an (H, N) tensor: an int index gives that column as an
     (H,) vector, a sequence of indices an (H, len(index)) batch.  Repeated
-    indices are allowed; their gradients add up in the source column."""
+    indices are allowed; their gradients add up in the source column.  The
+    result is C-ordered, as `columns` is, so a product over a gathered
+    batch rounds as over the same batch stacked."""
     if x.data.ndim != 2:
         raise ShapeError(f"gather: needs an (H, N) tensor, got {x.shape}")
     if not isinstance(index, (int, np.integer)):
@@ -254,7 +256,7 @@ def gather(x: Tensor, index) -> Tensor:
         np.add.at(grad, (slice(None), index), g)
         return (grad,)
 
-    return _op(x.data[:, index], (x,), vjp)
+    return _op(np.take(x.data, index, axis=1), (x,), vjp)
 
 
 def segment_max(x: Tensor, starts: Sequence[int]) -> Tensor:
@@ -318,9 +320,9 @@ def softmax_xent(scores: Tensor, truth: int) -> Tuple[Tensor, np.ndarray]:
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp)
+    """The softmax along the last axis: of a vector, or of each row."""
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 # --- parameters -------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from smartpaste.train import ItemCache, TrainConfig, make_items
 
 from conftest import SUM_POSITIVE
 from test_infer import SNIPPET, TARGET
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +63,8 @@ class TestGenerate:
                      "--out", again]) == 0
         for proj in ("proj00", "proj01"):
             for name in ("file000.ml0", "file001.ml0"):
-                a = open(os.path.join(workspace["corpus"], proj, name)).read()
-                b = open(os.path.join(again, proj, name)).read()
+                a = Path(workspace["corpus"], proj, name).read_text()
+                b = Path(again, proj, name).read_text()
                 assert a == b
 
     def test_seed_changes_output(self, workspace, tmp_path):
@@ -67,9 +72,8 @@ class TestGenerate:
         assert main(["generate", "--seed", "4", "--projects", "2",
                      "--files-per-project", "2", "--profile", "tiny",
                      "--out", other]) == 0
-        a = open(os.path.join(workspace["corpus"],
-                              "proj00", "file000.ml0")).read()
-        b = open(os.path.join(other, "proj00", "file000.ml0")).read()
+        a = Path(workspace["corpus"], "proj00", "file000.ml0").read_text()
+        b = Path(other, "proj00", "file000.ml0").read_text()
         assert a != b
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -88,8 +92,8 @@ class TestExtract:
     def test_writes_jsonl(self, workspace, capsys):
         """A format_version header, then each program record before the
         instance records that name it by number."""
-        records = [json.loads(line)
-                   for line in open(workspace["data"]).read().splitlines()]
+        records = [json.loads(line) for line
+                   in Path(workspace["data"]).read_text().splitlines()]
         assert records[0] == {"format_version": INSTANCE_FORMAT_VERSION}
         programs = 0
         for record in records[1:]:
@@ -143,7 +147,7 @@ class TestSplit:
         out = str(tmp_path / "split.json")
         assert main(["split", "--seed", "0", "--corpus", corpus,
                      "--out", out]) == 0
-        split = json.load(open(out))
+        split = read_json(out)
         assert sorted(split) == ["test", "train", "unseen_test", "valid"]
         seen = split["train"] + split["valid"] + split["test"] \
             + split["unseen_test"]
@@ -176,7 +180,7 @@ class TestSplit:
 
 class TestTrain:
     def test_checkpoint_written(self, workspace):
-        record = json.load(open(workspace["model"]))
+        record = read_json(workspace["model"])
         assert record["config"]["variant"] == "loc"
         assert "epoch" in record["config"]
 
@@ -189,7 +193,7 @@ class TestTrain:
                          workspace["data"], "--valid", workspace["data"],
                          "--variant", "loc", "--hidden", "4", "--epochs", "1",
                          "--checkpoint", path]) == 0
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_config_file_overrides_flags(self, workspace, tmp_path, capsys):
@@ -200,7 +204,7 @@ class TestTrain:
                      "--valid", workspace["data"], "--variant", "loc",
                      "--hidden", "64", "--epochs", "9",
                      "--config", str(cfg), "--checkpoint", path]) == 0
-        record = json.load(open(path))
+        record = read_json(path)
         assert record["config"]["hyper"]["hidden"] == 4
 
     def test_bad_config_line_fails(self, workspace, tmp_path, capsys):
@@ -238,8 +242,8 @@ class TestTrain:
                      "--valid", workspace["data"], "--resume",
                      workspace["model"], "--epochs", "1",
                      "--checkpoint", path]) == 0
-        first = json.load(open(workspace["model"]))["config"]["epoch"]
-        assert json.load(open(path))["config"]["epoch"] == first + 1
+        first = read_json(workspace["model"])["config"]["epoch"]
+        assert read_json(path)["config"]["epoch"] == first + 1
 
     @pytest.mark.parametrize("flag, value, saved", [
         ("--variant", "grug", "'loc'"), ("--hidden", "8", "4"),
@@ -281,7 +285,7 @@ class TestTrain:
                      workspace["data"], "--resume", workspace["model"],
                      "--variant", "loc", "--hidden", "4", "--config",
                      str(cfg), "--epochs", "1", "--checkpoint", path]) == 0
-        assert json.load(open(path))["config"]["variant"] == "loc"
+        assert read_json(path)["config"]["variant"] == "loc"
 
     def test_empty_valid_fails(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -584,18 +588,31 @@ class TestPaste:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint") and field in err
 
-    @pytest.mark.parametrize("field, value, names", [
-        ("hidden", 1000000, "'w_c'"), ("window", 100000, "ctx.prev")])
+    @pytest.mark.parametrize("field, value, names, context_encoder", [
+        pytest.param("hidden", 1000000, "'w_c'", "logbilinear",
+                     id="hidden-1000000-'w_c'"),
+        pytest.param("window", 100000, "window", "logbilinear",
+                     id="window-100000-window"),
+        pytest.param("window", 100000, "window", "gru",
+                     id="window-100000-window-gru")])
     def test_huge_hyper_size_fails_before_allocating(self, workspace,
                                                      tmp_path, field, value,
-                                                     names):
-        """A `hyper` size the stored parameters do not have is rejected
-        before a model of that size is built: hidden 1000000 would need
-        terabytes, and window 100000 200,000 matrices whose names a
-        mismatch message listed.  The paste runs in its own process with
-        its address space capped at 1 GiB, so a regression fails with a
-        MemoryError there, not here."""
-        with open(workspace["model"]) as f:
+                                                     names, context_encoder):
+        """A `hyper` size the stored parameters do not have, or beyond
+        `MAX_WINDOW`, is rejected before a model of that size is built:
+        hidden 1000000 would need terabytes, window 100000 200,000
+        log-bilinear matrices, and a GRU-context checkpoint, which stores
+        nothing sized by the window, 200,000 GRU steps per position.  The
+        paste runs in its own process with its address space capped at
+        1 GiB, so a regression fails with a MemoryError there, not here."""
+        model = workspace["model"]
+        if context_encoder == "gru":
+            params, _ = ModelParams.load(model)
+            model = str(tmp_path / "gru.json")
+            ModelParams(params.variant, Hyper(hidden=params.hyper.hidden,
+                                              context_encoder="gru"),
+                        params.type_names, params.lexemes).save(model)
+        with open(model) as f:
             doc = json.load(f)
         doc["config"]["hyper"][field] = value
         bad = tmp_path / "bad.json"

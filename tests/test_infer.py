@@ -5,7 +5,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from smartpaste import infer, models
 from smartpaste.infer import (Assignment, NoCandidates, SpliceError, icm,
                               make_paste_instance, paste, rank_single,
                               total_log_prob)
@@ -254,18 +256,33 @@ def test_icm_matches_reference(icm_instances, variant):
 def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
     """Restarts that stop after different numbers of sweeps agree with the
     reference run one after another, and the lockstep search makes one
-    `Encoder.rank` call per step: the unbound ranking, the starts of all
-    restarts, then one call per step over the trial mappings of the
-    restarts that still try a move, every placeholder of each."""
-    calls = []
-    rank = Encoder.rank
+    `Encoder.scores` call, so at most one usage batch, per step: every
+    placeholder unbound, the starts of all restarts (every placeholder of
+    each), then one call per step over the trials of the restarts that
+    still try a move.  A trial that moves t from a to b asks only for the
+    a and b entries of the rows other than t's."""
+    calls, moves, batches = [], [], []
+    scores, move = Encoder.scores, infer._ScoreMatrix.move
+    usage_batch = models.usage_batch
 
     def counted(self, groups):
         if self is got_enc:
-            calls.append(len(groups))
-        return rank(self, groups)
+            calls.append((list(groups), list(moves)))
+            moves.clear()
+        return scores(self, groups)
 
-    monkeypatch.setattr(Encoder, "rank", counted)
+    def recorded(self, state, t, b):
+        moves.append((t, state.mapping[t], b))
+        return (yield from move(self, state, t, b))
+
+    def batched(groups):
+        if groups[0][0] is got_enc:
+            batches.append(len(groups))
+        return usage_batch(groups)
+
+    monkeypatch.setattr(Encoder, "scores", counted)
+    monkeypatch.setattr(infer._ScoreMatrix, "move", recorded)
+    monkeypatch.setattr(models, "usage_batch", batched)
     stopped_apart = False
     for inst in icm_instances:
         params = small_model(inst.program, variant=variant)
@@ -276,6 +293,7 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
                         placeholder_tokens=inst.placeholder_tokens)
                 for _ in range(2))
             calls.clear()
+            batches.clear()
             trace, want_trace, trials = [], [], []
             got = icm(inst, params, restarts=5, max_sweeps=5,
                       rng=random.Random(seed), encoder=got_enc, trace=trace)
@@ -285,10 +303,64 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
             assert [len(r) for r in trace] == [len(r) for r in want_trace]
             assert all(_close(a, b) for a, b in zip(trace, want_trace))
             stopped_apart |= len({len(r) for r in want_trace}) > 1
-            assert calls == [n, 5 * n] + [
-                n * sum(tried > step for tried in trials)
-                for step in range(max(trials))]
+            assert [len(groups) for groups, _ in calls[:2]] == [n, 5 * n]
+            live = [sum(tried > step for tried in trials)
+                    for step in range(max(trials))]
+            assert [len(step_moves) for _, step_moves in calls[2:]] == live
+            for groups, step_moves in calls[2:]:
+                asked = [(t, list(cands)) for _, t, cands in groups]
+                assert asked == [
+                    (ph.token_index, [v for v in ph.candidates
+                                      if v in (a, b)])
+                    for t, a, b in step_moves for ph in inst.placeholders
+                    if ph.token_index != t
+                    and {a, b} & set(ph.candidates)]
+                assert len(groups) <= (n - 1) * len(step_moves)
+            assert len(batches) <= len(calls)
     assert stopped_apart
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_score_matrix_matches_rank_single(icm_instances, data):
+    """For a random mapping, and the move of a random placeholder to
+    another candidate, the score matrix's total and row probabilities
+    equal what `rank_single` gives each placeholder alone on a fresh
+    encoder, to 1e-12; each row's argmax is the head of its ranking."""
+    inst = data.draw(st.sampled_from(icm_instances))
+    variant = data.draw(st.sampled_from(VARIANTS))
+    ctx_kind = data.draw(st.sampled_from(CONTEXT_ENCODERS))
+    params = small_model(inst.program, variant=variant,
+                         context_encoder=ctx_kind)
+    mapping = {p.token_index: data.draw(st.sampled_from(p.candidates))
+               for p in inst.placeholders}
+    enc = Encoder(params, inst.program,
+                  placeholder_tokens=inst.placeholder_tokens)
+    matrix = infer._ScoreMatrix(inst, enc)
+    state, = infer._lockstep(enc, [matrix.state(mapping)])
+    states = [state]
+    ph = data.draw(st.sampled_from(inst.placeholders))
+    others = [v for v in ph.candidates if v != mapping[ph.token_index]]
+    if others:
+        moved, = infer._lockstep(enc, [matrix.move(
+            state, ph.token_index, data.draw(st.sampled_from(others)))])
+        states.append(moved)
+    for state in states:
+        rankings = matrix.rankings(state)
+        want = 0.0
+        for s, p in enumerate(inst.placeholders):
+            alone = dict(rank_single(inst, Encoder(
+                params, inst.program,
+                placeholder_tokens=inst.placeholder_tokens), p,
+                state.mapping))
+            probs = state.probs[s, :len(p.candidates)]
+            assert _close(probs, [alone[v] for v in p.candidates])
+            assert not state.probs[s, len(p.candidates):].any()
+            assert matrix.top(state.probs, s) \
+                == rankings[p.token_index][0][0]
+            want += math.log(max(alone[state.mapping[p.token_index]],
+                                 1e-300))
+        assert abs(state.total - want) <= 1e-12
 
 
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
