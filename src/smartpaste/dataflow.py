@@ -150,18 +150,6 @@ class UseGraph:
         """token -> symbol at that token."""
         return {t: v for v, ts in self.occurrences.items() for t in ts}
 
-    def without(self, t: int) -> "UseGraph":
-        """The view over the same flow with token t unbound: t's symbol
-        gets a new tuple, every other symbol shares this view's."""
-        v = next((v for v, ts in self.occurrences.items() if t in ts), None)
-        if v is None:
-            return self
-        occurrences = dict(self.occurrences)
-        rest = tuple(x for x in occurrences.pop(v) if x != t)
-        if rest:
-            occurrences[v] = rest
-        return UseGraph(occurrences, self.flow)
-
     def relations(self, v: int) -> Tuple[Relation, Relation]:
         """v's (df_in, df_out), each token -> set, from the flow's memo."""
         return self.flow.relations(v, self.occurrences.get(v, ()))

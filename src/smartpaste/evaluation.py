@@ -1,12 +1,11 @@
 """Evaluation: per-placeholder ranking metrics, full-snippet joint metrics,
 and the same-type analysis with its precision-recall summary.
 
-Every ranking goes through `infer.rank_placeholders` on one inference
-`Encoder` per instance, one call for all of an instance's placeholders:
-full-snippet metrics take ICM's final rankings, where each total ranks every
-placeholder with the others at their assigned symbols; the other metrics
-rank every placeholder with the others at their truth
-(`train.truth_rankings`)."""
+Every ranking is a row of `infer`'s score matrix on one inference `Encoder`
+per instance: full-snippet metrics take ICM's final rankings, each
+placeholder's with the others at their assigned symbols; the other metrics
+rank all of an instance's placeholders with the others at their truth in
+one `infer.rank_placeholders` call (`train.truth_rankings`)."""
 
 from __future__ import annotations
 

@@ -11,12 +11,13 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import nn
 from .dataflow import UseGraph
 from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import LexError, reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
-from .models import Encoder, ModelParams, padded, ranking, softmax_rows
+from .models import Encoder, ModelParams
 from .taskgen import Placeholder, TaskInstance, make_placeholder
 
 
@@ -45,34 +46,25 @@ class Assignment:
 
 def rank_placeholders(inst: TaskInstance, encoder: Encoder,
                       phs: Sequence[Placeholder],
-                      *context_assignments: Dict[int, Optional[int]]
+                      binding: Dict[int, Optional[int]]
                       ) -> List[List[Tuple[int, float]]]:
-    """Each placeholder's candidates ranked by conditional probability with
-    every other placeholder bound per a context assignment (`None` leaves it
-    unbound), all of `phs` under each assignment in turn.  One view per
-    assignment, made through the encoder's flow, binds every placeholder;
-    each ranked placeholder is ranked on that view with its own token
-    unbound (`UseGraph.without`), so a lone ranked placeholder needs no
-    binding of its own.  Ties break toward the lowest symbol id.  This is
-    the one path from a binding to a ranking: its missing scores are
-    computed in one `Encoder.rank` batch."""
-    lone = phs[0].token_index if len(phs) == 1 else None
-    groups = []
-    for context in context_assignments:
-        bound = encoder.flow.uses({t: context[t] for t in
-                                   inst.placeholder_tokens if t != lone})
-        groups += [(bound.without(ph.token_index), ph.token_index,
-                    ph.candidates) for ph in phs]
-    return encoder.rank(groups)
+    """Each of `phs` with its candidates ranked by conditional probability,
+    every other placeholder of the instance bound per `binding` (`None`
+    leaves one unbound; one it does not name is a KeyError, ranked or not):
+    the rows of a `_ScoreMatrix` over `phs`, scored in one `Encoder.scores`
+    call.  Ties break toward the lowest symbol id."""
+    matrix = _ScoreMatrix(inst, encoder, phs)
+    _, probs, _ = _lockstep(encoder, [matrix.rows(binding)])[0]
+    return matrix.rankings(probs)
 
 
 def rank_single(inst: TaskInstance, encoder: Encoder, ph: Placeholder,
-                context_assignment: Dict[int, Optional[int]]
+                binding: Dict[int, Optional[int]]
                 ) -> List[Tuple[int, float]]:
     """`rank_placeholders` of one placeholder.  Nothing in the package
-    ranks one placeholder at a time; it is the per-placeholder reference
-    the batched totals are tested against."""
-    return rank_placeholders(inst, encoder, [ph], context_assignment)[0]
+    ranks one placeholder at a time; it is kept because the benchmark
+    traces it (`infer.rank_single` in `bench/spans.py`)."""
+    return rank_placeholders(inst, encoder, [ph], binding)[0]
 
 
 def total_log_prob(inst: TaskInstance, encoder: Encoder,
@@ -82,9 +74,10 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
     of the log conditional probability of the assigned symbol given all the
     others) and every placeholder's ranking under it: ICM's score matrix
     of that mapping alone."""
-    matrix = _ScoreMatrix(inst, encoder)
+    matrix = _ScoreMatrix(inst, encoder, inst.placeholders)
     state, = _lockstep(encoder, [matrix.state(mapping)])
-    return state.total, matrix.rankings(state)
+    return state.total, dict(zip(inst.placeholder_tokens,
+                                 matrix.rankings(state.probs)))
 
 
 @dataclass
@@ -101,18 +94,21 @@ class _State:
 
 
 class _ScoreMatrix:
-    """An instance's placeholders as the rows of a score matrix: row s
-    holds c(s) . u(s, v) for each candidate v, padded with -inf to the
+    """Placeholders `phs` of an instance as the rows of a score matrix: row
+    s holds c(s) . u(s, v) for each candidate v, padded with -inf to the
     most candidates.  Row s reads each symbol's occurrences under the
     mapping with s unbound, so a move of t from a to b changes only the a
     and b entries of the other rows, and nothing of t's row.  `rows` and
     `move` yield the (view, token, candidates) groups whose scores they
     need and are sent the scores, so that `_lockstep` can score the groups
-    of several in one batch."""
+    of several in one batch.  A mapping binds every placeholder of the
+    instance, ranked or not; `state` and `move` are ICM's, whose rows are
+    every placeholder."""
 
-    def __init__(self, inst: TaskInstance, encoder: Encoder):
+    def __init__(self, inst: TaskInstance, encoder: Encoder,
+                 phs: Sequence[Placeholder]):
         self.flow = encoder.flow
-        self.phs = inst.placeholders
+        self.phs = phs
         self.tokens = inst.placeholder_tokens
         self.widths = [len(ph.candidates) for ph in self.phs]
         # per row: candidate -> its column
@@ -192,9 +188,39 @@ class _ScoreMatrix:
         candidates in id order (`make_placeholder`) the lowest id."""
         return self.phs[s].candidates[int(np.argmax(probs[s]))]
 
-    def rankings(self, state: _State) -> Dict[int, List[Tuple[int, float]]]:
-        return {ph.token_index: ranking(ph.candidates, probs)
-                for ph, probs in zip(self.phs, state.probs)}
+    def rankings(self, probs: np.ndarray) -> List[List[Tuple[int, float]]]:
+        """Each row's candidates with their probabilities, most probable
+        first; equal probabilities go to the lower symbol id."""
+        out = []
+        for ph, row in zip(self.phs, probs):
+            order = sorted(range(len(ph.candidates)),
+                           key=lambda i: (-row[i], ph.candidates[i]))
+            out.append([(ph.candidates[i], float(row[i])) for i in order])
+        return out
+
+
+def padded(rows: Sequence[Sequence[float]], widths: Sequence[int]
+           ) -> np.ndarray:
+    """Score rows of the given widths as one matrix, each row padded at its
+    end with -inf up to the widest."""
+    out = np.full((len(rows), max(widths, default=0)), -np.inf)
+    for row, scores, width in zip(out, rows, widths):
+        row[:width] = scores
+    return out
+
+
+def softmax_rows(scores: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """Each row's softmax over its first `widths[i]` entries, 0 in the
+    padding.  Rows of one width go through `nn.softmax_probs` together and
+    the padding never enters it: a sum's rounding depends on its length,
+    so a row's probabilities are bit for bit those of the row alone."""
+    if set(widths) == {scores.shape[1]}:  # no padding
+        return nn.softmax_probs(scores)
+    probs = np.zeros_like(scores)
+    for width in set(widths):
+        rows = [i for i, w in enumerate(widths) if w == width]
+        probs[rows, :width] = nn.softmax_probs(scores[rows, :width])
+    return probs
 
 
 def _lockstep(encoder: Encoder, searches: List[Generator]) -> list:
@@ -259,7 +285,7 @@ def icm(inst: TaskInstance, params: ModelParams,
     if encoder is None:
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-    matrix = _ScoreMatrix(inst, encoder)
+    matrix = _ScoreMatrix(inst, encoder, inst.placeholders)
     row = {ph.token_index: s for s, ph in enumerate(matrix.phs)}
     sweep_order = sorted(row)
 
@@ -290,7 +316,8 @@ def icm(inst: TaskInstance, params: ModelParams,
     if trace is not None:
         trace.extend(traces)
     best = max(finals, key=lambda state: state.total)
-    return Assignment(best.mapping, best.total, matrix.rankings(best))
+    return Assignment(best.mapping, best.total, dict(zip(
+        inst.placeholder_tokens, matrix.rankings(best.probs))))
 
 
 # --- paste ------------------------------------------------------------------

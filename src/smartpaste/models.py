@@ -284,8 +284,8 @@ class Encoder:
     It computes only the missing scores, for several placeholders at once,
     and reads only their values, so it records no tape (`nn.no_tape`).  The
     context bank and type representations a ranking fills are therefore
-    constants: to differentiate, encode through a fresh encoder.  `rank`
-    turns a call's scores into rankings.
+    constants: to differentiate, encode through a fresh encoder.  Turning
+    scores into rankings is `infer`'s.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  It
@@ -468,49 +468,6 @@ class Encoder:
             # batch, so equal usage columns keep exactly equal scores
             memo.update(zip(missing, (u * c).sum(axis=1)))
         return [[memo[key] for key in group_keys] for group_keys in keys]
-
-    def rank(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
-             ) -> List[List[Tuple[int, float]]]:
-        """For each (view, t, candidates) group, its candidates with the
-        softmax of their `scores`, most probable first; equal probabilities
-        go to the lower symbol id."""
-        widths = [len(candidates) for _, _, candidates in groups]
-        probs = softmax_rows(padded(self.scores(groups), widths), widths)
-        return [ranking(candidates, p)
-                for (_, _, candidates), p in zip(groups, probs)]
-
-
-def padded(rows: Sequence[Sequence[float]], widths: Sequence[int]
-           ) -> np.ndarray:
-    """Score rows of the given widths as one matrix, each row padded at its
-    end with -inf up to the widest."""
-    out = np.full((len(rows), max(widths, default=0)), -np.inf)
-    for row, scores, width in zip(out, rows, widths):
-        row[:width] = scores
-    return out
-
-
-def softmax_rows(scores: np.ndarray, widths: Sequence[int]) -> np.ndarray:
-    """Each row's softmax over its first `widths[i]` entries, 0 in the
-    padding.  Rows of one width go through `nn.softmax_probs` together and
-    the padding never enters it: a sum's rounding depends on its length,
-    so a row's probabilities are bit for bit those of the row alone."""
-    if set(widths) == {scores.shape[1]}:  # no padding
-        return nn.softmax_probs(scores)
-    probs = np.zeros_like(scores)
-    for width in set(widths):
-        rows = [i for i, w in enumerate(widths) if w == width]
-        probs[rows, :width] = nn.softmax_probs(scores[rows, :width])
-    return probs
-
-
-def ranking(candidates: Sequence[int], probs: np.ndarray
-            ) -> List[Tuple[int, float]]:
-    """The candidates with their probabilities, most probable first; equal
-    probabilities go to the lower symbol id."""
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-probs[i], candidates[i]))
-    return [(candidates[i], float(probs[i])) for i in order]
 
 
 # One group of a usage batch: (encoder, use graph, token t, candidates).

@@ -4,7 +4,8 @@ Adam, and early stopping on validation accuracy.
 A training step encodes all of its items in one `models.usage_batch`,
 reading each item's use graph from `ItemCache`.  Validation ranks as
 evaluation does: `truth_rankings` ranks all items of an instance in one
-`infer.rank_placeholders` call on one inference `Encoder`."""
+`infer.rank_placeholders` call on one inference `Encoder`, as rows of
+ICM's score matrix."""
 
 from __future__ import annotations
 

@@ -193,15 +193,15 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
 
 
 class _Recorder:
-    """Stands in for an encoder: keeps the views it is asked to rank."""
+    """Stands in for an encoder: keeps the groups it is asked to score."""
 
     def __init__(self, flow):
         self.flow = flow
         self.groups = []
 
-    def rank(self, groups):
+    def scores(self, groups):
         self.groups = list(groups)
-        return [[] for _ in groups]
+        return [[0.0] * len(candidates) for _, _, candidates in groups]
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,45 +209,45 @@ class _Recorder:
        st.sampled_from(generator.PROFILES), st.randoms(use_true_random=False))
 def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
     """Random occurrences made placeholders, bound at random (unbound, to
-    their own symbol or to any symbol) and ranked in random subsets: each
-    view that `rank_placeholders` derives from its one bound view has the
-    occurrences, token map and relations of a use graph built from scratch
-    with the ranked placeholder unbound, and its token map is the
-    occurrence map.  A missing binding of an unranked placeholder is a
-    KeyError."""
+    their own symbol or to any symbol) and ranked in random subsets, each
+    with random candidates that hold the symbol it is bound to or not: in
+    each group `rank_placeholders` scores, every candidate has the
+    occurrences and relations of a use graph built from scratch with the
+    ranked placeholder unbound.  A binding that misses a placeholder,
+    ranked or not, is a KeyError."""
     prog = compile_source(
         generator.generate_file(random.Random(seed), profile, 0, 0))
     occurs = [t.index for t in prog.tokens if t.symbol is not None]
     tokens = sorted(rnd.sample(occurs, min(len(occurs), rnd.randint(1, 6))))
-    inst = TaskInstance(prog, (tokens[0], tokens[-1]),
-                        [Placeholder(t, prog.tokens[t].symbol, [], [])
-                         for t in tokens])
-    symbols = [None] + [s.id for s in prog.symbols]
+    symbols = [s.id for s in prog.symbols]
     encoder = _Recorder(ProgramFlow(prog))
     for _ in range(3):
         binding = {t: prog.tokens[t].symbol if rnd.random() < 0.25
-                   else rnd.choice(symbols) for t in tokens}
-        phs = rnd.sample(inst.placeholders, rnd.randint(1, len(tokens)))
-        if len(phs) == 1 and rnd.random() < 0.5:
-            del binding[phs[0].token_index]  # a lone one needs no binding
+                   else rnd.choice([None] + symbols) for t in tokens}
+        placeholders = []
+        for t in tokens:
+            candidates = set(rnd.sample(symbols, rnd.randint(1, len(symbols))))
+            if rnd.random() < 0.5 and binding[t] is not None:
+                candidates.add(binding[t])
+            elif len(candidates) > 1:
+                candidates.discard(binding[t])
+            placeholders.append(Placeholder(t, prog.tokens[t].symbol,
+                                            sorted(candidates), []))
+        inst = TaskInstance(prog, (tokens[0], tokens[-1]), placeholders)
+        phs = rnd.sample(placeholders, rnd.randint(1, len(tokens)))
         rank_placeholders(inst, encoder, phs, binding)
-        assert [t for _, t, _ in encoder.groups] == \
-            [ph.token_index for ph in phs]
-        for view, t, _ in encoder.groups:
+        assert [(t, list(vs)) for _, t, vs in encoder.groups] == \
+            [(ph.token_index, ph.candidates) for ph in phs]
+        for view, t, vs in encoder.groups:
             override = {**binding, t: None}
             fresh = ProgramFlow(prog).uses(override)
-            assert view.occurrences == fresh.occurrences, override
-            assert view.occ == fresh.occ == occurrence_map(prog, override)
-            for v in fresh.flow.symbols:
-                for u in range(len(prog.tokens)):
-                    assert view.din(u, v) == fresh.din(u, v), (override, u)
-                    assert view.dout(u, v) == fresh.dout(u, v), (override, u)
-        unranked = [t for t in tokens
-                    if t not in {ph.token_index for ph in phs}]
-        if unranked:
-            del binding[unranked[0]]
-            with pytest.raises(KeyError):
-                rank_placeholders(inst, encoder, phs, binding)
+            for v in vs:
+                assert view.occurrences.get(v, ()) == \
+                    fresh.occurrences.get(v, ()), (override, v)
+                assert view.relations(v) == fresh.relations(v), (override, v)
+        del binding[rnd.choice(tokens)]
+        with pytest.raises(KeyError):
+            rank_placeholders(inst, encoder, phs, binding)
 
 
 class TestProgramFlow:

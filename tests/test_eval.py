@@ -1,17 +1,19 @@
 """Metric definitions: ranking metrics, PR curves with tie blocks, reports."""
 
+from dataclasses import replace
+
 import pytest
 
-from smartpaste.dataflow import dataflow_uses
 from smartpaste.evaluation import (Decision, MetricsReport, NoDecisions,
                                    _tie_credit, eval_full_snippet,
                                    eval_per_placeholder, eval_same_type,
                                    format_report, pr_auc, pr_curve,
                                    precision_at_recall)
-from smartpaste.models import (VARIANTS, Encoder, Hyper, ModelParams,
-                               build_vocab)
+from smartpaste.models import VARIANTS, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import make_instance
 from smartpaste.train import make_items, per_placeholder_accuracy
+
+from rank_reference import reference_rank
 
 
 class TestPrCurve:
@@ -163,12 +165,8 @@ def test_truth_context_metrics_match_fresh_rankings(sum_positive_program,
     declared = {s.id: s.declared_type for s in inst.program.symbols}
 
     def fresh_rank(ph, candidates):
-        enc = Encoder(params, inst.program,
-                      placeholder_tokens=inst.placeholder_tokens)
-        ranked, = enc.rank([(dataflow_uses(inst.program,
-                                           {ph.token_index: None}),
-                             ph.token_index, candidates)])
-        return ranked
+        return reference_rank(params, inst, replace(ph, candidates=candidates),
+                              {ph.token_index: None})
 
     hits = mrr = typed = 0.0
     for ph in inst.placeholders:

@@ -20,6 +20,7 @@ from smartpaste.models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
 from smartpaste.taskgen import make_instance
 
 from conftest import SUM_POSITIVE_TRUTH_NAMES
+from rank_reference import reference_rank
 
 
 def small_model(program, variant="avgg", seed=4,
@@ -105,7 +106,8 @@ class TestIcm:
         best = icm(inst, params, restarts=4, rng=random.Random(0))
         enc = Encoder(params, sum_positive_program,
                       placeholder_tokens=inst.placeholder_tokens)
-        ranked = rank_single(inst, enc, inst.placeholders[0], {})
+        ranked = rank_single(inst, enc, inst.placeholders[0],
+                             {inst.placeholders[0].token_index: None})
         assert best.mapping[inst.placeholders[0].token_index] == ranked[0][0]
 
     def test_total_matches_final_mapping(self, loop_instance):
@@ -126,13 +128,9 @@ class TestIcm:
         inst = loop_instance
         params = small_model(inst.program, variant=variant)
         best = icm(inst, params, restarts=1, max_sweeps=0)
-        unbound = dataflow_uses(inst.program,
-                                dict.fromkeys(inst.placeholder_tokens))
+        unbound = dict.fromkeys(inst.placeholder_tokens)
         for ph in inst.placeholders:
-            enc = Encoder(params, inst.program,
-                          placeholder_tokens=inst.placeholder_tokens)
-            ranked, = enc.rank([(unbound, ph.token_index,
-                                 ph.candidates)])
+            ranked = reference_rank(params, inst, ph, unbound)
             assert best.mapping[ph.token_index] == ranked[0][0]
 
     def test_rankings_cover_all_placeholders(self, loop_instance):
@@ -145,17 +143,18 @@ class TestIcm:
 def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace,
                   trials=None):
     """ICM in its direct form: the restarts one after another, every sweep
-    step ranks its placeholder again with `rank_single`, writes the argmax
-    into the mapping in place, and reverts a move that lowers the total.
-    `trials`, when given, collects each restart's number of moves tried."""
+    step ranks its placeholder again with `reference_rank` on `encoder`,
+    writes the argmax into the mapping in place, and reverts a move that
+    lowers the total.  `trials`, when given, collects each restart's
+    number of moves tried."""
     phs = sorted(inst.placeholders, key=lambda p: p.token_index)
     best = None
     for attempt in range(max(restarts, 1)):
         if attempt == 0:
             unbound = dict.fromkeys(inst.placeholder_tokens)
-            mapping = {p.token_index: rank_single(inst, encoder, p,
-                                                  unbound)[0][0]
-                       for p in phs}
+            mapping = {p.token_index: reference_rank(
+                encoder.params, inst, p, unbound, encoder)[0][0]
+                for p in phs}
         else:
             mapping = {p.token_index: rng.choice(p.candidates) for p in phs}
         total, rankings = total_log_prob(inst, encoder, mapping)
@@ -165,7 +164,8 @@ def reference_icm(inst, encoder, restarts, max_sweeps, rng, trace,
             changed = False
             for ph in phs:
                 t = ph.token_index
-                top = rank_single(inst, encoder, ph, mapping)[0][0]
+                top = reference_rank(encoder.params, inst, ph, mapping,
+                                     encoder)[0][0]
                 if mapping[t] != top:
                     tried += 1
                     previous = mapping[t]
@@ -242,10 +242,8 @@ def test_icm_matches_reference(icm_instances, variant):
                         == [len(r) for r in want_trace]
                     assert all(_close(a, b)
                                for a, b in zip(trace, want_trace))
-        enc = Encoder(params, inst.program,
-                      placeholder_tokens=inst.placeholder_tokens)
         for ph in inst.placeholders:
-            fresh = rank_single(inst, enc, ph, got.mapping)
+            fresh = reference_rank(params, inst, ph, got.mapping)
             ranked = got.rankings[ph.token_index]
             assert [s for s, _ in ranked] == [s for s, _ in fresh]
             assert [p for _, p in ranked] == pytest.approx(
@@ -325,7 +323,7 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
 def test_score_matrix_matches_rank_single(icm_instances, data):
     """For a random mapping, and the move of a random placeholder to
     another candidate, the score matrix's total and row probabilities
-    equal what `rank_single` gives each placeholder alone on a fresh
+    equal what `reference_rank` gives each placeholder alone on a fresh
     encoder, to 1e-12; each row's argmax is the head of its ranking."""
     inst = data.draw(st.sampled_from(icm_instances))
     variant = data.draw(st.sampled_from(VARIANTS))
@@ -336,7 +334,7 @@ def test_score_matrix_matches_rank_single(icm_instances, data):
                for p in inst.placeholders}
     enc = Encoder(params, inst.program,
                   placeholder_tokens=inst.placeholder_tokens)
-    matrix = infer._ScoreMatrix(inst, enc)
+    matrix = infer._ScoreMatrix(inst, enc, inst.placeholders)
     state, = infer._lockstep(enc, [matrix.state(mapping)])
     states = [state]
     ph = data.draw(st.sampled_from(inst.placeholders))
@@ -346,18 +344,14 @@ def test_score_matrix_matches_rank_single(icm_instances, data):
             state, ph.token_index, data.draw(st.sampled_from(others)))])
         states.append(moved)
     for state in states:
-        rankings = matrix.rankings(state)
+        rankings = matrix.rankings(state.probs)
         want = 0.0
         for s, p in enumerate(inst.placeholders):
-            alone = dict(rank_single(inst, Encoder(
-                params, inst.program,
-                placeholder_tokens=inst.placeholder_tokens), p,
-                state.mapping))
+            alone = dict(reference_rank(params, inst, p, state.mapping))
             probs = state.probs[s, :len(p.candidates)]
             assert _close(probs, [alone[v] for v in p.candidates])
             assert not state.probs[s, len(p.candidates):].any()
-            assert matrix.top(state.probs, s) \
-                == rankings[p.token_index][0][0]
+            assert matrix.top(state.probs, s) == rankings[s][0][0]
             want += math.log(max(alone[state.mapping[p.token_index]],
                                  1e-300))
         assert abs(state.total - want) <= 1e-12
@@ -368,24 +362,21 @@ def test_score_matrix_matches_rank_single(icm_instances, data):
 def test_total_log_prob_matches_per_placeholder_ranking(icm_instances,
                                                        variant, ctx_kind):
     """A total that ranks every placeholder in one batch equals the sum of
-    the log-probabilities `rank_single` gives each placeholder alone on a
-    fresh encoder, to 1e-12, and so do its rankings' probabilities."""
+    the log-probabilities `reference_rank` gives each placeholder alone on
+    a fresh encoder, to 1e-12, and so do its rankings' probabilities."""
     rng = random.Random(7)
     for inst in icm_instances:
         params = small_model(inst.program, variant=variant,
                              context_encoder=ctx_kind)
-
-        def fresh():
-            return Encoder(params, inst.program,
-                           placeholder_tokens=inst.placeholder_tokens)
-
         for _ in range(3):
             mapping = {p.token_index: rng.choice(p.candidates)
                        for p in inst.placeholders}
-            total, rankings = total_log_prob(inst, fresh(), mapping)
+            total, rankings = total_log_prob(inst, Encoder(
+                params, inst.program,
+                placeholder_tokens=inst.placeholder_tokens), mapping)
             want = 0.0
             for ph in inst.placeholders:
-                alone = dict(rank_single(inst, fresh(), ph, mapping))
+                alone = dict(reference_rank(params, inst, ph, mapping))
                 got = dict(rankings[ph.token_index])
                 assert got.keys() == alone.keys()
                 assert _close([got[v] for v in alone], alone.values())

@@ -17,7 +17,8 @@ from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
                                _TreeIndex, build_vocab, dump_usage_vectors,
                                usage_batch)
 from smartpaste.infer import rank_single
-from smartpaste.taskgen import extract_instances, make_instance
+from smartpaste.taskgen import (Placeholder, TaskInstance, extract_instances,
+                                make_instance)
 
 from conftest import SUM_POSITIVE
 
@@ -478,9 +479,10 @@ class TestBatchedUsage:
                    if t.symbol is not None and not t.is_def)
         params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)
         enc = Encoder(params, prog, placeholder_tokens=[use])
-        ug = dataflow_uses(prog, override={use: None})
         cands = [s.id for s in reversed(prog.symbols)]
-        ranked, = enc.rank([(ug, use, cands)])
+        ph = Placeholder(use, prog.tokens[use].symbol, cands, [])
+        ranked = rank_single(TaskInstance(prog, (use, use), [ph]), enc, ph,
+                             {use: None})
         # every candidate is an int: equal scores, so symbol order
         assert [s for s, _ in ranked] == sorted(cands)
         assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
@@ -553,9 +555,10 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
 def _trial_groups(variant, ctx_kind="logbilinear", tree_depth=6):
     """The groups one lockstep ICM step hands `usage_batch` for two trial
     mappings of the pasted loop, the truth and the truth with its first
-    placeholder moved: per mapping one view binding every placeholder, and
-    each placeholder ranked on it with its own token unbound.  Most
-    candidates keep their occurrences across the groups of both views."""
+    placeholder moved: per mapping each placeholder ranked on a view that
+    binds every other placeholder per the mapping and leaves its own
+    unbound.  Most candidates keep their occurrences across the groups of
+    both mappings."""
     prog = compile_source(SUM_POSITIVE)
     inst = make_instance(prog, (17, 46))
     types, lexemes = build_vocab([inst])
@@ -569,9 +572,9 @@ def _trial_groups(variant, ctx_kind="logbilinear", tree_depth=6):
         v for v in first.candidates if v != first.truth)}
     groups = []
     for mapping in (truth, moved):
-        bound = enc.flow.uses(mapping)
-        groups += [(enc, bound.without(ph.token_index), ph.token_index,
-                    ph.candidates) for ph in inst.placeholders]
+        groups += [(enc, enc.flow.uses({**mapping, ph.token_index: None}),
+                    ph.token_index, ph.candidates)
+                   for ph in inst.placeholders]
     return params, groups
 
 
@@ -601,7 +604,7 @@ def test_usage_batch_shares_nodes_across_groups(variant, ctx_kind):
 
 
 def test_rank_computes_each_missing_score_once(monkeypatch):
-    """Groups of one `Encoder.rank` call that miss the same (t, v,
+    """Groups of one `Encoder.scores` call that miss the same (t, v,
     occurrences of v) score, as two trial mappings' groups do, encode that
     candidate once, and a second call encodes nothing."""
     params, groups = _trial_groups("grud")
@@ -610,11 +613,11 @@ def test_rank_computes_each_missing_score_once(monkeypatch):
     batch = models.usage_batch
     monkeypatch.setattr(models, "usage_batch", lambda groups: (
         columns.append(sum(len(g[3]) for g in groups)), batch(groups))[1])
-    ranked = enc.rank([g[1:] for g in groups])
+    scores = enc.scores([g[1:] for g in groups])
     assert columns == [len({(t, v, ug.occurrences.get(v, ()))
                             for _, ug, t, cands in groups for v in cands})]
     assert columns[0] < sum(len(g[3]) for g in groups)
-    assert enc.rank([g[1:] for g in groups]) == ranked
+    assert enc.scores([g[1:] for g in groups]) == scores
     assert len(columns) == 1
 
 
@@ -805,7 +808,7 @@ class TestPersistence:
                               e2.context_repr(use).data)
         assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
                               e2.usage_reprs(ug, use, cands).data)
-        assert e1.rank([(ug, use, cands)]) == e2.rank([(ug, use, cands)])
+        assert e1.scores([(ug, use, cands)]) == e2.scores([(ug, use, cands)])
 
     @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
     @pytest.mark.parametrize("variant", VARIANTS)

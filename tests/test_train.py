@@ -11,7 +11,6 @@ import pytest
 
 from smartpaste import nn
 from smartpaste import train as train_module
-from smartpaste.infer import rank_single
 from smartpaste.minilang import compile_source
 from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import extract_instances
@@ -19,6 +18,8 @@ from smartpaste.train import (ItemCache, NonFiniteLoss, TrainConfig, fit,
                               make_batches, make_items,
                               per_placeholder_accuracy, train_step,
                               truth_rankings)
+
+from rank_reference import reference_rank
 
 # Two programs whose variables have nominal types with three-member
 # supertype closures, so type dropout draws at training time.  In the first,
@@ -232,8 +233,8 @@ class TestTrainStep:
 def test_truth_rankings_match_rank_single(lattice_instances, tiny_instances,
                                           variant, same_type):
     """All items of an instance ranked in one batch give each item the
-    ranking `rank_single` gives it alone on a fresh encoder: the same order
-    and probabilities within 1e-12."""
+    ranking `reference_rank` gives it alone on a fresh encoder: the same
+    order and probabilities within 1e-12."""
     insts = lattice_instances + tiny_instances[:6]
     items = make_items(insts)
     params = ModelParams(variant, Hyper(hidden=6, tree_depth=4),
@@ -248,9 +249,8 @@ def test_truth_rankings_match_rank_single(lattice_instances, tiny_instances,
         ph = inst.placeholders[item.placeholder]
         if same_type:
             ph = replace(ph, candidates=ph.same_type_candidates)
-        want = rank_single(inst, Encoder(
-            params, inst.program, placeholder_tokens=inst.placeholder_tokens),
-            ph, {p.token_index: p.truth for p in inst.placeholders})
+        want = reference_rank(params, inst, ph, {
+            p.token_index: p.truth for p in inst.placeholders})
         assert [v for v, _ in ranked] == [v for v, _ in want]
         assert max(abs(p - q) for (_, p), (_, q) in zip(ranked, want)) \
             <= 1e-12
