@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .minilang import ast
 from .minilang.checker import TypedProgram
@@ -178,11 +178,8 @@ class UseGraph:
         t, nearest last for prev chains (chronological) and nearest first
         for next chains: a slice of v's sorted occurrences."""
         occ = self.occurrences.get(v, ())
-        if direction == "prev":
-            i = bisect_left(occ, t)
-            return list(occ[max(i - n, 0):i])
-        i = bisect_right(occ, t)
-        return list(occ[i:i + n])
+        lo, i, j, hi = chain_bounds(occ, t, n)
+        return list(occ[lo:i] if direction == "prev" else occ[j:hi])
 
     def lex_prev(self, t: int, v: int) -> Optional[int]:
         return (self.lex_chain(t, v, 1, "prev") or [None])[0]
@@ -199,6 +196,16 @@ class UseGraph:
         if self._flat is not None:
             return self._flat[1].get((t, v), frozenset())
         return self.relations(v)[1].get(t, frozenset())
+
+
+def chain_bounds(occ: Sequence[int], t: int, n: int
+                 ) -> Tuple[int, int, int, int]:
+    """(lo, i, j, hi): the lexical chains of length up to n at token t
+    of a symbol with sorted occurrences `occ` are `occ[lo:i]` (prev, the
+    occurrences before t) and `occ[j:hi]` (next, those after t)."""
+    i = bisect_left(occ, t)
+    j = bisect_right(occ, t, i)
+    return max(i - n, 0), i, j, min(j + n, len(occ))
 
 
 def _by_symbol(occ: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:

@@ -84,13 +84,17 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
 class _State:
     """One mapping as ICM holds it: each symbol's occurrences with every
     placeholder bound per the mapping, the padded (P, K) score matrix of
-    its conditionals, their row probabilities and its total."""
+    its conditionals, their row probabilities and its total.  The arrays
+    are read-only: a move that changes no row shares them."""
 
     mapping: Dict[int, int]
     occurrences: Dict[int, Tuple[int, ...]]
     scores: np.ndarray
     probs: np.ndarray
     total: float
+
+    def __post_init__(self):
+        self.scores.flags.writeable = self.probs.flags.writeable = False
 
 
 class _ScoreMatrix:
@@ -110,10 +114,17 @@ class _ScoreMatrix:
         self.flow = encoder.flow
         self.phs = phs
         self.tokens = inst.placeholder_tokens
-        self.widths = [len(ph.candidates) for ph in self.phs]
         # per row: candidate -> its column
         self.cols = [{v: i for i, v in enumerate(ph.candidates)}
                      for ph in self.phs]
+        widths = np.array([len(ph.candidates) for ph in phs], dtype=np.intp)
+        self.shape = (len(phs), int(widths.max(initial=0)))
+        # every row's cells, row after row, and the rows of each width
+        row_of = np.repeat(np.arange(len(phs)), widths)
+        firsts = np.cumsum(widths) - widths
+        self.cells = (row_of, np.arange(len(row_of)) - firsts[row_of])
+        self.by_width = [(np.flatnonzero(widths == w), w)
+                         for w in sorted(set(widths.tolist()))]
 
     def _group(self, occurrences: Dict[int, Tuple[int, ...]],
                mapping: Dict[int, Optional[int]], s: int,
@@ -127,13 +138,27 @@ class _ScoreMatrix:
         return shared, t, vs
 
     def _total(self, mapping: Dict[int, int], probs: np.ndarray) -> float:
+        assigned = probs[np.arange(len(self.phs)),
+                         [cols[mapping[ph.token_index]]
+                          for ph, cols in zip(self.phs, self.cols)]]
         # summed in placeholder order, so a total is the same float
         # whichever path computed it
         total = 0.0
-        for s, (ph, cols) in enumerate(zip(self.phs, self.cols)):
-            total += math.log(max(float(probs[s, cols[mapping[
-                ph.token_index]]]), 1e-300))
+        for p in np.maximum(assigned, 1e-300).tolist():
+            total += math.log(p)
         return total
+
+    def _normalise(self, scores: np.ndarray) -> np.ndarray:
+        """Each row's softmax over its own candidates, 0 in the padding.
+        Rows of one width go through `nn.softmax_probs` together and the
+        padding never enters it: a sum's rounding depends on its length,
+        so a row's probabilities are bit for bit those of the row alone."""
+        if len(self.by_width) == 1:  # no padding
+            return nn.softmax_probs(scores)
+        probs = np.zeros(self.shape)
+        for rows, width in self.by_width:
+            probs[rows, :width] = nn.softmax_probs(scores[rows, :width])
+        return probs
 
     def rows(self, mapping: Dict[int, Optional[int]]):
         """Every row's scores and probabilities, and each symbol's
@@ -145,8 +170,9 @@ class _ScoreMatrix:
         scores = yield [self._group(occurrences, mapping, s, shared,
                                     ph.candidates)
                         for s, ph in enumerate(self.phs)]
-        scores = padded(scores, self.widths)
-        return scores, softmax_rows(scores, self.widths), occurrences
+        matrix = np.full(self.shape, -np.inf)
+        matrix[self.cells] = [x for row in scores for x in row]
+        return matrix, self._normalise(matrix), occurrences
 
     def state(self, mapping: Dict[int, int]):
         """The state of a mapping, every row scored."""
@@ -165,28 +191,27 @@ class _ScoreMatrix:
         shared = UseGraph(occurrences, self.flow)
         # candidates are in id order (`make_placeholder`)
         pair = sorted((a, b))
-        changed, groups = [], []
+        groups, at_rows, at_cols = [], [], []
         for s, cols in enumerate(self.cols):
             vs = [v for v in pair if v in cols]
             if vs and self.phs[s].token_index != t:
-                changed.append(s)
                 groups.append(self._group(occurrences, mapping, s, shared,
                                           vs))
+                at_rows += [s] * len(vs)
+                at_cols += [cols[v] for v in vs]
         rescored = yield groups
-        scores, probs = state.scores.copy(), state.probs.copy()
-        if changed:
-            at = [(s, self.cols[s][v])
-                  for s, (_, _, vs) in zip(changed, groups) for v in vs]
-            scores[tuple(zip(*at))] = [x for row in rescored for x in row]
-            probs[changed] = softmax_rows(
-                scores[changed], [self.widths[s] for s in changed])
+        scores, probs = state.scores, state.probs
+        if groups:
+            scores = scores.copy()
+            scores[at_rows, at_cols] = [x for row in rescored for x in row]
+            probs = self._normalise(scores)
         return _State(mapping, occurrences, scores, probs,
                       self._total(mapping, probs))
 
     def top(self, probs: np.ndarray, s: int) -> int:
         """Row s's most probable candidate: the first maximum, so with
         candidates in id order (`make_placeholder`) the lowest id."""
-        return self.phs[s].candidates[int(np.argmax(probs[s]))]
+        return self.phs[s].candidates[int(probs[s].argmax())]
 
     def rankings(self, probs: np.ndarray) -> List[List[Tuple[int, float]]]:
         """Each row's candidates with their probabilities, most probable
@@ -197,30 +222,6 @@ class _ScoreMatrix:
                            key=lambda i: (-row[i], ph.candidates[i]))
             out.append([(ph.candidates[i], float(row[i])) for i in order])
         return out
-
-
-def padded(rows: Sequence[Sequence[float]], widths: Sequence[int]
-           ) -> np.ndarray:
-    """Score rows of the given widths as one matrix, each row padded at its
-    end with -inf up to the widest."""
-    out = np.full((len(rows), max(widths, default=0)), -np.inf)
-    for row, scores, width in zip(out, rows, widths):
-        row[:width] = scores
-    return out
-
-
-def softmax_rows(scores: np.ndarray, widths: Sequence[int]) -> np.ndarray:
-    """Each row's softmax over its first `widths[i]` entries, 0 in the
-    padding.  Rows of one width go through `nn.softmax_probs` together and
-    the padding never enters it: a sum's rounding depends on its length,
-    so a row's probabilities are bit for bit those of the row alone."""
-    if set(widths) == {scores.shape[1]}:  # no padding
-        return nn.softmax_probs(scores)
-    probs = np.zeros_like(scores)
-    for width in set(widths):
-        rows = [i for i, w in enumerate(widths) if w == width]
-        probs[rows, :width] = nn.softmax_probs(scores[rows, :width])
-    return probs
 
 
 def _lockstep(encoder: Encoder, searches: List[Generator]) -> list:

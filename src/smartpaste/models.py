@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import nn
-from .dataflow import EPS, ProgramFlow, UseGraph
+from .dataflow import EPS, ProgramFlow, UseGraph, chain_bounds
 from .minilang.checker import TypedProgram, UNK_TYPE, supertype_closure
 from .nn import Tensor
 
@@ -325,6 +325,15 @@ class Encoder:
         self._scores: Dict[Tuple[int, int, Tuple[int, ...]], float] = {}
 
     @cached_property
+    def token_columns(self) -> np.ndarray:
+        """Token index -> its column of `bank`, -1 for a token without one;
+        every occurrence of a symbol has one."""
+        out = np.full(len(self.program.tokens), -1, dtype=np.intp)
+        tokens = list(self.positions)[1:]
+        out[tokens] = [self.positions[t] for t in tokens]
+        return out
+
+    @cached_property
     def flow(self) -> ProgramFlow:
         """The program's data-flow relations, solved per symbol as asked."""
         return ProgramFlow(self.program)
@@ -547,11 +556,16 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     The banks of the encoders that lack one are filled in one batch, and
     the contexts are the encoders' banks side by side, in order of first
     appearance: an encoder whose bank starts at column `base` reads c(x)
-    from column `base + positions[x]`.  The chain lists and one
-    `_TreeIndex` per direction (`grug`'s chains or the data-flow trees)
-    hold every group in global candidate columns, so each depth is one GRU
-    step per direction over the whole batch.  Groups of one encoder share
-    the data-flow walks of a candidate with equal occurrences (one memo per
+    from column `base + positions[x]`.  The leaves are one gather from the
+    type bank: each distinct (encoder, v) type representation once.  A
+    candidate's lexical chains are two slices of v's sorted occurrences
+    (`chain_bounds`); all of them are mapped to context columns in one
+    array lookup, `Encoder.token_columns`, and the pooled mean weights
+    each candidate's chain columns by 1 / their count.  One `_TreeIndex`
+    per direction (`grug`'s chains or the data-flow trees) holds every
+    group in global candidate columns, so each depth is one GRU step per
+    direction over the whole batch.  Groups of one encoder share the
+    data-flow walks of a candidate with equal occurrences (one memo per
     direction and (encoder, v, occurrences of v), see
     `Encoder._index_tree`), as ICM's trial mappings mostly do, so its
     subtrees are unrolled and stepped once and a shared node's gradient
@@ -559,56 +573,79 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     params = groups[0][0].params
     variant = params.variant
     n = params.hyper.chain_len
+    lexical = variant in ("avgg", "grug", "hybrid")
+    df_trees = variant in ("grud", "hybrid")
     k_all = sum([len(group[3]) for group in groups])
     encoders = list(dict.fromkeys(group[0] for group in groups))
     _fill_banks(encoders)
     bases = dict(zip(encoders, accumulate(
         (len(enc.positions) for enc in encoders), initial=0)))
-    chains: Dict[str, List[List[int]]] = {"prev": [], "next": []}
     trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
+    # (encoder, v) -> its column of the type bank
+    types: Dict[Tuple[Encoder, int], int] = {}
+    leaf_cols: List[int] = []
+    # every candidate's prev chain then its next chain, as token positions
+    chain_tokens: List[int] = []
+    prev_lens: List[int] = []
+    next_lens: List[int] = []
+    chain_counts: List[int] = []  # per group
     # (encoder, v, occurrences of v) -> its walk memos, one per direction;
     # with one group per encoder (a training step) no walk can share them
     walks: Dict[tuple, Tuple[dict, dict]] = {}
     shared = len(encoders) < len(groups)
     k = 0
     for enc, ug, t, candidates in groups:
-        base, cols = bases[enc], enc.positions
+        occurrences = ug.occurrences
+        before = len(chain_tokens)
         for v in candidates:
-            if variant in ("avgg", "grug", "hybrid"):
-                for d in ("prev", "next"):
-                    chain = [base + cols[x] for x in ug.lex_chain(t, v, n, d)]
-                    if variant == "grug":
-                        trees[d].add_chain(k, chain, n)
-                    else:
-                        chains[d].append(chain)
-            if variant in ("grud", "hybrid"):
+            leaf_cols.append(types.setdefault((enc, v), len(types)))
+            if lexical:
+                occ = occurrences.get(v, ())
+                lo, i, j, hi = chain_bounds(occ, t, n)
+                chain_tokens += occ[lo:i]
+                chain_tokens += occ[j:hi]
+                prev_lens.append(i - lo)
+                next_lens.append(hi - j)
+            if df_trees:
                 memos = ({}, {})
                 if shared:
                     memos = walks.setdefault(
-                        (enc, v, ug.occurrences.get(v, ())), memos)
+                        (enc, v, occurrences.get(v, ())), memos)
                 for d, memo in zip(("prev", "next"), memos):
-                    enc._index_tree(ug, t, v, k, d, trees[d], base, memo)
+                    enc._index_tree(ug, t, v, k, d, trees[d], bases[enc],
+                                    memo)
             k += 1
+        chain_counts.append(len(chain_tokens) - before)
 
-    leaves = nn.columns([enc.type_embed(v)
-                         for enc, _, _, candidates in groups
-                         for v in candidates])
+    leaves = nn.gather(nn.columns([enc.type_embed(v) for enc, v in types]),
+                       leaf_cols)
     if variant == "loc":
         return leaves
+    if lexical:
+        # each chain token's context column: the encoders' token -> column
+        # tables end to end, read at the token plus its encoder's offset
+        table = np.concatenate([enc.token_columns + bases[enc]
+                                for enc in encoders])
+        offsets = dict(zip(encoders, accumulate(
+            (len(enc.token_columns) for enc in encoders), initial=0)))
+        chain_cols = table[np.asarray(chain_tokens, dtype=np.intp)
+                           + np.repeat([offsets[group[0]] for group in groups],
+                                       chain_counts)]
+        lens = np.add(prev_lens, next_lens)
+        if variant == "grug":
+            cols = chain_cols.tolist()
+            start = 0
+            for k, (n_prev, n_next) in enumerate(zip(prev_lens, next_lens)):
+                mid = start + n_prev
+                trees["prev"].add_chain(k, cols[start:mid], n)
+                trees["next"].add_chain(k, cols[mid:mid + n_next], n)
+                start = mid + n_next
     contexts = nn.columns([enc.bank for enc in encoders])
     p = params
     if variant in ("avgg", "hybrid"):
-        rows: List[int] = []
-        ks: List[int] = []
-        weights: List[float] = []
-        for k, (prev, nxt) in enumerate(zip(chains["prev"], chains["next"])):
-            both = prev + nxt
-            if both:
-                rows += both
-                ks += [k] * len(both)
-                weights += [1.0 / len(both)] * len(both)
         mean = np.zeros((contexts.shape[1], k_all))
-        mean[rows, ks] = weights
+        mean[chain_cols, np.repeat(np.arange(k_all), lens)] = \
+            1.0 / np.repeat(lens, lens)
         avgg = nn.add(leaves, nn.matmul(contexts, nn.constant(mean)))
         if variant == "avgg":
             return avgg

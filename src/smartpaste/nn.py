@@ -252,9 +252,12 @@ def gather(x: Tensor, index) -> Tensor:
         index = np.asarray(index, dtype=np.intp)
 
     def vjp(g):
-        grad = np.zeros_like(x.data)
-        np.add.at(grad, (slice(None), index), g)
-        return (grad,)
+        # one bincount over the flattened (row, source column) cells: it
+        # adds each cell's terms in index order, as `np.add.at` does
+        h, n = x.shape
+        cells = np.add.outer(np.arange(0, h * n, n), index)
+        return (np.bincount(cells.ravel(), weights=g.ravel(),
+                            minlength=h * n).reshape(h, n),)
 
     return _op(np.take(x.data, index, axis=1), (x,), vjp)
 

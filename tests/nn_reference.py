@@ -49,3 +49,12 @@ def gru_step(h, x, p):
                                  nn.matmul(p.uh, mul(r, h))), p.bh))
     one_minus_z = sub(nn.constant(np.ones_like(z.data)), z)
     return nn.add(mul(one_minus_z, h), mul(z, hcand))
+
+
+def gather_grad(shape, index, g):
+    """The gradient `nn.gather(x, index)` passes to an x of `shape` for an
+    output gradient g: each column of g added into its source column with
+    `np.add.at`, in index order."""
+    grad = np.zeros(shape)
+    np.add.at(grad, (slice(None), index), g)
+    return grad

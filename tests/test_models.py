@@ -79,7 +79,13 @@ class PerVectorReference:
         return state(t, self.hyper.tree_depth)
 
     def chain(self, ug, t, v, direction):
-        return ug.lex_chain(t, v, self.hyper.chain_len, direction)
+        # a scan of v's occurrences, independent of `lex_chain`'s slicing
+        n = self.hyper.chain_len
+        occ = ug.occurrences.get(v, ())
+        if direction == "prev":
+            before = [x for x in occ if x < t]
+            return before[max(len(before) - n, 0):]
+        return [x for x in occ if x > t][:n]
 
     def avgg(self, ug, t, v):
         chain = self.chain(ug, t, v, "prev") + self.chain(ug, t, v, "next")
@@ -412,10 +418,25 @@ class TestBatchedUsage:
                              ids=["sum_positive", "twin_defs"])
     def test_matches_single_and_reference(self, src, variant, ctx_kind,
                                           depth):
+        self._check(src, variant, ctx_kind, depth, Hyper().chain_len)
+
+    @pytest.mark.parametrize("chain_len", [0, 1, 2])
+    @pytest.mark.parametrize("variant", ["avgg", "grug", "hybrid"])
+    def test_truncated_chains_match_reference(self, variant, chain_len):
+        """Chains cut short of the symbol's occurrences (the default
+        chain_len, 14, is the test above): some view has a longer chain."""
+        views = list(_placeholder_views(SUM_POSITIVE))[::2]
+        assert any(len(ug.lex_chain(t, v, len(prog.tokens), d)) > chain_len
+                   for prog, ug, t, cands in views for v in cands
+                   for d in ("prev", "next"))
+        self._check(SUM_POSITIVE, variant, "logbilinear", 8, chain_len)
+
+    def _check(self, src, variant, ctx_kind, depth, chain_len):
         views = list(_placeholder_views(src))
         types = ["int", "int[]"]
         lexemes = sorted({t.text for t in views[0][0].tokens})
         params = ModelParams(variant, Hyper(hidden=6, tree_depth=depth,
+                                            chain_len=chain_len,
                                             context_encoder=ctx_kind),
                              types, lexemes, seed=3)
         if src is not SUM_POSITIVE:

@@ -145,6 +145,24 @@ class TestBatchedOps:
         column = nn.gather(nn.constant(x), 1)
         assert column.shape == (3,) and np.array_equal(column.data, x[:, 1])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_gather_gradient_matches_add_at(self, h, n, data):
+        """Bit for bit the `np.add.at` sum, repeated indices included, for
+        an index sequence and for one int index."""
+        index = data.draw(st.one_of(
+            st.integers(0, n - 1),
+            st.lists(st.integers(0, n - 1), max_size=3 * n)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        x = nn.parameter(rng.normal(size=(h, n)))
+        out = nn.gather(x, index)
+        g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8,
+                                                              size=out.shape)
+        got, = out._vjp(g)
+        want = ref.gather_grad(x.shape, index, g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_segment_max_gradient(self):
         x = RNG.normal(size=(3, 6))
         weights = RNG.normal(size=(3, 3))
