@@ -235,7 +235,13 @@ def _cmd_train(args) -> int:
                     else "--" + name.replace("_", "-")
                 raise CliError(f"{option} is {value!r}, but checkpoint "
                                f"{args.resume} has {saved[name]!r}")
-        start_epoch = int(cfg.get("epoch", -1)) + 1
+        # the last epoch the checkpoint trained; a model saved without one
+        # has trained none
+        epoch = cfg.get("epoch", -1)
+        if "epoch" in cfg and (type(epoch) is not int or epoch < 0):
+            raise CliError(f"checkpoint {args.resume} has epoch {epoch!r:.60}"
+                           f", but it must be an integer of at least 0")
+        start_epoch = epoch + 1
     else:
         model = {**MODEL_DEFAULTS, **given}
         hyper = Hyper(hidden=model["hidden"],

@@ -97,44 +97,51 @@ def _is_str_list(x) -> bool:
 class ModelParams:
     """All learnable tensors for one model variant + context encoder.  The
     usage GRU pair `usage_prev`/`usage_next` and its map `w_usage` are saved
-    as `usage.gru_*`/`w_gru` for `grug`, `usage.tree_*`/`w_d` otherwise."""
+    as `usage.gru_*`/`w_gru` for `grug`, `usage.tree_*`/`w_d` otherwise.
+
+    Each tensor is drawn from `seed` (the GRU biases are zero), unless
+    `init(shape, name)` makes it, as `load` does from the stored arrays."""
 
     def __init__(self, variant: str, hyper: Hyper, type_names: Iterable[str],
-                 lexemes: Iterable[str], seed: int = 0):
+                 lexemes: Iterable[str], seed: int = 0,
+                 init: Optional[nn.ParamInit] = None):
         if variant not in VARIANTS:
             raise VariantError(f"unknown variant {variant!r}")
         self.variant = variant
         self.hyper = hyper
         rng = np.random.default_rng(seed)
+        param = init or (lambda shape, name: nn.glorot(rng, shape, name))
         h = hyper.hidden
         self.type_names = sorted(set(type_names) | {UNK_TYPE})
         self.lexemes = sorted(set(lexemes) | {PAD, UNK, PLACEHOLDER})
         self.type_embeddings = {
-            t: nn.glorot(rng, (h,), f"type:{t}") for t in self.type_names}
+            t: param((h,), f"type:{t}") for t in self.type_names}
         self.token_embeddings = {
-            t: nn.glorot(rng, (h,), f"lex:{t}") for t in self.lexemes}
+            t: param((h,), f"lex:{t}") for t in self.lexemes}
 
         if hyper.context_encoder == "logbilinear":
-            self.pos_prev = [nn.glorot(rng, (h, h), f"ctx.prev{i}")
+            self.pos_prev = [param((h, h), f"ctx.prev{i}")
                              for i in range(hyper.window)]
-            self.pos_next = [nn.glorot(rng, (h, h), f"ctx.next{i}")
+            self.pos_next = [param((h, h), f"ctx.next{i}")
                              for i in range(hyper.window)]
             self.ctx_gru_prev = self.ctx_gru_next = None
         else:
             self.pos_prev = self.pos_next = None
-            self.ctx_gru_prev = nn.GruCellParams(rng, h, h, "ctx.gru_p")
-            self.ctx_gru_next = nn.GruCellParams(rng, h, h, "ctx.gru_n")
-        self.w_c = nn.glorot(rng, (h, 2 * h), "w_c")
+            self.ctx_gru_prev = nn.GruCellParams(rng, h, h, "ctx.gru_p", init)
+            self.ctx_gru_next = nn.GruCellParams(rng, h, h, "ctx.gru_n", init)
+        self.w_c = param((h, 2 * h), "w_c")
 
         self.usage_prev = self.usage_next = self.w_usage = None
         self.w_h = None
         if variant in ("grug", "grud", "hybrid"):
             cell, w = ("gru", "w_gru") if variant == "grug" else ("tree", "w_d")
-            self.usage_prev = nn.GruCellParams(rng, h, h, f"usage.{cell}_p")
-            self.usage_next = nn.GruCellParams(rng, h, h, f"usage.{cell}_n")
-            self.w_usage = nn.glorot(rng, (h, 2 * h), w)
+            self.usage_prev = nn.GruCellParams(rng, h, h, f"usage.{cell}_p",
+                                               init)
+            self.usage_next = nn.GruCellParams(rng, h, h, f"usage.{cell}_n",
+                                               init)
+            self.w_usage = param((h, 2 * h), w)
         if variant == "hybrid":
-            self.w_h = nn.glorot(rng, (h, 2 * h), "w_h")
+            self.w_h = param((h, 2 * h), "w_h")
 
     # -- parameter registry --
 
@@ -203,20 +210,26 @@ class ModelParams:
                     raise ValueError(f"checkpoint holds {stored} ctx.{side} "
                                      f"matrices, but its hyper window is "
                                      f"{hyper.window}")
-        params = cls(cfg["variant"], hyper, cfg["types"], cfg["lexemes"])
-        named = params.named()
-        if set(named) != set(loaded):
-            differ = sorted(set(named) ^ set(loaded))
+        # a model of the stored tensors themselves; a name the checkpoint
+        # lacks gets an empty stand-in until the name check rejects it
+        shapes: Dict[str, Tuple[int, ...]] = {}
+
+        def stored(shape: Tuple[int, ...], name: str) -> Tensor:
+            shapes[name] = shape
+            return loaded[name] if name in loaded else Tensor(())
+
+        params = cls(cfg["variant"], hyper, cfg["types"], cfg["lexemes"],
+                     init=stored)
+        if set(shapes) != set(loaded):
+            differ = sorted(set(shapes) ^ set(loaded))
             more = ", ..." if len(differ) > 5 else ""
             raise ValueError(f"checkpoint parameter mismatch: {len(differ)} "
                              f"names differ: {', '.join(differ[:5])}{more}")
-        for name, t in named.items():
-            _check_shape(name, loaded, t.data.shape)
-            data = loaded[name].data
-            if not np.isfinite(data).all():
+        for name in params.named():
+            _check_shape(name, loaded, shapes[name])
+            if not np.isfinite(loaded[name].data).all():
                 raise ValueError(f"checkpoint parameter {name!r} holds a "
                                  f"value that is not finite")
-            t.data[...] = data
         return params, cfg
 
 
@@ -283,9 +296,11 @@ class Encoder:
     c(t) . u(t, v) by (t, v, occurrences of v) for the encoder's lifetime.
     It computes only the missing scores, for several placeholders at once,
     and reads only their values, so it records no tape (`nn.no_tape`).  The
-    context bank and type representations a ranking fills are therefore
-    constants: to differentiate, encode through a fresh encoder.  Turning
-    scores into rankings is `infer`'s.
+    context bank a ranking fills is therefore a constant, and so is each
+    type representation, except a one-type closure's, which is the model's
+    embedding itself: nothing cached records a tape, so to differentiate,
+    encode through a fresh encoder.  Turning scores into rankings is
+    `infer`'s.
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  It
@@ -342,7 +357,9 @@ class Encoder:
 
     def type_embed(self, sid: int) -> Tensor:
         """Element-wise max over the supertype closure's embeddings; at
-        training time over a random non-empty subset drawn by (seed, sid)."""
+        training time over a random non-empty subset drawn by (seed, sid).
+        A one-member closure or subset is that member's embedding itself,
+        so a tape takes it once however many readers it has."""
         if sid in self._type_cache:
             return self._type_cache[sid]
         declared = UNK_TYPE if self.hyper.unk_types \
@@ -357,7 +374,8 @@ class Encoder:
                 keep = [m for m in members
                         if draw() >= self.hyper.type_dropout]
             members = keep
-        out = nn.elementwise_max([embs[m] for m in members])
+        out = embs[members[0]] if len(members) == 1 \
+            else nn.elementwise_max([embs[m] for m in members])
         self._type_cache[sid] = out
         return out
 
@@ -487,26 +505,31 @@ def _fill_banks(encoders: Sequence[Encoder]):
     """c(t) = W_C [f_prev(window before t), f_next(window after t)] at every
     position of each encoder that has no bank yet, all in one batch (the
     encoders share one model); each such encoder's bank is then one gather
-    of that block: the zero column c(EPS), then its positions in order."""
+    of that block: the zero column c(EPS), then its positions in order.
+    Filled inside `nn.no_tape()`, as a ranking fills them, the banks are
+    constants, even where a window's type representation is an embedding
+    itself, a parameter (`Encoder.type_embed`)."""
     todo = [enc for enc in encoders if enc.bank is None]
     if not todo:
         return
     p = todo[0].params
     c = p.hyper.window
     offsets = [i for i in range(-c, c + 1) if i]
-    # each encoder's window tokens embedded once: row k of `cols` holds the
-    # columns of `reprs` in the window of the k-th position, slot by slot
-    reprs: List[Tensor] = []
+    # each distinct window tensor once, however many windows and encoders
+    # read it, so a tape takes it once: row k of `cols` holds the columns
+    # of `tokens` in the window of the k-th position, slot by slot
+    column: Dict[Tensor, int] = {}  # window tensor -> its column
     rows: List[List[int]] = []
     for enc in todo:
-        column: Dict[int, int] = {}  # window token -> its column of reprs
-        rows += [[column.setdefault(t + i, len(reprs) + len(column))
-                  for i in offsets] for t in list(enc.positions)[1:]]
-        reprs += [enc.token_repr(t) for t in column]
+        positions = list(enc.positions)[1:]
+        window = {x: column.setdefault(enc.token_repr(x), len(column))
+                  for x in dict.fromkeys(t + i for t in positions
+                                         for i in offsets)}
+        rows += [[window[t + i] for i in offsets] for t in positions]
     cols = np.array(rows, dtype=np.intp).reshape(-1, 2 * c)
     parts = [nn.constant(np.zeros((p.hyper.hidden, 1)))]
     if len(cols):
-        tokens = nn.columns(reprs)
+        tokens = nn.columns(list(column))
         windows = [nn.gather(tokens, cols[:, i]) for i in range(2 * c)]
         prev, nxt = windows[:c], windows[c:]
         if p.pos_prev is not None:  # log-bilinear: position-wise linear maps
@@ -557,7 +580,7 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     the contexts are the encoders' banks side by side, in order of first
     appearance: an encoder whose bank starts at column `base` reads c(x)
     from column `base + positions[x]`.  The leaves are one gather from the
-    type bank: each distinct (encoder, v) type representation once.  A
+    type bank: each distinct type representation once.  A
     candidate's lexical chains are two slices of v's sorted occurrences
     (`chain_bounds`); all of them are mapped to context columns in one
     array lookup, `Encoder.token_columns`, and the pooled mean weights
@@ -581,8 +604,8 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     bases = dict(zip(encoders, accumulate(
         (len(enc.positions) for enc in encoders), initial=0)))
     trees = {d: _TreeIndex(k_all) for d in ("prev", "next")}
-    # (encoder, v) -> its column of the type bank
-    types: Dict[Tuple[Encoder, int], int] = {}
+    # each distinct type representation -> its column of the type bank
+    types: Dict[Tensor, int] = {}
     leaf_cols: List[int] = []
     # every candidate's prev chain then its next chain, as token positions
     chain_tokens: List[int] = []
@@ -598,7 +621,7 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
         occurrences = ug.occurrences
         before = len(chain_tokens)
         for v in candidates:
-            leaf_cols.append(types.setdefault((enc, v), len(types)))
+            leaf_cols.append(types.setdefault(enc.type_embed(v), len(types)))
             if lexical:
                 occ = occurrences.get(v, ())
                 lo, i, j, hi = chain_bounds(occ, t, n)
@@ -617,8 +640,7 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
             k += 1
         chain_counts.append(len(chain_tokens) - before)
 
-    leaves = nn.gather(nn.columns([enc.type_embed(v) for enc, v in types]),
-                       leaf_cols)
+    leaves = nn.gather(nn.columns(list(types)), leaf_cols)
     if variant == "loc":
         return leaves
     if lexical:

@@ -342,21 +342,30 @@ def zeros(shape: Tuple[int, ...], name: str = "") -> Tensor:
     return parameter(np.zeros(shape), name=name)
 
 
+# Makes a parameter from its shape and name, in place of a random draw.
+ParamInit = Callable[[Tuple[int, ...], str], Tensor]
+
+
 class GruCellParams:
-    """Update/reset/candidate gates, input size I, hidden size H."""
+    """Update/reset/candidate gates, input size I, hidden size H.  The
+    weights are drawn from `rng` and the biases are zero, unless `init`
+    makes every tensor instead."""
 
     def __init__(self, rng: np.random.Generator, input_size: int,
-                 hidden_size: int, prefix: str):
+                 hidden_size: int, prefix: str,
+                 init: Optional[ParamInit] = None):
         h, i = hidden_size, input_size
-        self.wz = glorot(rng, (h, i), f"{prefix}.wz")
-        self.uz = glorot(rng, (h, h), f"{prefix}.uz")
-        self.bz = zeros((h,), f"{prefix}.bz")
-        self.wr = glorot(rng, (h, i), f"{prefix}.wr")
-        self.ur = glorot(rng, (h, h), f"{prefix}.ur")
-        self.br = zeros((h,), f"{prefix}.br")
-        self.wh = glorot(rng, (h, i), f"{prefix}.wh")
-        self.uh = glorot(rng, (h, h), f"{prefix}.uh")
-        self.bh = zeros((h,), f"{prefix}.bh")
+        weight = init or (lambda shape, name: glorot(rng, shape, name))
+        bias = init or zeros
+        self.wz = weight((h, i), f"{prefix}.wz")
+        self.uz = weight((h, h), f"{prefix}.uz")
+        self.bz = bias((h,), f"{prefix}.bz")
+        self.wr = weight((h, i), f"{prefix}.wr")
+        self.ur = weight((h, h), f"{prefix}.ur")
+        self.br = bias((h,), f"{prefix}.br")
+        self.wh = weight((h, i), f"{prefix}.wh")
+        self.uh = weight((h, h), f"{prefix}.uh")
+        self.bh = bias((h,), f"{prefix}.bh")
 
     def tensors(self) -> List[Tensor]:
         return [self.wz, self.uz, self.bz, self.wr, self.ur, self.br,

@@ -245,6 +245,36 @@ class TestTrain:
         first = read_json(workspace["model"])["config"]["epoch"]
         assert read_json(path)["config"]["epoch"] == first + 1
 
+    @pytest.mark.parametrize("epoch", [[3], None, {}, "x", True, 2.5, -1])
+    def test_resume_rejects_an_ill_typed_epoch(self, workspace, tmp_path,
+                                               capsys, epoch):
+        """Only a JSON integer of at least 0 (not a bool) numbers the next
+        epoch; anything else exits 1 naming `epoch`, without a traceback
+        and without reading it as some other number."""
+        doc = read_json(workspace["model"])
+        doc["config"]["epoch"] = epoch
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        path = tmp_path / "resumed.json"
+        assert main(["train", "--data", workspace["data"], "--valid",
+                     workspace["data"], "--resume", str(bad), "--epochs",
+                     "1", "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {bad} has epoch ")
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    def test_resume_without_an_epoch_starts_at_0(self, workspace, tmp_path):
+        doc = read_json(workspace["model"])
+        del doc["config"]["epoch"]
+        saved = tmp_path / "saved.json"
+        saved.write_text(json.dumps(doc))
+        path = str(tmp_path / "resumed.json")
+        assert main(["train", "--seed", "1", "--data", workspace["data"],
+                     "--valid", workspace["data"], "--resume", str(saved),
+                     "--epochs", "1", "--checkpoint", path]) == 0
+        assert read_json(path)["config"]["epoch"] == 0
+
     @pytest.mark.parametrize("flag, value, saved", [
         ("--variant", "grug", "'loc'"), ("--hidden", "8", "4"),
         ("--context-encoder", "gru", "'logbilinear'")])

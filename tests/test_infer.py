@@ -386,9 +386,10 @@ def test_total_log_prob_matches_per_placeholder_ranking(icm_instances,
 
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
 def test_ranking_records_no_tape(loop_instance, ctx_kind):
-    """After ICM, the ranking encoder's context bank and every type
-    representation it cached are constants, and no parameter holds a
-    gradient; a fresh encoder's usage representations still record a
+    """After ICM, the ranking encoder's context bank is a constant, every
+    type representation it cached is a constant or (a one-member closure)
+    the model's own embedding, none records a tape, and no parameter holds
+    a gradient; a fresh encoder's usage representations still record a
     tape."""
     inst = loop_instance
     params = small_model(inst.program, variant="hybrid",
@@ -399,8 +400,10 @@ def test_ranking_records_no_tape(loop_instance, ctx_kind):
         encoder=enc)
     cached = [enc.bank] + list(enc._type_cache.values())
     assert enc.bank is not None and enc._type_cache
+    assert not enc.bank.requires_grad
+    parameters = {id(p) for p in params.tensors()}
     for t in cached:
-        assert not t.requires_grad
+        assert not t.requires_grad or id(t) in parameters
         assert t._parents == () and t._vjp is None
     assert all(p.grad is None for p in params.tensors())
     ph = inst.placeholders[0]

@@ -155,6 +155,35 @@ class TestTypeEmbedding:
             [e["Leaf"].data, e["Mid"].data, e["Base"].data])
         assert np.allclose(got, expect)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_member_closure_is_its_embedding(self, lattice_program,
+                                                 lattice_params, training):
+        """An `int` variable's representation is the `int` embedding
+        itself, not a copy of it, so a training step's tape takes the
+        parameter once however many windows and candidates read it."""
+        n = next(s.id for s in lattice_program.symbols if s.name == "n")
+        enc = Encoder(lattice_params, lattice_program, training=training,
+                      rng=random.Random(0))
+        assert enc.type_embed(n) is lattice_params.type_embeddings["int"]
+
+    def test_several_members_pool_to_the_argmax(self, lattice_program):
+        """A three-member closure still pools through `elementwise_max`,
+        and each coordinate's gradient reaches only its argmax member."""
+        params = ModelParams("loc", Hyper(hidden=8),
+                             type_names=lattice_program.lattice.types,
+                             lexemes=[], seed=4)
+        a = next(s.id for s in lattice_program.symbols if s.name == "a")
+        out = Encoder(params, lattice_program).type_embed(a)
+        e = params.type_embeddings
+        members = [e["Base"], e["Leaf"], e["Mid"]]
+        assert out._parents == tuple(members)
+        weights = np.arange(1.0, 9.0)
+        nn.dot(out, nn.constant(weights)).backward()
+        argmax = np.argmax([m.data for m in members], axis=0)
+        assert len(set(argmax)) > 1
+        for i, m in enumerate(members):
+            assert np.array_equal(m.grad, np.where(argmax == i, weights, 0))
+
     def test_same_closure_same_vector(self, lattice_program, lattice_params):
         enc = Encoder(lattice_params, lattice_program)
         a = next(s.id for s in lattice_program.symbols if s.name == "a")
@@ -293,6 +322,47 @@ class TestContextRepresentation:
             for t, col in enc.positions.items():
                 assert np.abs(enc.bank.data[:, col]
                               - ref.context(t).data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+def test_joint_fill_takes_each_tensor_once(lattice_program, monkeypatch,
+                                           ctx_kind):
+    """Two training encoders of one program filled in one batch: every
+    `nn.columns` block of the fill holds distinct tensors, so an embedding
+    that both encoders' windows read is one column, and each bank equals,
+    bit for bit, the bank of an equal encoder filled alone."""
+    params = ModelParams(
+        "avgg", Hyper(hidden=6, context_encoder=ctx_kind),
+        type_names=lattice_program.lattice.types | {"int"},
+        lexemes=["int", "=", ";", "(", ")", "+=", "use"], seed=2)
+    hole = _variable_tokens(lattice_program)[-1]
+
+    def encoders():
+        return [Encoder(params, lattice_program, placeholder_tokens=holes,
+                        training=True, rng=random.Random(seed))
+                for seed, holes in ((1, [hole]), (2, []))]
+
+    alone = encoders()
+    for enc in alone:
+        models._fill_banks([enc])
+    blocks = []
+    columns = nn.columns
+
+    def recorded(parts):
+        blocks.append(parts)
+        return columns(parts)
+
+    monkeypatch.setattr(nn, "columns", recorded)
+    joint = encoders()
+    models._fill_banks(joint)
+    assert blocks
+    for parts in blocks:
+        assert len({id(x) for x in parts}) == len(parts)
+    tokens = max(blocks, key=len)
+    assert params.type_embeddings["int"] in tokens
+    assert params.token_embeddings["use"] in tokens
+    for got, want in zip(joint, alone):
+        assert np.array_equal(got.bank.data, want.bank.data)
 
 
 def _variable_tokens(program):
@@ -861,6 +931,76 @@ class TestPersistence:
             names = list(json.load(f)["params"])
         assert names == ["type:$unk", "type:int", "lex:<pad>",
                          "lex:<placeholder>", "lex:<unk>"] + context + usage
+
+    @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
+    @pytest.mark.parametrize("variant", ["avgg", "grug", "hybrid"])
+    def test_seeded_init_draw_order(self, variant, ctx_kind):
+        """A seeded model draws its weights from one generator in this
+        order, the GRU biases zero, so a seed keeps naming one model."""
+        h = 3
+        params = ModelParams(variant, Hyper(hidden=h, window=2,
+                                            context_encoder=ctx_kind),
+                             ["int"], ["x"], seed=7)
+        rng = np.random.default_rng(7)
+
+        def weight(shape):
+            a = np.sqrt(6.0 / (shape[-1] + shape[0]))
+            return rng.uniform(-a, a, size=shape)
+
+        def cell(prefix):
+            return {f"{prefix}.{gate}": np.zeros(h) if gate[0] == "b"
+                    else weight((h, h)) for gate in
+                    ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
+
+        want = {f"type:{t}": weight((h,)) for t in ("$unk", "int")}
+        want.update({f"lex:{t}": weight((h,))
+                     for t in ("<pad>", "<placeholder>", "<unk>", "x")})
+        if ctx_kind == "logbilinear":
+            want.update({f"ctx.{side}{i}": weight((h, h))
+                         for side in ("prev", "next") for i in range(2)})
+        else:
+            want.update(cell("ctx.gru_p"))
+            want.update(cell("ctx.gru_n"))
+        want["w_c"] = weight((h, 2 * h))
+        if variant != "avgg":
+            kind, w = ("gru", "w_gru") if variant == "grug" else ("tree",
+                                                                   "w_d")
+            want.update(cell(f"usage.{kind}_p"))
+            want.update(cell(f"usage.{kind}_n"))
+            want[w] = weight((h, 2 * h))
+        if variant == "hybrid":
+            want["w_h"] = weight((h, 2 * h))
+        named = params.named()
+        assert set(named) == set(want)
+        for name, data in want.items():
+            assert np.array_equal(named[name].data, data), name
+
+    def test_load_builds_the_stored_tensors(self, tmp_path, monkeypatch):
+        """Loading draws no initialization: every parameter is the tensor
+        `nn.load_checkpoint` made from its stored array."""
+        params = ModelParams("hybrid", Hyper(hidden=4, context_encoder="gru"),
+                             ["int"], ["x"], seed=3)
+        path = str(tmp_path / "m.json")
+        params.save(path)
+        stored = {}
+        load_checkpoint = nn.load_checkpoint
+
+        def recorded(path):
+            out = load_checkpoint(path)
+            stored.update(out[0])
+            return out
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew an initialization")
+
+        monkeypatch.setattr(nn, "load_checkpoint", recorded)
+        monkeypatch.setattr(nn, "glorot", no_draw)
+        monkeypatch.setattr(nn, "zeros", no_draw)
+        loaded, _ = ModelParams.load(path)
+        for name, t in loaded.named().items():
+            assert t is stored[name]
+            assert t.requires_grad
+            assert np.array_equal(t.data, params.named()[name].data)
 
     def test_load_rejects_mismatched_names(self, tmp_path):
         params = ModelParams("loc", Hyper(hidden=4), ["int"], [], seed=0)

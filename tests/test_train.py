@@ -12,6 +12,7 @@ import pytest
 from smartpaste import nn
 from smartpaste import train as train_module
 from smartpaste.minilang import compile_source
+from smartpaste.minilang.checker import supertype_closure
 from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
 from smartpaste.taskgen import extract_instances
 from smartpaste.train import (ItemCache, NonFiniteLoss, TrainConfig, fit,
@@ -19,6 +20,7 @@ from smartpaste.train import (ItemCache, NonFiniteLoss, TrainConfig, fit,
                               per_placeholder_accuracy, train_step,
                               truth_rankings)
 
+from conftest import corpus_instances
 from rank_reference import reference_rank
 
 # Two programs whose variables have nominal types with three-member
@@ -179,25 +181,19 @@ class TestTrainStep:
         still agree, since each depends on its encoder's seed and symbol
         only.  The losses and every parameter after each Adam step agree to
         1e-12."""
-        items = make_items(lattice_instances)
-        a, b = (items[:4] + items[-4:]), (items[4:8] + items[-8:-4])
-        types, lexemes = build_vocab(lattice_instances)
-        runs = []
-        for step in (train_step, reference_train_step):
-            params = ModelParams(variant, Hyper(hidden=6, tree_depth=4,
-                                                type_dropout=0.5),
-                                 types, lexemes, seed=2)
-            adam = nn.AdamState(params.tensors())
-            cache, rng = ItemCache(), random.Random(4)
-            losses = [step(params, batch, adam, cache, 1e-2, rng)
-                      for batch in (a, b)]
-            runs.append((losses, params.named()))
-        (got, got_params), (want, want_params) = runs
-        for x, y in zip(got, want):
-            assert abs(x - y) <= 1e-12 * abs(y)
-        for name, t in want_params.items():
-            assert np.abs(got_params[name].data - t.data).max() <= 1e-12, \
-                name
+        _check_one_batch_matches_items(lattice_instances, variant)
+
+    @pytest.mark.parametrize("variant", ["hybrid", "grug"])
+    def test_one_batch_matches_items_one_closure_member(self, variant):
+        """As above on generated `loops` programs, where every supertype
+        closure has one member: each type representation is its embedding
+        itself, which the windows and type banks of the batch's eight
+        encoders all read."""
+        insts = corpus_instances(5, 2, 1, "loops")
+        assert all(len(supertype_closure(inst.program.lattice,
+                                         sym.declared_type)) == 1
+                   for inst in insts for sym in inst.program.symbols)
+        _check_one_batch_matches_items(insts, variant)
 
     def test_non_finite_loss_raises(self, loc_setup):
         insts, types, lexemes = loc_setup
@@ -226,6 +222,30 @@ class TestTrainStep:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _check_one_batch_matches_items(instances, variant):
+    """Two batches of 8 items: the batched step and the per-item reference
+    agree on both losses and on every parameter after each Adam step, to
+    1e-12."""
+    items = make_items(instances)
+    a, b = (items[:4] + items[-4:]), (items[4:8] + items[-8:-4])
+    types, lexemes = build_vocab(instances)
+    runs = []
+    for step in (train_step, reference_train_step):
+        params = ModelParams(variant, Hyper(hidden=6, tree_depth=4,
+                                            type_dropout=0.5),
+                             types, lexemes, seed=2)
+        adam = nn.AdamState(params.tensors())
+        cache, rng = ItemCache(), random.Random(4)
+        losses = [step(params, batch, adam, cache, 1e-2, rng)
+                  for batch in (a, b)]
+        runs.append((losses, params.named()))
+    (got, got_params), (want, want_params) = runs
+    for x, y in zip(got, want):
+        assert abs(x - y) <= 1e-12 * abs(y)
+    for name, t in want_params.items():
+        assert np.abs(got_params[name].data - t.data).max() <= 1e-12, name
 
 
 @pytest.mark.parametrize("same_type", [False, True])
