@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import nn
-from .dataflow import EPS, ProgramFlow, UseGraph, chain_bounds
+from .dataflow import EPS, ProgramFlow, Relation, UseGraph, chain_bounds
 from .minilang.checker import TypedProgram, UNK_TYPE, supertype_closure
 from .nn import Tensor
 
@@ -248,31 +248,72 @@ class _TreeIndex:
     per-depth batches.  Columns of the state bank at depth d are the K type
     representations (the leaves) followed by the node states of depth d - 1;
     each depth lists its nodes' (child bank column, child context column)
-    edges, node by node, and where each node's edges start.  Roots are read
-    from the deepest level's bank: each is a leaf or a node of that depth."""
+    edges, node by node, and where each node's edges start.  Root k is read
+    from the deepest level's bank: leaf k until a tree or chain gives
+    candidate k a node of that depth."""
 
     def __init__(self, n_candidates: int):
         self.k = n_candidates
         self.levels: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
-        self.roots: List[int] = []
+        self.roots: List[int] = list(range(n_candidates))
 
-    def add_node(self, depth: int, children: List[int],
-                 contexts: List[int]) -> int:
-        """A node at `depth` whose edges are (children[i], contexts[i])."""
-        child_cols, ctx_cols, starts = self.levels.get(depth) \
+    def _level(self, depth: int) -> Tuple[List[int], List[int], List[int]]:
+        return self.levels.get(depth) \
             or self.levels.setdefault(depth, ([], [], []))
-        starts.append(len(child_cols))
-        child_cols += children
-        ctx_cols += contexts
-        return self.k + len(starts) - 1
+
+    def unroll(self, rel: Relation, roots: Sequence[Tuple[int, int]],
+               positions: Dict[int, int], base: int, top: int):
+        """Add the depth-`top` data-flow trees under `rel` of the roots, the
+        (t, k) pairs of one (encoder, v, occurrences of v): h_d(x) is the
+        max over y in rel(x) of a GRU step from h_{d-1}(y) on c(y), read
+        from column `base + positions[y]`.  A node's state depends only on
+        its position and depth, so each (x, d) is one node, however many
+        roots reach it.  A child at depth 0, at EPS or without children is
+        the first root's leaf; root k is the node at (t, top), or leaf k.
+        Depth by depth, so `top` may exceed the recursion limit."""
+        # top down: the positions of each depth's nodes, from depth `top`
+        layers = []
+        frontier = [t for t, _ in roots if rel.get(t)] if top > 0 else []
+        while frontier:
+            layer = dict.fromkeys(frontier)
+            layers.append(layer)
+            if len(layers) == top:
+                break
+            frontier = []
+            for x in layer:
+                for y in rel[x]:
+                    if rel.get(y):
+                        frontier.append(y)
+        # bottom up: each depth's nodes in position order, edges in child
+        # order; `below` maps a position to its node one depth down
+        leaf = roots[0][1]
+        below: Dict[int, int] = {}
+        for depth, layer in enumerate(reversed(layers),
+                                      top - len(layers) + 1):
+            child_cols, ctx_cols, starts = self._level(depth)
+            nodes = {}
+            for x in sorted(layer):
+                nodes[x] = self.k + len(starts)
+                starts.append(len(child_cols))
+                for y in sorted(rel[x]):
+                    child_cols.append(below.get(y, leaf))
+                    ctx_cols.append(base + positions[y])
+            below = nodes
+        for t, k in roots:
+            self.roots[k] = below.get(t, k)
 
     def add_chain(self, k: int, ctx_cols: Sequence[int], top: int):
         """A GRU run from leaf k along `ctx_cols`: a one-child node per
-        column, the last at depth `top`; an empty chain's root is leaf k."""
+        column, the last at depth `top`, which becomes root k; an empty
+        chain leaves root k at leaf k."""
         node = k
         for depth, ctx in enumerate(ctx_cols, top - len(ctx_cols) + 1):
-            node = self.add_node(depth, [node], [ctx])
-        self.roots.append(node)
+            children, contexts, starts = self._level(depth)
+            starts.append(len(children))
+            children.append(node)
+            contexts.append(ctx)
+            node = self.k + len(starts) - 1
+        self.roots[k] = node
 
 
 class Encoder:
@@ -304,10 +345,10 @@ class Encoder:
 
     `usage_batch` encodes the candidates of several (encoder, view, t,
     candidates) groups at once; `usage_reprs` is its one-group call.  It
-    walks each candidate's chains and data-flow trees, group after group,
-    onto the fixed columns of the encoders' banks; no type-dropout draw
-    depends on the walk's order: a training encoder draws from its own
-    seed, taken from `rng` when it is made, and the symbol.  The
+    lays each candidate's chains and data-flow trees onto the fixed columns
+    of the encoders' banks; no type-dropout draw depends on the order of
+    the groups: a training encoder draws from its own seed, taken from
+    `rng` when it is made, and the symbol.  The
     arithmetic then runs in column batches: every missing bank in one
     batch, and every tree depth (a `grug` chain is a one-child tree) of
     every candidate of every group in one GRU step per direction.  A
@@ -402,60 +443,6 @@ class Encoder:
         return nn.gather(self.bank, self.positions[t])
 
     # -- usage representations --
-
-    def _index_tree(self, ug: UseGraph, t: int, v: int, k: int,
-                    direction: str, index: _TreeIndex, base: int,
-                    memo: Dict[Tuple[int, int], int]):
-        """Walk candidate k's bounded data-flow unrolling from t in the
-        order of the recursive TreeGRU (children sorted, each child's
-        subtree before its context) and add its nodes to `index`, reading
-        the context of position x from column `base + positions[x]`.  A node
-        at depth 0, at EPS or without children is the leaf: the type
-        representation.  `memo` maps (position, depth) to the column of a
-        node already added: a node's state depends only on the encoder, v,
-        v's occurrences, its position and its depth, so walks of one such
-        (encoder, v, occurrences) may share a memo, and a shared node's
-        leaves are another walk's column of the same type representation.
-        A loop, not recursion, so `tree_depth` may exceed the recursion
-        limit."""
-        rel = ug.relations(v)[0 if direction == "prev" else 1]
-        cols = self.positions
-        top = self.hyper.tree_depth
-        children = top > 0 and t != EPS and rel.get(t)
-        node = memo.get((t, top)) if children else k
-        if node is not None:
-            index.roots.append(node)
-            return
-        # the node being walked: position, its children's depth, children
-        # not yet visited, edges so far; `stack` holds the nodes above it
-        pos, depth, children, child_cols, ctx_cols = \
-            t, top - 1, iter(sorted(children)), [], []
-        stack = []
-        while True:
-            for child in children:
-                col = k
-                grandchildren = depth > 0 and child != EPS and rel.get(child)
-                if grandchildren:
-                    col = memo.get((child, depth))
-                    if col is None:  # its subtree first, then its edge
-                        stack.append((pos, depth, children, child_cols,
-                                      ctx_cols))
-                        pos, depth, children, child_cols, ctx_cols = \
-                            child, depth - 1, iter(sorted(grandchildren)), \
-                            [], []
-                        break
-                child_cols.append(col)
-                ctx_cols.append(base + cols[child])
-            else:
-                node = memo[pos, depth + 1] = index.add_node(
-                    depth + 1, child_cols, ctx_cols)
-                if not stack:
-                    break
-                ctx = base + cols[pos]
-                pos, depth, children, child_cols, ctx_cols = stack.pop()
-                child_cols.append(node)
-                ctx_cols.append(ctx)
-        index.roots.append(node)
 
     def usage_reprs(self, ug: UseGraph, t: int,
                     candidates: Sequence[int]) -> Tensor:
@@ -587,12 +574,10 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     each candidate's chain columns by 1 / their count.  One `_TreeIndex`
     per direction (`grug`'s chains or the data-flow trees) holds every
     group in global candidate columns, so each depth is one GRU step per
-    direction over the whole batch.  Groups of one encoder share the
-    data-flow walks of a candidate with equal occurrences (one memo per
-    direction and (encoder, v, occurrences of v), see
-    `Encoder._index_tree`), as ICM's trial mappings mostly do, so its
-    subtrees are unrolled and stepped once and a shared node's gradient
-    sums over its readers."""
+    direction over the whole batch.  The data-flow trees of the candidates
+    of one (encoder, v, occurrences of v), which ICM's trial mappings
+    mostly share, are one `_TreeIndex.unroll` per direction, so each of
+    their nodes is stepped once and its gradient sums over its readers."""
     params = groups[0][0].params
     variant = params.variant
     n = params.hyper.chain_len
@@ -612,10 +597,9 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     prev_lens: List[int] = []
     next_lens: List[int] = []
     chain_counts: List[int] = []  # per group
-    # (encoder, v, occurrences of v) -> its walk memos, one per direction;
-    # with one group per encoder (a training step) no walk can share them
-    walks: Dict[tuple, Tuple[dict, dict]] = {}
-    shared = len(encoders) < len(groups)
+    # (encoder, v, occurrences of v) -> a view of v's relations and the
+    # (t, candidate column) roots of its data-flow trees
+    unrolls: Dict[tuple, Tuple[UseGraph, List[Tuple[int, int]]]] = {}
     k = 0
     for enc, ug, t, candidates in groups:
         occurrences = ug.occurrences
@@ -630,15 +614,14 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
                 prev_lens.append(i - lo)
                 next_lens.append(hi - j)
             if df_trees:
-                memos = ({}, {})
-                if shared:
-                    memos = walks.setdefault(
-                        (enc, v, occurrences.get(v, ())), memos)
-                for d, memo in zip(("prev", "next"), memos):
-                    enc._index_tree(ug, t, v, k, d, trees[d], bases[enc],
-                                    memo)
+                unrolls.setdefault((enc, v, occurrences.get(v, ())),
+                                   (ug, []))[1].append((t, k))
             k += 1
         chain_counts.append(len(chain_tokens) - before)
+    for (enc, v, _), (ug, roots) in unrolls.items():
+        for d, rel in zip(("prev", "next"), ug.relations(v)):
+            trees[d].unroll(rel, roots, enc.positions, bases[enc],
+                            params.hyper.tree_depth)
 
     leaves = nn.gather(nn.columns(list(types)), leaf_cols)
     if variant == "loc":

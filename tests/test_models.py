@@ -481,7 +481,7 @@ class TestBatchedUsage:
 
     TOL = 1e-12
 
-    @pytest.mark.parametrize("depth", [1, 8])
+    @pytest.mark.parametrize("depth", [0, 1, 8])
     @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("src", BATCH_PROGRAMS,
@@ -604,12 +604,17 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
-    """One `usage_batch` over interleaved groups of two programs (one
-    encoder each, several placeholders per encoder) against one
+    """One `usage_batch` over interleaved groups of three encoders (one per
+    program, and a second one of the first program with other
+    placeholders; several placeholders per encoder) against one
     `usage_reprs` per group on a fresh encoder: values and gradients to
-    1e-12.  With zero context weights every context is the zero vector and
-    the twin definitions of the second program tie in the tree max."""
-    views = [list(_placeholder_views(src))[::3] for src in BATCH_PROGRAMS]
+    1e-12.  The two encoders of one program see many candidates with equal
+    occurrences, but their banks differ.  With zero context weights every
+    context is the zero vector and the twin definitions of the second
+    program tie in the tree max."""
+    first = list(_placeholder_views(BATCH_PROGRAMS[0]))
+    views = [first[::3], list(_placeholder_views(BATCH_PROGRAMS[1]))[::3],
+             first[1::3]]
     programs = [v[0][0] for v in views]
     lexemes = sorted({t.text for prog in programs for t in prog.tokens})
     params = ModelParams(variant, Hyper(hidden=6, tree_depth=6,
@@ -620,8 +625,8 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
     holes = [[t for _, _, t, _ in v] for v in views]
     encoders = [Encoder(params, prog, placeholder_tokens=h)
                 for prog, h in zip(programs, holes)]
-    # sum_positive, twin_defs, sum_positive, ...: the groups of an encoder
-    # are not adjacent
+    # encoders 0, 1, 2, 0, 1, 2, ...: the groups of an encoder are not
+    # adjacent
     order = sorted((k, e) for e, v in enumerate(views) for k in range(len(v)))
     groups = [(encoders[e],) + views[e][k][1:] for k, e in order]
     rng = np.random.default_rng(1)
@@ -712,17 +717,18 @@ def test_rank_computes_each_missing_score_once(monkeypatch):
     assert len(columns) == 1
 
 
-def test_add_node_runs_once_per_distinct_node(monkeypatch):
+def test_unroll_adds_each_distinct_node_once(monkeypatch):
     """A usage batch adds one TreeGRU node per distinct (v, occurrences of
     v, direction, position, depth) of a node with children, counted here
     from the recursive definition of the unrolling; one batch per group
     adds more, since it shares nodes only within a group."""
     depth = 6
     _, groups = _trial_groups("grud", tree_depth=depth)
-    calls = []
-    add_node = _TreeIndex.add_node
-    monkeypatch.setattr(_TreeIndex, "add_node", lambda self, d, *edges: (
-        calls.append(d), add_node(self, d, *edges))[1])
+    nodes = []
+    tree_states = models._tree_states
+    monkeypatch.setattr(models, "_tree_states", lambda *args: (
+        nodes.append(sum(len(starts) for _, _, starts
+                         in args[2].levels.values())), tree_states(*args))[1])
 
     distinct = set()
 
@@ -739,11 +745,11 @@ def test_add_node_runs_once_per_distinct_node(monkeypatch):
                 walk(rel, (v, ug.occurrences.get(v, ()), direction), t, depth)
 
     usage_batch(groups)
-    assert len(calls) == len(distinct)
-    calls.clear()
+    assert sum(nodes) == len(distinct)
+    nodes.clear()
     for group in groups:
         usage_batch([group])
-    assert len(calls) > len(distinct)
+    assert sum(nodes) > len(distinct)
 
 
 def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():
@@ -758,7 +764,7 @@ def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():
     assert np.array_equal(u.data[:, 0], enc.type_embed(a.symbol).data)
 
 
-def test_walk_deeper_than_the_recursion_limit():
+def test_unroll_deeper_than_the_recursion_limit():
     """A tree depth past Python's recursion limit unrolls a loop's
     data-flow tree to full depth and encodes to finite values."""
     depth = sys.getrecursionlimit() + 50
@@ -769,7 +775,7 @@ def test_walk_deeper_than_the_recursion_limit():
     i = next(s.id for s in prog.symbols if s.name == "i")
     ug = dataflow_uses(prog)
     index = _TreeIndex(1)
-    enc._index_tree(ug, 35, i, 0, "prev", index, 0, {})
+    index.unroll(ug.relations(i)[0], [(35, 0)], enc.positions, 0, depth)
     assert set(index.levels) == set(range(1, depth + 1))
     with nn.no_tape():
         u = enc.usage_reprs(ug, 35, [i])
@@ -823,7 +829,7 @@ def test_reused_encoder_ranks_like_a_fresh_one(variant, ctx_kind, rnd):
 
 
 class TestTreeIndex:
-    """The bounded data-flow unrolling that `Encoder._index_tree` hands to
+    """The bounded data-flow unrolling that `_TreeIndex.unroll` hands to
     the TreeGRU, with each context column named by the position `positions`
     gives it, and the one-child trees of `grug`'s lexical chains."""
 
@@ -835,8 +841,9 @@ class TestTreeIndex:
                              ["int", "int[]"], [], seed=0)
         index = _TreeIndex(1)
         enc = Encoder(params, prog)
-        enc._index_tree(dataflow_uses(prog), t, sid, 0, direction, index, 0,
-                        {})
+        rel = dataflow_uses(prog).relations(sid)[
+            0 if direction == "prev" else 1]
+        index.unroll(rel, [(t, 0)], enc.positions, 0, depth)
         position = {col: x for x, col in enc.positions.items()}
         index.levels = {d: (child_cols, [position[c] for c in ctx_cols],
                             starts)
