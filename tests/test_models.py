@@ -717,7 +717,7 @@ def test_rank_computes_each_missing_score_once(monkeypatch):
     assert len(columns) == 1
 
 
-def test_unroll_adds_each_distinct_node_once(monkeypatch):
+def test_add_node_runs_once_per_distinct_node(monkeypatch):
     """A usage batch adds one TreeGRU node per distinct (v, occurrences of
     v, direction, position, depth) of a node with children, counted here
     from the recursive definition of the unrolling; one batch per group
@@ -764,7 +764,7 @@ def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():
     assert np.array_equal(u.data[:, 0], enc.type_embed(a.symbol).data)
 
 
-def test_unroll_deeper_than_the_recursion_limit():
+def test_walk_deeper_than_the_recursion_limit():
     """A tree depth past Python's recursion limit unrolls a loop's
     data-flow tree to full depth and encodes to finite values."""
     depth = sys.getrecursionlimit() + 50
