@@ -11,7 +11,10 @@ running set" and join by union.
 The relations of v depend only on where v occurs, so `ProgramFlow` builds a
 program's CFGs once and solves a symbol only when its relations are asked
 for, memoised by (v, occurrences of v).  A `UseGraph` is a view over it
-that holds only what the usage encoders read: each symbol's occurrences.
+under one binding of the placeholders: each symbol's occurrences.  The
+usage encoders read neither: each usage they encode carries a token t, a
+candidate v, v's occurrences and the flow that solves v's relations from
+them (`models.Encoder.usages` builds them from a view).
 """
 
 from __future__ import annotations
@@ -130,13 +133,13 @@ class UseGraph:
     The lexical relations need only `occurrences`; a symbol's data-flow
     relations are its `relations`, which `flow` solves and memoises by
     (symbol, occurrences), so every view with the same occurrences of a
-    symbol reads the same dicts.  The usage encoders read `relations`, so a
-    view they walk needs a flow.  `occ`, the token -> symbol map, is derived
-    from `occurrences` on first read.  `df_in`/`df_out` are the relations
-    flattened into dicts keyed by (token, symbol): their first access
-    solves every symbol, and from then on `din`/`dout` read those dicts.
-    Without a flow they start empty, for the caller to fill (the path
-    oracle's views, which are never walked)."""
+    symbol reads the same dicts.  A view the usage encoders read needs a
+    flow, which its usages carry.  `occ`, the token -> symbol map, is
+    derived from `occurrences` on first read.  `df_in`/`df_out` are the
+    relations flattened into dicts keyed by (token, symbol), which
+    `din`/`dout` read: their first access solves every symbol.  Without a
+    flow they start empty, for the caller to fill (the path oracle's
+    views, which are never encoded)."""
 
     def __init__(self, occurrences: Dict[int, Tuple[int, ...]],
                  flow: Optional["ProgramFlow"] = None):
@@ -188,14 +191,10 @@ class UseGraph:
         return (self.lex_chain(t, v, 1, "next") or [None])[0]
 
     def din(self, t: int, v: int) -> FrozenSet[int]:
-        if self._flat is not None:
-            return self._flat[0].get((t, v), frozenset())
-        return self.relations(v)[0].get(t, frozenset())
+        return self.df_in.get((t, v), frozenset())
 
     def dout(self, t: int, v: int) -> FrozenSet[int]:
-        if self._flat is not None:
-            return self._flat[1].get((t, v), frozenset())
-        return self.relations(v)[1].get(t, frozenset())
+        return self.df_out.get((t, v), frozenset())
 
 
 def chain_bounds(occ: Sequence[int], t: int, n: int

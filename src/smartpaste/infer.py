@@ -12,7 +12,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .dataflow import UseGraph
 from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import LexError, reconstruct, tokenize
@@ -103,11 +102,11 @@ class _ScoreMatrix:
     most candidates.  Row s reads each symbol's occurrences under the
     mapping with s unbound, so a move of t from a to b changes only the a
     and b entries of the other rows, and nothing of t's row.  `rows` and
-    `move` yield the (view, token, candidates) groups whose scores they
-    need and are sent the scores, so that `_lockstep` can score the groups
-    of several in one batch.  A mapping binds every placeholder of the
-    instance, ranked or not; `state` and `move` are ICM's, whose rows are
-    every placeholder."""
+    `move` yield the score keys they need, `Encoder.scores`' (token,
+    candidate, occurrences of the candidate), and are sent one score per
+    key, so that `_lockstep` can score the keys of several in one batch.
+    A mapping binds every placeholder of the instance, ranked or not;
+    `state` and `move` are ICM's, whose rows are every placeholder."""
 
     def __init__(self, inst: TaskInstance, encoder: Encoder,
                  phs: Sequence[Placeholder]):
@@ -126,16 +125,15 @@ class _ScoreMatrix:
         self.by_width = [(np.flatnonzero(widths == w), w)
                          for w in sorted(set(widths.tolist()))]
 
-    def _group(self, occurrences: Dict[int, Tuple[int, ...]],
-               mapping: Dict[int, Optional[int]], s: int,
-               shared: UseGraph, vs: Sequence[int]):
-        # row s's view: `shared` unless s holds one of the symbols vs
-        t = self.phs[s].token_index
-        own = mapping[t]
-        if own in vs:
-            shared = UseGraph({**occurrences, own: tuple(
-                x for x in occurrences[own] if x != t)}, self.flow)
-        return shared, t, vs
+    @staticmethod
+    def _key(occurrences: Dict[int, Tuple[int, ...]],
+             mapping: Dict[int, Optional[int]], t: int, v: int):
+        # the score key of candidate v in the row of token t: v's
+        # occurrences with t itself unbound
+        occ = occurrences.get(v, ())
+        if v == mapping[t]:
+            occ = tuple(x for x in occ if x != t)
+        return t, v, occ
 
     def _total(self, mapping: Dict[int, int], probs: np.ndarray) -> float:
         assigned = probs[np.arange(len(self.phs)),
@@ -166,12 +164,10 @@ class _ScoreMatrix:
         leaves one unbound)."""
         occurrences = self.flow.uses(
             {t: mapping[t] for t in self.tokens}).occurrences
-        shared = UseGraph(occurrences, self.flow)
-        scores = yield [self._group(occurrences, mapping, s, shared,
-                                    ph.candidates)
-                        for s, ph in enumerate(self.phs)]
+        scores = yield [self._key(occurrences, mapping, ph.token_index, v)
+                        for ph in self.phs for v in ph.candidates]
         matrix = np.full(self.shape, -np.inf)
-        matrix[self.cells] = [x for row in scores for x in row]
+        matrix[self.cells] = scores
         return matrix, self._normalise(matrix), occurrences
 
     def state(self, mapping: Dict[int, int]):
@@ -188,22 +184,22 @@ class _ScoreMatrix:
         occurrences = {**state.occurrences,
                        a: tuple(x for x in state.occurrences[a] if x != t),
                        b: tuple(sorted(state.occurrences.get(b, ()) + (t,)))}
-        shared = UseGraph(occurrences, self.flow)
         # candidates are in id order (`make_placeholder`)
         pair = sorted((a, b))
-        groups, at_rows, at_cols = [], [], []
-        for s, cols in enumerate(self.cols):
-            vs = [v for v in pair if v in cols]
-            if vs and self.phs[s].token_index != t:
-                groups.append(self._group(occurrences, mapping, s, shared,
-                                          vs))
-                at_rows += [s] * len(vs)
-                at_cols += [cols[v] for v in vs]
-        rescored = yield groups
+        keys, at_rows, at_cols = [], [], []
+        for s, (ph, cols) in enumerate(zip(self.phs, self.cols)):
+            if ph.token_index != t:
+                for v in pair:
+                    if v in cols:
+                        keys.append(self._key(occurrences, mapping,
+                                              ph.token_index, v))
+                        at_rows.append(s)
+                        at_cols.append(cols[v])
+        rescored = yield keys
         scores, probs = state.scores, state.probs
-        if groups:
+        if keys:
             scores = scores.copy()
-            scores[at_rows, at_cols] = [x for row in rescored for x in row]
+            scores[at_rows, at_cols] = rescored
             probs = self._normalise(scores)
         return _State(mapping, occurrences, scores, probs,
                       self._total(mapping, probs))
@@ -225,16 +221,16 @@ class _ScoreMatrix:
 
 
 def _lockstep(encoder: Encoder, searches: List[Generator]) -> list:
-    """Run generators that yield scoring groups and are sent their scores
-    in lockstep: each step scores the groups of every generator still
+    """Run generators that yield score keys and are sent one score per key
+    in lockstep: each step scores the keys of every generator still
     running in one `Encoder.scores` call.  Returns their results."""
     results: list = [None] * len(searches)
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
-        scores = iter(encoder.scores([g for groups in pending.values()
-                                      for g in groups]))
-        replies = {i: list(islice(scores, len(groups)))
-                   for i, groups in pending.items()}
+        scores = iter(encoder.scores([key for keys in pending.values()
+                                      for key in keys]))
+        replies = {i: list(islice(scores, len(keys)))
+                   for i, keys in pending.items()}
         pending = {}
         for i, reply in replies.items():
             try:
@@ -272,7 +268,7 @@ def icm(inst: TaskInstance, params: ModelParams,
     start random.  `trace`, when given, collects the per-update totals of
     each restart.
 
-    The restarts run in lockstep, each as a `climb` that yields the groups
+    The restarts run in lockstep, each as a `climb` that yields the keys
     its states need scored: `rng` draws only the starts, so all are drawn
     first, in restart order, and scored in one batch; then each step
     scores the next trial of every restart still sweeping in one batch.

@@ -317,7 +317,7 @@ class _TreeIndex:
 
 
 class Encoder:
-    """Forward computation over one program view.
+    """Forward computation over one program.
 
     Context windows are static for an instance: every placeholder position
     shows the PLACEHOLDER embedding regardless of its current assignment.
@@ -326,35 +326,35 @@ class Encoder:
     (H, P + 1), column 0 is c(EPS) = 0 and column `positions[t]` is c(t),
     the P positions in token order.  It is filled on first need, in one
     batch with the banks of the other encoders of a `usage_batch`.  The
-    lexical and data-flow relations are supplied per call and do change
-    during inference; `flow` solves them per symbol on demand for the use
-    graphs of the encoder's program.
+    lexical and data-flow relations change during inference, so each
+    usage carries them: v's occurrences, and the flow that solves v's
+    relations from them.  `flow` is the encoder's own, for `scores`.
 
     Type representations are fixed for the encoder's lifetime too (a
     training encoder draws each symbol's subset once, from its seed and the
     symbol), and a candidate v's lexical chains and data-flow trees at t
     depend only on where v occurs, so `scores` memoises each score
-    c(t) . u(t, v) by (t, v, occurrences of v) for the encoder's lifetime.
-    It computes only the missing scores, for several placeholders at once,
-    and reads only their values, so it records no tape (`nn.no_tape`).  The
-    context bank a ranking fills is therefore a constant, and so is each
-    type representation, except a one-type closure's, which is the model's
-    embedding itself: nothing cached records a tape, so to differentiate,
-    encode through a fresh encoder.  Turning scores into rankings is
-    `infer`'s.
+    c(t) . u(t, v) by its key (t, v, occurrences of v) for the encoder's
+    lifetime.  It computes only the missing scores, for several
+    placeholders at once, and reads only their values, so it records no
+    tape (`nn.no_tape`).  The context bank a ranking fills is therefore a
+    constant, and so is each type representation, except a one-type
+    closure's, which is the model's embedding itself: nothing cached
+    records a tape, so to differentiate, encode through a fresh encoder.
+    Turning scores into rankings is `infer`'s.
 
-    `usage_batch` encodes the candidates of several (encoder, view, t,
-    candidates) groups at once; `usage_reprs` is its one-group call.  It
-    lays each candidate's chains and data-flow trees onto the fixed columns
-    of the encoders' banks; no type-dropout draw depends on the order of
-    the groups: a training encoder draws from its own seed, taken from
-    `rng` when it is made, and the symbol.  The
-    arithmetic then runs in column batches: every missing bank in one
-    batch, and every tree depth (a `grug` chain is a one-child tree) of
-    every candidate of every group in one GRU step per direction.  A
-    training step (one encoder per item, so its groups share no node), a
-    validation instance and a lockstep ICM step over all of its restarts
-    all go through it.
+    `usage_batch` encodes a list of usages, (encoder, flow, t, v,
+    occurrences of v), one column each; `usages` builds them from a use
+    graph, and `usage_reprs` is its one-placeholder call.  It lays each
+    usage's chains and data-flow trees onto the fixed columns of the
+    encoders' banks; no type-dropout draw depends on the order of the
+    usages: a training encoder draws from its own seed, taken from `rng`
+    when it is made, and the symbol.  The arithmetic then runs in column
+    batches: every missing bank in one batch, and every tree depth (a
+    `grug` chain is a one-child tree) of every usage in one GRU step per
+    direction.  A training step (one encoder per item, so its usages
+    share no node), a validation instance and a lockstep ICM step over all
+    of its restarts all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -444,48 +444,47 @@ class Encoder:
 
     # -- usage representations --
 
+    def usages(self, ug: UseGraph, t: int,
+               candidates: Sequence[int]) -> List[Usage]:
+        """The usages of the candidate symbols at token t under `ug`, one
+        per candidate: the columns `usage_batch` encodes."""
+        return [(self, ug.flow, t, v, ug.occurrences.get(v, ()))
+                for v in candidates]
+
     def usage_reprs(self, ug: UseGraph, t: int,
                     candidates: Sequence[int]) -> Tensor:
         """Usage representations of the candidate symbols at token t, one
-        column per candidate: (H, K); the one-group `usage_batch`."""
-        return usage_batch([(self, ug, t, candidates)])
+        column per candidate: (H, K); `usage_batch` of their `usages`."""
+        return usage_batch(self.usages(ug, t, candidates))
 
     def usage_repr(self, ug: UseGraph, t: int, v: int) -> Tensor:
         """The usage representation of one candidate v at token t."""
         return nn.gather(self.usage_reprs(ug, t, [v]), 0)
 
-    def scores(self, groups: Sequence[Tuple[UseGraph, int, Sequence[int]]]
-               ) -> List[List[float]]:
-        """For each (view, t, candidates) group, the scores c(t) . u(t, v)
-        of its candidates in order.  Scores missing from the memo are
-        computed in one `usage_batch` over every group, inside
-        `nn.no_tape()`, and scored against the bank's c(t) columns; a key
-        that several groups miss is computed once."""
+    def scores(self, keys: Sequence[Tuple[int, int, Tuple[int, ...]]]
+               ) -> List[float]:
+        """The score c(t) . u(t, v) of each (t, v, occurrences of v) key, in
+        key order.  The keys missing from the memo are computed once each,
+        in one `usage_batch` inside `nn.no_tape()` in order of first
+        appearance, with relations from the encoder's `flow`, and scored
+        against the bank's c(t) columns."""
         memo = self._scores
-        keys = [[(t, v, ug.occurrences.get(v, ())) for v in candidates]
-                for ug, t, candidates in groups]
-        batch: List[UsageGroup] = []
-        missing: Dict[Tuple[int, int, Tuple[int, ...]], None] = {}
-        for (ug, t, _), group_keys in zip(groups, keys):
-            absent = [key for key in group_keys
-                      if key not in memo and key not in missing]
-            if absent:
-                batch.append((self, ug, t, [v for _, v, _ in absent]))
-                missing.update(dict.fromkeys(absent))
-        if batch:
+        missing = dict.fromkeys(key for key in keys if key not in memo)
+        if missing:
             with nn.no_tape():
-                u = np.ascontiguousarray(usage_batch(batch).data.T)
-            c = self.bank.data.T[[self.positions[t] for _, _, t, vs in batch
-                                  for _ in vs]]
-            # one contiguous row sum per candidate: unlike a BLAS product,
-            # its rounding does not depend on the other columns of the
-            # batch, so equal usage columns keep exactly equal scores
+                u = np.ascontiguousarray(usage_batch(
+                    [(self, self.flow, *key) for key in missing]).data.T)
+            c = self.bank.data.T[[self.positions[t] for t, _, _ in missing]]
+            # one contiguous row sum per usage: unlike a BLAS product, its
+            # rounding does not depend on the other columns of the batch,
+            # so equal usage columns keep exactly equal scores
             memo.update(zip(missing, (u * c).sum(axis=1)))
-        return [[memo[key] for key in group_keys] for group_keys in keys]
+        return [memo[key] for key in keys]
 
 
-# One group of a usage batch: (encoder, use graph, token t, candidates).
-UsageGroup = Tuple[Encoder, UseGraph, int, Sequence[int]]
+# One column of a usage batch, candidate v at token t: (encoder, the flow
+# that solves v's relations, t, v, occurrences of v).
+Usage = Tuple[Encoder, ProgramFlow, int, int, Tuple[int, ...]]
 
 
 def _fill_banks(encoders: Sequence[Encoder]):
@@ -558,33 +557,33 @@ def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
     return nn.gather(bank, index.roots)
 
 
-def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
-    """Usage representations of every group's candidates at its token t,
-    one column per candidate in group order: (H, sum of the K).  The
-    groups' encoders share one model.
+def usage_batch(usages: Sequence[Usage]) -> Tensor:
+    """Usage representations, one column per usage in order: (H, number of
+    usages).  The usages' encoders share one model.
 
     The banks of the encoders that lack one are filled in one batch, and
     the contexts are the encoders' banks side by side, in order of first
     appearance: an encoder whose bank starts at column `base` reads c(x)
     from column `base + positions[x]`.  The leaves are one gather from the
-    type bank: each distinct type representation once.  A
-    candidate's lexical chains are two slices of v's sorted occurrences
-    (`chain_bounds`); all of them are mapped to context columns in one
-    array lookup, `Encoder.token_columns`, and the pooled mean weights
-    each candidate's chain columns by 1 / their count.  One `_TreeIndex`
-    per direction (`grug`'s chains or the data-flow trees) holds every
-    group in global candidate columns, so each depth is one GRU step per
-    direction over the whole batch.  The data-flow trees of the candidates
-    of one (encoder, v, occurrences of v), which ICM's trial mappings
-    mostly share, are one `_TreeIndex.unroll` per direction, so each of
-    their nodes is stepped once and its gradient sums over its readers."""
-    params = groups[0][0].params
+    type bank: each distinct type representation once.  A usage's lexical
+    chains are two slices of v's sorted occurrences (`chain_bounds`); all
+    of them are mapped to context columns in one array lookup,
+    `Encoder.token_columns`, and the pooled mean weights each usage's
+    chain columns by 1 / their count.  One `_TreeIndex` per direction
+    (`grug`'s chains or the data-flow trees) holds every usage in its
+    column, so each depth is one GRU step per direction over the whole
+    batch.  The data-flow trees of the usages of one (encoder, v,
+    occurrences of v), which ICM's trial mappings mostly share, are one
+    `_TreeIndex.unroll` per direction under the relations its first
+    usage's flow solves, so each of their nodes is stepped once and its
+    gradient sums over its readers."""
+    params = usages[0][0].params
     variant = params.variant
     n = params.hyper.chain_len
     lexical = variant in ("avgg", "grug", "hybrid")
     df_trees = variant in ("grud", "hybrid")
-    k_all = sum([len(group[3]) for group in groups])
-    encoders = list(dict.fromkeys(group[0] for group in groups))
+    k_all = len(usages)
+    encoders = list(dict.fromkeys(usage[0] for usage in usages))
     _fill_banks(encoders)
     bases = dict(zip(encoders, accumulate(
         (len(enc.positions) for enc in encoders), initial=0)))
@@ -592,34 +591,25 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
     # each distinct type representation -> its column of the type bank
     types: Dict[Tensor, int] = {}
     leaf_cols: List[int] = []
-    # every candidate's prev chain then its next chain, as token positions
+    # every usage's prev chain then its next chain, as token positions
     chain_tokens: List[int] = []
     prev_lens: List[int] = []
     next_lens: List[int] = []
-    chain_counts: List[int] = []  # per group
-    # (encoder, v, occurrences of v) -> a view of v's relations and the
-    # (t, candidate column) roots of its data-flow trees
-    unrolls: Dict[tuple, Tuple[UseGraph, List[Tuple[int, int]]]] = {}
-    k = 0
-    for enc, ug, t, candidates in groups:
-        occurrences = ug.occurrences
-        before = len(chain_tokens)
-        for v in candidates:
-            leaf_cols.append(types.setdefault(enc.type_embed(v), len(types)))
-            if lexical:
-                occ = occurrences.get(v, ())
-                lo, i, j, hi = chain_bounds(occ, t, n)
-                chain_tokens += occ[lo:i]
-                chain_tokens += occ[j:hi]
-                prev_lens.append(i - lo)
-                next_lens.append(hi - j)
-            if df_trees:
-                unrolls.setdefault((enc, v, occurrences.get(v, ())),
-                                   (ug, []))[1].append((t, k))
-            k += 1
-        chain_counts.append(len(chain_tokens) - before)
-    for (enc, v, _), (ug, roots) in unrolls.items():
-        for d, rel in zip(("prev", "next"), ug.relations(v)):
+    # (encoder, v, occurrences of v) -> the flow that solves v's relations
+    # and the (t, usage column) roots of its data-flow trees
+    unrolls: Dict[tuple, Tuple[ProgramFlow, List[Tuple[int, int]]]] = {}
+    for k, (enc, flow, t, v, occ) in enumerate(usages):
+        leaf_cols.append(types.setdefault(enc.type_embed(v), len(types)))
+        if lexical:
+            lo, i, j, hi = chain_bounds(occ, t, n)
+            chain_tokens += occ[lo:i]
+            chain_tokens += occ[j:hi]
+            prev_lens.append(i - lo)
+            next_lens.append(hi - j)
+        if df_trees:
+            unrolls.setdefault((enc, v, occ), (flow, []))[1].append((t, k))
+    for (enc, v, occ), (flow, roots) in unrolls.items():
+        for d, rel in zip(("prev", "next"), flow.relations(v, occ)):
             trees[d].unroll(rel, roots, enc.positions, bases[enc],
                             params.hyper.tree_depth)
 
@@ -633,10 +623,10 @@ def usage_batch(groups: Sequence[UsageGroup]) -> Tensor:
                                 for enc in encoders])
         offsets = dict(zip(encoders, accumulate(
             (len(enc.token_columns) for enc in encoders), initial=0)))
-        chain_cols = table[np.asarray(chain_tokens, dtype=np.intp)
-                           + np.repeat([offsets[group[0]] for group in groups],
-                                       chain_counts)]
         lens = np.add(prev_lens, next_lens)
+        chain_cols = table[np.asarray(chain_tokens, dtype=np.intp)
+                           + np.repeat([offsets[enc] for enc, *_ in usages],
+                                       lens)]
         if variant == "grug":
             cols = chain_cols.tolist()
             start = 0

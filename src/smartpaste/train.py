@@ -1,8 +1,9 @@
 """Training: per-placeholder items, pooled in-batch softmax normalization,
 Adam, and early stopping on validation accuracy.
 
-A training step encodes all of its items in one `models.usage_batch`,
-reading each item's use graph from `ItemCache`.  Validation ranks as
+A training step encodes the usages of all of its items' candidates in
+one `models.usage_batch`, built from each item's use graph in
+`ItemCache`, whose flows outlive the step's encoders.  Validation ranks as
 evaluation does: `truth_rankings` ranks all items of an instance in one
 `infer.rank_placeholders` call on one inference `Encoder`, as rows of
 ICM's score matrix."""
@@ -111,9 +112,10 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    usages = usage_batch([(enc, cache.graph(item), item.token,
-                           item.candidates)
-                          for item, enc in zip(batch, encoders)])
+    reprs = usage_batch([usage for item, enc in zip(batch, encoders)
+                         for usage in enc.usages(cache.graph(item),
+                                                 item.token,
+                                                 item.candidates)])
     starts = list(accumulate((len(item.candidates) for item in batch),
                              initial=0))
     truth_idx = [item.candidates.index(item.truth) for item in batch]
@@ -124,7 +126,7 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
         cols = list(range(starts[i], starts[i + 1])) \
             + truth_cols[:i] + truth_cols[i + 1:]
         scores = nn.dot(enc.context_repr(item.token),
-                        nn.gather(usages, cols))
+                        nn.gather(reprs, cols))
         loss, _ = nn.softmax_xent(scores, truth_idx[i])
         losses.append(loss)
     total = nn.mean_of(losses)

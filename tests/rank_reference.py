@@ -1,7 +1,8 @@
 """The per-placeholder ranking the score matrix is checked against: one
-placeholder's candidates scored on a use graph built from scratch with that
-placeholder unbound, a softmax, and a sort by probability, then symbol id.
-It shares nothing with `infer` but `Encoder.scores`."""
+placeholder's candidates scored by the keys of a use graph built from
+scratch with that placeholder unbound, a softmax, and a sort by
+probability, then symbol id.  It shares nothing with `infer` but
+`Encoder.scores`."""
 
 import numpy as np
 
@@ -18,7 +19,8 @@ def reference_rank(params, inst, ph, binding, encoder=None):
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
     view = encoder.flow.uses({**binding, ph.token_index: None})
-    scores, = encoder.scores([(view, ph.token_index, ph.candidates)])
+    scores = encoder.scores([(ph.token_index, v, view.occurrences.get(v, ()))
+                             for v in ph.candidates])
     probs = nn.softmax_probs(np.array(scores))
     order = sorted(range(len(ph.candidates)),
                    key=lambda i: (-probs[i], ph.candidates[i]))

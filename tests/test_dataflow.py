@@ -193,15 +193,15 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
 
 
 class _Recorder:
-    """Stands in for an encoder: keeps the groups it is asked to score."""
+    """Stands in for an encoder: keeps the score keys it is asked for."""
 
     def __init__(self, flow):
         self.flow = flow
-        self.groups = []
+        self.keys = []
 
-    def scores(self, groups):
-        self.groups = list(groups)
-        return [[0.0] * len(candidates) for _, _, candidates in groups]
+    def scores(self, keys):
+        self.keys = list(keys)
+        return [0.0] * len(self.keys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,9 +211,10 @@ def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
     """Random occurrences made placeholders, bound at random (unbound, to
     their own symbol or to any symbol) and ranked in random subsets, each
     with random candidates that hold the symbol it is bound to or not: in
-    each group `rank_placeholders` scores, every candidate has the
-    occurrences and relations of a use graph built from scratch with the
-    ranked placeholder unbound.  A binding that misses a placeholder,
+    each key `rank_placeholders` asks to score, the candidate has the
+    occurrences of a use graph built from scratch with the ranked
+    placeholder unbound, and the flow solves them to that graph's
+    relations.  A binding that misses a placeholder,
     ranked or not, is a KeyError."""
     prog = compile_source(
         generator.generate_file(random.Random(seed), profile, 0, 0))
@@ -236,15 +237,14 @@ def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
         inst = TaskInstance(prog, (tokens[0], tokens[-1]), placeholders)
         phs = rnd.sample(placeholders, rnd.randint(1, len(tokens)))
         rank_placeholders(inst, encoder, phs, binding)
-        assert [(t, list(vs)) for _, t, vs in encoder.groups] == \
-            [(ph.token_index, ph.candidates) for ph in phs]
-        for view, t, vs in encoder.groups:
+        assert [(t, v) for t, v, _ in encoder.keys] == \
+            [(ph.token_index, v) for ph in phs for v in ph.candidates]
+        for t, v, occ in encoder.keys:
             override = {**binding, t: None}
             fresh = ProgramFlow(prog).uses(override)
-            for v in vs:
-                assert view.occurrences.get(v, ()) == \
-                    fresh.occurrences.get(v, ()), (override, v)
-                assert view.relations(v) == fresh.relations(v), (override, v)
+            assert occ == fresh.occurrences.get(v, ()), (override, v)
+            assert encoder.flow.relations(v, occ) == fresh.relations(v), \
+                (override, v)
         del binding[rnd.choice(tokens)]
         with pytest.raises(KeyError):
             rank_placeholders(inst, encoder, phs, binding)

@@ -1,10 +1,11 @@
-"""Every top-level function and class under src/ is named somewhere in src/
-or bench/ outside its own body.  Names resolve by module: a bare name is
-the defining module's own or one a module imports from it, and `X.name`
-counts only where X is bound to the defining module, so a local variable
-or `np.tanh` with the same spelling is not a use.  Imports and `__all__`
-do not count as a use; the dotted names the benchmark traces
-(`bench/spans.py`) do."""
+"""Every top-level function, class, constant and type alias under src/
+(a name assigned at the top of a module, dunder names aside) is named
+somewhere in src/ or bench/ outside its own definition.  Names resolve by
+module: a bare name is the defining module's own or one a module imports
+from it, and `X.name` counts only where X is bound to the defining
+module, so a local variable or `np.tanh` with the same spelling is not a
+use.  Only a read is a use: imports, `__all__` and assignments do not
+count; the dotted names the benchmark traces (`bench/spans.py`) do."""
 
 import ast
 import re
@@ -42,6 +43,8 @@ def _bindings(tree, package):
 
 def _qualified(node, module, bindings):
     """The qualified name a Name or a Name.attr... chain reads, or None."""
+    if not isinstance(getattr(node, "ctx", None), ast.Load):
+        return None  # a store or a delete is not a read
     if isinstance(node, ast.Name):
         return bindings.get(node.id, f"{module}.{node.id}")
     if isinstance(node, ast.Attribute):
@@ -58,6 +61,18 @@ def _dotted_strings(node):
             yield sub.value.split(".")
 
 
+def _defined(stmt):
+    """The names a top-level statement defines: a function's or class's
+    name, or the plain names an assignment binds, dunder names aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) \
+        else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def _reexports(name, imports):
     """name, then what each module it passes through imports it as."""
     seen = set()
@@ -69,9 +84,9 @@ def _reexports(name, imports):
 
 
 def dead_definitions(src_root, bench_paths):
-    """(path, name) of each top-level function or class under src_root that
-    no module under src_root or in bench_paths names outside its own
-    body."""
+    """(path, name) of each top-level function, class or assigned name
+    under src_root that no module under src_root or in bench_paths reads
+    outside its own definition."""
     src_paths = sorted(Path(src_root).rglob("*.py"))
     modules = {path: _module(path, src_root) for path in src_paths}
     modules.update((path, (path.stem, "")) for path in bench_paths)
@@ -84,11 +99,10 @@ def dead_definitions(src_root, bench_paths):
         for stmt in tree.body:
             names = {_qualified(n, module, imports[module])
                      for n in ast.walk(stmt)}
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names.discard(f"{module}.{stmt.name}")
+            for name in _defined(stmt):
+                names.discard(f"{module}.{name}")
                 if path in src_paths:
-                    defined[f"{module}.{stmt.name}"] = (path, stmt.name)
+                    defined[f"{module}.{name}"] = (path, name)
             used |= names
         if path in bench_paths:
             for parts in _dotted_strings(tree):
@@ -110,7 +124,13 @@ def test_check_finds_a_dead_definition(tmp_path):
     (tmp_path / "bench").mkdir()
     lib = tmp_path / "src" / "lib.py"
     lib.write_text("__all__ = ['unused', 'helper']\n"
-                   "def helper(): return 1\n"
+                   "__version__ = '1.0'\n"
+                   "from typing import Dict, Tuple\n"
+                   "ONE = 1\n"
+                   "LIMIT = 3\n"
+                   "Pair = Tuple[int, int]\n"
+                   "Table: type = Dict[int, Pair]\n"
+                   "def helper(): return ONE\n"
                    "def unused(n): return unused(n - 1) if n else helper()\n"
                    "class Used: pass\n"
                    "class Imported: pass\n"
@@ -118,12 +138,14 @@ def test_check_finds_a_dead_definition(tmp_path):
                    "def tanh(x): return x\n"
                    "def sub(a, b): return a - b\n"
                    "def called(): pass\n")
-    # np.tanh and a local `sub` only share a spelling with lib's functions
+    # np.tanh and a local `sub` only share a spelling with lib's functions,
+    # and a write to lib.LIMIT does not read it
     (tmp_path / "src" / "other.py").write_text(
         "import numpy as np\nimport lib\n"
-        "sub = 2\nprint(np.tanh(sub), lib.called())\n")
+        "sub = 2\nlib.LIMIT = 4\nprint(np.tanh(sub), lib.called())\n")
     bench = tmp_path / "bench" / "run.py"
     bench.write_text("from lib import Imported, Used\nUsed()\n"
                      "SPANS = [('lib.traced', 'a sentence')]\n")
     assert dead_definitions(tmp_path / "src", [bench]) == [
-        (lib, "Imported"), (lib, "sub"), (lib, "tanh"), (lib, "unused")]
+        (lib, "Imported"), (lib, "LIMIT"), (lib, "Table"), (lib, "sub"),
+        (lib, "tanh"), (lib, "unused")]

@@ -255,28 +255,29 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
     """Restarts that stop after different numbers of sweeps agree with the
     reference run one after another, and the lockstep search makes one
     `Encoder.scores` call, so at most one usage batch, per step: every
-    placeholder unbound, the starts of all restarts (every placeholder of
-    each), then one call per step over the trials of the restarts that
-    still try a move.  A trial that moves t from a to b asks only for the
-    a and b entries of the rows other than t's."""
+    placeholder unbound, the starts of all restarts (every candidate of
+    every placeholder of each), then one call per step over the trials of
+    the restarts that still try a move.  A trial that moves t from a to b
+    asks only for the keys of the a and b entries of the rows other than
+    t's, row by row."""
     calls, moves, batches = [], [], []
     scores, move = Encoder.scores, infer._ScoreMatrix.move
     usage_batch = models.usage_batch
 
-    def counted(self, groups):
+    def counted(self, keys):
         if self is got_enc:
-            calls.append((list(groups), list(moves)))
+            calls.append((list(keys), list(moves)))
             moves.clear()
-        return scores(self, groups)
+        return scores(self, keys)
 
     def recorded(self, state, t, b):
         moves.append((t, state.mapping[t], b))
         return (yield from move(self, state, t, b))
 
-    def batched(groups):
-        if groups[0][0] is got_enc:
-            batches.append(len(groups))
-        return usage_batch(groups)
+    def batched(usages):
+        if usages[0][0] is got_enc:
+            batches.append(len(usages))
+        return usage_batch(usages)
 
     monkeypatch.setattr(Encoder, "scores", counted)
     monkeypatch.setattr(infer._ScoreMatrix, "move", recorded)
@@ -285,6 +286,7 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
     for inst in icm_instances:
         params = small_model(inst.program, variant=variant)
         n = len(inst.placeholders)
+        width = sum(len(ph.candidates) for ph in inst.placeholders)
         for seed in range(4):
             got_enc, want_enc = (
                 Encoder(params, inst.program,
@@ -301,19 +303,19 @@ def test_lockstep_steps_rank_once(icm_instances, variant, monkeypatch):
             assert [len(r) for r in trace] == [len(r) for r in want_trace]
             assert all(_close(a, b) for a, b in zip(trace, want_trace))
             stopped_apart |= len({len(r) for r in want_trace}) > 1
-            assert [len(groups) for groups, _ in calls[:2]] == [n, 5 * n]
+            assert [len(keys) for keys, _ in calls[:2]] \
+                == [width, 5 * width]
             live = [sum(tried > step for tried in trials)
                     for step in range(max(trials))]
             assert [len(step_moves) for _, step_moves in calls[2:]] == live
-            for groups, step_moves in calls[2:]:
-                asked = [(t, list(cands)) for _, t, cands in groups]
+            for keys, step_moves in calls[2:]:
+                asked = [(t, v) for t, v, _ in keys]
                 assert asked == [
-                    (ph.token_index, [v for v in ph.candidates
-                                      if v in (a, b)])
+                    (ph.token_index, v)
                     for t, a, b in step_moves for ph in inst.placeholders
                     if ph.token_index != t
-                    and {a, b} & set(ph.candidates)]
-                assert len(groups) <= (n - 1) * len(step_moves)
+                    for v in ph.candidates if v in (a, b)]
+                assert len(keys) <= 2 * (n - 1) * len(step_moves)
             assert len(batches) <= len(calls)
     assert stopped_apart
 

@@ -312,7 +312,8 @@ class TestContextRepresentation:
         assert not np.array_equal(training.type_embed(a).data,
                                   inference.type_embed(a).data)
         ug = dataflow_uses(lattice_program, {hole: None})
-        usage_batch([(enc, ug, hole, [a]) for enc in (training, inference)])
+        usage_batch([usage for enc in (training, inference)
+                     for usage in enc.usages(ug, hole, [a])])
         for enc in (inference, training):
             assert list(enc.positions) == [EPS] + _variable_tokens(
                 lattice_program)
@@ -604,9 +605,9 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
-    """One `usage_batch` over interleaved groups of three encoders (one per
-    program, and a second one of the first program with other
-    placeholders; several placeholders per encoder) against one
+    """One `usage_batch` over the usages of interleaved groups of three
+    encoders (one per program, and a second one of the first program with
+    other placeholders; several placeholders per encoder) against one
     `usage_reprs` per group on a fresh encoder: values and gradients to
     1e-12.  The two encoders of one program see many candidates with equal
     occurrences, but their banks differ.  With zero context weights every
@@ -633,7 +634,8 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
     probe = nn.constant(rng.normal(size=6))
     weights = nn.constant(rng.normal(size=sum(len(g[3]) for g in groups)))
 
-    batched = usage_batch(groups)
+    batched = usage_batch([usage for enc, ug, t, cands in groups
+                           for usage in enc.usages(ug, t, cands)])
     g_batched = _grads(params, nn.dot(nn.dot(probe, batched), weights))
     per_group = [Encoder(params, enc.program,
                          placeholder_tokens=enc.placeholder_tokens
@@ -648,13 +650,13 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
         assert np.abs(a - b).max() <= 1e-12
 
 
-def _trial_groups(variant, ctx_kind="logbilinear", tree_depth=6):
-    """The groups one lockstep ICM step hands `usage_batch` for two trial
-    mappings of the pasted loop, the truth and the truth with its first
-    placeholder moved: per mapping each placeholder ranked on a view that
-    binds every other placeholder per the mapping and leaves its own
-    unbound.  Most candidates keep their occurrences across the groups of
-    both mappings."""
+def _trial_usages(variant, ctx_kind="logbilinear", tree_depth=6):
+    """The usages of every candidate of every row of two trial mappings of
+    the pasted loop, the truth and the truth with its first placeholder
+    moved, as one lockstep ICM step asks `Encoder.scores` for them: per
+    mapping each placeholder's candidates under a view that binds every
+    other placeholder per the mapping and leaves its own unbound.  Most
+    candidates keep their occurrences across the rows of both mappings."""
     prog = compile_source(SUM_POSITIVE)
     inst = make_instance(prog, (17, 46))
     types, lexemes = build_vocab([inst])
@@ -666,64 +668,65 @@ def _trial_groups(variant, ctx_kind="logbilinear", tree_depth=6):
     first = inst.placeholders[0]
     moved = {**truth, first.token_index: next(
         v for v in first.candidates if v != first.truth)}
-    groups = []
+    usages = []
     for mapping in (truth, moved):
-        groups += [(enc, enc.flow.uses({**mapping, ph.token_index: None}),
-                    ph.token_index, ph.candidates)
-                   for ph in inst.placeholders]
-    return params, groups
+        for ph in inst.placeholders:
+            usages += enc.usages(enc.flow.uses({**mapping,
+                                                ph.token_index: None}),
+                                 ph.token_index, ph.candidates)
+    return params, usages
 
 
 @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_usage_batch_shares_nodes_across_groups(variant, ctx_kind):
-    """Groups of one encoder whose candidates share v and v's occurrences
-    share their data-flow nodes in one `usage_batch`: values and gradients
-    still match one `usage_reprs` per group on a fresh encoder to 1e-12."""
-    params, groups = _trial_groups(variant, ctx_kind)
+    """Usages of one encoder that share v and v's occurrences share their
+    data-flow nodes in one `usage_batch`: values and gradients still match
+    one `usage_batch` per usage on a fresh encoder to 1e-12."""
+    params, usages = _trial_usages(variant, ctx_kind)
     rng = np.random.default_rng(4)
     probe = nn.constant(rng.normal(size=6))
-    weights = nn.constant(rng.normal(size=sum(len(g[3]) for g in groups)))
+    weights = nn.constant(rng.normal(size=len(usages)))
 
-    batched = usage_batch(groups)
+    batched = usage_batch(usages)
     g_batched = _grads(params, nn.dot(nn.dot(probe, batched), weights))
-    per_group = [Encoder(params, enc.program,
-                         placeholder_tokens=enc.placeholder_tokens
-                         ).usage_reprs(ug, t, cands)
-                 for enc, ug, t, cands in groups]
-    g_per_group = _grads(params, nn.dot(nn.dot(probe, nn.columns(per_group)),
+    per_usage = [usage_batch([(Encoder(
+        params, enc.program, placeholder_tokens=enc.placeholder_tokens),
+        *usage)]) for enc, *usage in usages]
+    g_per_usage = _grads(params, nn.dot(nn.dot(probe, nn.columns(per_usage)),
                                         weights))
-    want = np.concatenate([u.data for u in per_group], axis=1)
+    want = np.concatenate([u.data for u in per_usage], axis=1)
     assert np.abs(batched.data - want).max() <= 1e-12
-    for a, b in zip(g_batched, g_per_group):
+    for a, b in zip(g_batched, g_per_usage):
         assert np.abs(a - b).max() <= 1e-12
 
 
 def test_rank_computes_each_missing_score_once(monkeypatch):
-    """Groups of one `Encoder.scores` call that miss the same (t, v,
-    occurrences of v) score, as two trial mappings' groups do, encode that
-    candidate once, and a second call encodes nothing."""
-    params, groups = _trial_groups("grud")
-    enc = groups[0][0]
+    """Keys of one `Encoder.scores` call that miss the same (t, v,
+    occurrences of v) score, as two trial mappings' rows do, encode that
+    usage once, and a second call encodes nothing."""
+    params, usages = _trial_usages("grud")
+    enc = usages[0][0]
+    keys = [usage[2:] for usage in usages]
     columns = []
     batch = models.usage_batch
-    monkeypatch.setattr(models, "usage_batch", lambda groups: (
-        columns.append(sum(len(g[3]) for g in groups)), batch(groups))[1])
-    scores = enc.scores([g[1:] for g in groups])
-    assert columns == [len({(t, v, ug.occurrences.get(v, ()))
-                            for _, ug, t, cands in groups for v in cands})]
-    assert columns[0] < sum(len(g[3]) for g in groups)
-    assert enc.scores([g[1:] for g in groups]) == scores
+    monkeypatch.setattr(models, "usage_batch", lambda usages: (
+        columns.append(len(usages)), batch(usages))[1])
+    scores = enc.scores(keys)
+    assert len(scores) == len(keys)
+    assert columns == [len(set(keys))]
+    assert columns[0] < len(keys)
+    assert enc.scores(keys) == scores
     assert len(columns) == 1
 
 
 def test_add_node_runs_once_per_distinct_node(monkeypatch):
     """A usage batch adds one TreeGRU node per distinct (v, occurrences of
     v, direction, position, depth) of a node with children, counted here
-    from the recursive definition of the unrolling; one batch per group
-    adds more, since it shares nodes only within a group."""
+    from the recursive definition of the unrolling; one batch per usage
+    adds more, since it shares no node."""
     depth = 6
-    _, groups = _trial_groups("grud", tree_depth=depth)
+    _, usages = _trial_usages("grud", tree_depth=depth)
     nodes = []
     tree_states = models._tree_states
     monkeypatch.setattr(models, "_tree_states", lambda *args: (
@@ -739,16 +742,15 @@ def test_add_node_runs_once_per_distinct_node(monkeypatch):
             for child in rel[pos]:
                 walk(rel, key, child, d - 1)
 
-    for _, ug, t, cands in groups:
-        for v in cands:
-            for direction, rel in zip(("prev", "next"), ug.relations(v)):
-                walk(rel, (v, ug.occurrences.get(v, ()), direction), t, depth)
+    for _, flow, t, v, occ in usages:
+        for direction, rel in zip(("prev", "next"), flow.relations(v, occ)):
+            walk(rel, (v, occ, direction), t, depth)
 
-    usage_batch(groups)
+    usage_batch(usages)
     assert sum(nodes) == len(distinct)
     nodes.clear()
-    for group in groups:
-        usage_batch([group])
+    for usage in usages:
+        usage_batch([usage])
     assert sum(nodes) > len(distinct)
 
 
@@ -796,7 +798,8 @@ def test_segment_max_runs_only_on_levels_with_several_edges(
     params = ModelParams(variant, Hyper(hidden=6, tree_depth=6),
                          ["int"], [], seed=3)
     enc = Encoder(params, views[0][0])
-    usage_batch([(enc,) + view[1:] for view in views])
+    usage_batch([usage for _, ug, t, cands in views
+                 for usage in enc.usages(ug, t, cands)])
     assert bool(calls) == takes_max
 
 
@@ -906,7 +909,8 @@ class TestPersistence:
                               e2.context_repr(use).data)
         assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
                               e2.usage_reprs(ug, use, cands).data)
-        assert e1.scores([(ug, use, cands)]) == e2.scores([(ug, use, cands)])
+        keys = [(use, v, ug.occurrences.get(v, ())) for v in cands]
+        assert e1.scores(keys) == e2.scores(keys)
 
     @pytest.mark.parametrize("ctx_kind", CONTEXT_ENCODERS)
     @pytest.mark.parametrize("variant", VARIANTS)
