@@ -23,7 +23,7 @@ from .minilang.lexer import LexError
 from .minilang.parser import ParseError
 from .models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
                      ModelParams, VariantError, build_vocab,
-                     dump_usage_vectors)
+                     dump_usage_vectors, score_key)
 
 
 class CliError(Exception):
@@ -345,11 +345,12 @@ def _cmd_dump_usage_vectors(args) -> int:
     for inst in instances:
         enc = Encoder(params, inst.program,
                       placeholder_tokens=inst.placeholder_tokens)
+        truth = enc.flow.uses().occurrences
         for ph in inst.placeholders:
             # the placeholder unbound, every other token at its truth
-            ug = enc.flow.uses({ph.token_index: None})
-            print(dump_usage_vectors(enc, ug, inst.instance_id,
-                                     ph.token_index, ph.candidates))
+            print(dump_usage_vectors(enc, inst.instance_id, [
+                score_key(truth, ph.truth, ph.token_index, v)
+                for v in ph.candidates]))
     return 0
 
 

@@ -13,8 +13,8 @@ program's CFGs once and solves a symbol only when its relations are asked
 for, memoised by (v, occurrences of v).  A `UseGraph` is a view over it
 under one binding of the placeholders: each symbol's occurrences.  The
 usage encoders read neither: each usage they encode carries a token t, a
-candidate v, v's occurrences and the flow that solves v's relations from
-them (`models.Encoder.usages` builds them from a view).
+candidate v, v's occurrences (`models.score_key` reads them from a view)
+and the flow that solves v's relations from them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import LexError, reconstruct, tokenize
 from .minilang.parser import ParseError, Parser, parse
-from .models import Encoder, ModelParams
+from .models import Encoder, ModelParams, score_key
 from .taskgen import Placeholder, TaskInstance, make_placeholder
 
 
@@ -100,11 +100,12 @@ class _ScoreMatrix:
     """Placeholders `phs` of an instance as the rows of a score matrix: row
     s holds c(s) . u(s, v) for each candidate v, padded with -inf to the
     most candidates.  Row s reads each symbol's occurrences under the
-    mapping with s unbound, so a move of t from a to b changes only the a
-    and b entries of the other rows, and nothing of t's row.  `rows` and
-    `move` yield the score keys they need, `Encoder.scores`' (token,
-    candidate, occurrences of the candidate), and are sent one score per
-    key, so that `_lockstep` can score the keys of several in one batch.
+    mapping with s unbound (`score_key`, s's mapped symbol its own), so a
+    move of t from a to b changes only the a and b entries of the other
+    rows, and nothing of t's row.  `rows` and `move` yield the score keys
+    they need, `Encoder.scores`' (token, candidate, occurrences of the
+    candidate), and are sent one score per key, so that `_lockstep` can
+    score the keys of several in one batch.
     A mapping binds every placeholder of the instance, ranked or not;
     `state` and `move` are ICM's, whose rows are every placeholder."""
 
@@ -124,16 +125,6 @@ class _ScoreMatrix:
         self.cells = (row_of, np.arange(len(row_of)) - firsts[row_of])
         self.by_width = [(np.flatnonzero(widths == w), w)
                          for w in sorted(set(widths.tolist()))]
-
-    @staticmethod
-    def _key(occurrences: Dict[int, Tuple[int, ...]],
-             mapping: Dict[int, Optional[int]], t: int, v: int):
-        # the score key of candidate v in the row of token t: v's
-        # occurrences with t itself unbound
-        occ = occurrences.get(v, ())
-        if v == mapping[t]:
-            occ = tuple(x for x in occ if x != t)
-        return t, v, occ
 
     def _total(self, mapping: Dict[int, int], probs: np.ndarray) -> float:
         assigned = probs[np.arange(len(self.phs)),
@@ -164,7 +155,8 @@ class _ScoreMatrix:
         leaves one unbound)."""
         occurrences = self.flow.uses(
             {t: mapping[t] for t in self.tokens}).occurrences
-        scores = yield [self._key(occurrences, mapping, ph.token_index, v)
+        scores = yield [score_key(occurrences, mapping[ph.token_index],
+                                  ph.token_index, v)
                         for ph in self.phs for v in ph.candidates]
         matrix = np.full(self.shape, -np.inf)
         matrix[self.cells] = scores
@@ -191,7 +183,8 @@ class _ScoreMatrix:
             if ph.token_index != t:
                 for v in pair:
                     if v in cols:
-                        keys.append(self._key(occurrences, mapping,
+                        keys.append(score_key(occurrences,
+                                              mapping[ph.token_index],
                                               ph.token_index, v))
                         at_rows.append(s)
                         at_cols.append(cols[v])

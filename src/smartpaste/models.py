@@ -344,17 +344,16 @@ class Encoder:
     Turning scores into rankings is `infer`'s.
 
     `usage_batch` encodes a list of usages, (encoder, flow, t, v,
-    occurrences of v), one column each; `usages` builds them from a use
-    graph, and `usage_reprs` is its one-placeholder call.  It lays each
-    usage's chains and data-flow trees onto the fixed columns of the
+    occurrences of v), one column each, built from `score_key`s.  It lays
+    each usage's chains and data-flow trees onto the fixed columns of the
     encoders' banks; no type-dropout draw depends on the order of the
     usages: a training encoder draws from its own seed, taken from `rng`
     when it is made, and the symbol.  The arithmetic then runs in column
     batches: every missing bank in one batch, and every tree depth (a
     `grug` chain is a one-child tree) of every usage in one GRU step per
     direction.  A training step (one encoder per item, so its usages
-    share no node), a validation instance and a lockstep ICM step over all
-    of its restarts all go through it.
+    share no node), a validation instance, a lockstep ICM step over all
+    of its restarts and a usage dump all go through it.
     """
 
     def __init__(self, params: ModelParams, program: TypedProgram,
@@ -444,22 +443,11 @@ class Encoder:
 
     # -- usage representations --
 
-    def usages(self, ug: UseGraph, t: int,
-               candidates: Sequence[int]) -> List[Usage]:
-        """The usages of the candidate symbols at token t under `ug`, one
-        per candidate: the columns `usage_batch` encodes."""
-        return [(self, ug.flow, t, v, ug.occurrences.get(v, ()))
-                for v in candidates]
-
-    def usage_reprs(self, ug: UseGraph, t: int,
-                    candidates: Sequence[int]) -> Tensor:
-        """Usage representations of the candidate symbols at token t, one
-        column per candidate: (H, K); `usage_batch` of their `usages`."""
-        return usage_batch(self.usages(ug, t, candidates))
-
     def usage_repr(self, ug: UseGraph, t: int, v: int) -> Tensor:
-        """The usage representation of one candidate v at token t."""
-        return nn.gather(self.usage_reprs(ug, t, [v]), 0)
+        """The usage representation of one candidate v at token t, v's
+        occurrences read from `ug` as they are."""
+        occ = ug.occurrences.get(v, ())
+        return nn.gather(usage_batch([(self, ug.flow, t, v, occ)]), 0)
 
     def scores(self, keys: Sequence[Tuple[int, int, Tuple[int, ...]]]
                ) -> List[float]:
@@ -485,6 +473,18 @@ class Encoder:
 # One column of a usage batch, candidate v at token t: (encoder, the flow
 # that solves v's relations, t, v, occurrences of v).
 Usage = Tuple[Encoder, ProgramFlow, int, int, Tuple[int, ...]]
+
+
+def score_key(occurrences: Dict[int, Tuple[int, ...]], own: Optional[int],
+              t: int, v: int) -> Tuple[int, int, Tuple[int, ...]]:
+    """The score key (t, v, occurrences of v) of candidate v at token t
+    under `occurrences`, which bind t to `own` (or to nothing): v's
+    occurrences with t unbound, so t's own symbol does not already hold
+    t's use.  The one rule from a binding to a candidate's usage."""
+    occ = occurrences.get(v, ())
+    if v == own:
+        occ = tuple(x for x in occ if x != t)
+    return t, v, occ
 
 
 def _fill_banks(encoders: Sequence[Encoder]):
@@ -559,7 +559,8 @@ def _tree_states(leaves: Tensor, contexts: Tensor, index: _TreeIndex,
 
 def usage_batch(usages: Sequence[Usage]) -> Tensor:
     """Usage representations, one column per usage in order: (H, number of
-    usages).  The usages' encoders share one model.
+    usages).  The usages' encoders share one model.  Each usage is read as
+    it is: hiding t's own use from v's occurrences is `score_key`'s.
 
     The banks of the encoders that lack one are filled in one batch, and
     the contexts are the encoders' banks side by side, in order of first
@@ -652,15 +653,15 @@ def usage_batch(usages: Sequence[Usage]) -> Tensor:
     return nn.matmul(p.w_h, nn.concat([avgg, structural]))
 
 
-def dump_usage_vectors(encoder: Encoder, ug: UseGraph, instance_id: str,
-                       t: int, candidates: Sequence[int]) -> str:
+def dump_usage_vectors(encoder: Encoder, instance_id: str,
+                       keys: Sequence[tuple]) -> str:
     """Line-delimited (instance, token, symbol, variant, values) records, one
-    per candidate at token t, encoded in one `usage_reprs` batch that
-    records no tape."""
+    per score key (t, v, occurrences of v), encoded with the encoder's
+    `flow` in one `usage_batch` that records no tape."""
     with nn.no_tape():
-        u = encoder.usage_reprs(ug, t, candidates).data
+        u = usage_batch([(encoder, encoder.flow, *key) for key in keys]).data
     lines = []
-    for k, v in enumerate(candidates):
+    for k, (t, v, _) in enumerate(keys):
         values = "\t".join(repr(x) for x in u[:, k].tolist())
         lines.append(f"{instance_id}\t{t}\t{v}\t{encoder.params.variant}\t"
                      f"{values}")

@@ -1,10 +1,10 @@
 """Training: per-placeholder items, pooled in-batch softmax normalization,
 Adam, and early stopping on validation accuracy.
 
-A training step encodes the usages of all of its items' candidates in
-one `models.usage_batch`, built from each item's use graph in
-`ItemCache`, whose flows outlive the step's encoders.  Validation ranks as
-evaluation does: `truth_rankings` ranks all items of an instance in one
+A training step encodes its items' `models.score_key`s in their
+programs' use graphs in `ItemCache`, whose flows outlive the step's
+encoders, in one `models.usage_batch`.  Validation ranks as evaluation
+does: `truth_rankings` ranks all items of an instance in one
 `infer.rank_placeholders` call on one inference `Encoder`, as rows of
 ICM's score matrix."""
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import nn
 from .dataflow import ProgramFlow, UseGraph
 from .infer import rank_placeholders
-from .models import Encoder, ModelParams, usage_batch
+from .models import Encoder, ModelParams, score_key, usage_batch
 from .taskgen import TaskInstance
 
 
@@ -79,25 +79,20 @@ def make_batches(items: List[Item], batch_size: int,
 
 
 class ItemCache:
-    """The use graphs of training steps.  They are parameter-independent, so
-    they are computed once per item and reused across epochs; the items of
-    one program share its `ProgramFlow`.  Each item's graph has its
-    placeholder unbound; every other token, including the instance's other
-    placeholders, keeps its true symbol."""
+    """The use graphs of training steps: one per program, every token at
+    its true symbol (`ProgramFlow(program).uses()`).  They are
+    parameter-independent, so they are computed once and reused across
+    epochs by every item of the program, whose step reads its usages from
+    them through `models.score_key` with its placeholder unbound."""
 
     def __init__(self):
         self._graphs: Dict[int, UseGraph] = {}
-        self._flows: Dict[int, ProgramFlow] = {}
 
     def graph(self, item: Item) -> UseGraph:
-        key = id(item)
-        if key not in self._graphs:
-            program = item.instance.program
-            flow = self._flows.get(id(program))
-            if flow is None:
-                flow = self._flows[id(program)] = ProgramFlow(program)
-            self._graphs[key] = flow.uses({item.token: None})
-        return self._graphs[key]
+        program = item.instance.program
+        if id(program) not in self._graphs:
+            self._graphs[id(program)] = ProgramFlow(program).uses()
+        return self._graphs[id(program)]
 
 
 def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
@@ -107,15 +102,18 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
     batch; the loss is the mean softmax cross-entropy.  Every item has its
     own training `Encoder` (its placeholder tokens, and a type-dropout seed
     from `rng` in batch order), and all items go through one `usage_batch`:
-    one tape for the whole batch, whose walk order moves no draw."""
+    one tape for the whole batch, whose walk order moves no draw.  An item's
+    usages are its candidates' `score_key`s in `cache`'s graph, its token
+    unbound from its truth, and carry the graph's flow, which outlives the
+    step's encoders."""
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    reprs = usage_batch([usage for item, enc in zip(batch, encoders)
-                         for usage in enc.usages(cache.graph(item),
-                                                 item.token,
-                                                 item.candidates)])
+    reprs = usage_batch([
+        (enc, ug.flow, *score_key(ug.occurrences, item.truth, item.token, v))
+        for item, enc, ug in zip(batch, encoders, map(cache.graph, batch))
+        for v in item.candidates])
     starts = list(accumulate((len(item.candidates) for item in batch),
                              initial=0))
     truth_idx = [item.candidates.index(item.truth) for item in batch]

@@ -17,10 +17,12 @@ from smartpaste.cli import MODEL_DEFAULTS, build_parser, main
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
-from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
+from smartpaste.dataflow import dataflow_uses
+from smartpaste.models import (Encoder, Hyper, ModelParams, build_vocab,
+                               usage_batch)
 from smartpaste.taskgen import (INSTANCE_FORMAT_VERSION, make_instance,
                                 read_instances, write_instances)
-from smartpaste.train import ItemCache, TrainConfig, make_items
+from smartpaste.train import TrainConfig, make_items
 
 from conftest import SUM_POSITIVE
 from test_infer import SNIPPET, TARGET
@@ -731,8 +733,10 @@ class TestDumps:
         for item in make_items([inst]):
             enc = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-            u = enc.usage_reprs(ItemCache().graph(item), item.token,
-                                item.candidates).data
+            ug = dataflow_uses(inst.program, {item.token: None})
+            u = usage_batch([(enc, ug.flow, item.token, v,
+                              ug.occurrences.get(v, ()))
+                             for v in item.candidates]).data
             for k, v in enumerate(item.candidates):
                 want[(item.token, v)] = u[:, k]
         assert sorted(got) == sorted(want)

@@ -1,11 +1,14 @@
 """Every top-level function, class, constant and type alias under src/
 (a name assigned at the top of a module, dunder names aside) is named
 somewhere in src/ or bench/ outside its own definition.  Names resolve by
-module: a bare name is the defining module's own or one a module imports
-from it, and `X.name` counts only where X is bound to the defining
-module, so a local variable or `np.tanh` with the same spelling is not a
-use.  Only a read is a use: imports, `__all__` and assignments do not
-count; the dotted names the benchmark traces (`bench/spans.py`) do."""
+scope, then module: a bare name bound inside a function (an argument, an
+assignment or loop target, a nested def; `global` and `nonlocal` aside),
+lambda or comprehension is local there, any other is the defining
+module's own or one a module imports from it, and `X.name` counts only
+where X is bound to the defining module, so a local variable or
+`np.tanh` with the same spelling is not a use.  Only a read is a use:
+imports, `__all__` and assignments do not count; the dotted names the
+benchmark traces (`bench/spans.py`) do."""
 
 import ast
 import re
@@ -41,16 +44,76 @@ def _bindings(tree, package):
     return out
 
 
-def _qualified(node, module, bindings):
-    """The qualified name a Name or a Name.attr... chain reads, or None."""
+# the nodes with a scope of their own, and the fields of a function that
+# are evaluated where it is defined, outside that scope
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+          ast.SetComp, ast.DictComp, ast.GeneratorExp)
+OUTER = ("decorator_list", "args", "returns")
+
+
+def _inner(scope):
+    """The child nodes of a scope that see the names it binds."""
+    for field, value in ast.iter_fields(scope):
+        if field not in OUTER:
+            yield from (v for v in (value if isinstance(value, list)
+                                    else [value]) if isinstance(v, ast.AST))
+
+
+def _locals(scope):
+    """The names a scope binds itself: a function's arguments, and every
+    name stored, deleted, imported, caught or defined in it outside nested
+    scopes and classes, but those it declares global or nonlocal."""
+    bound, shared = set(), set()
+    a = getattr(scope, "args", None)  # a comprehension has none
+    if a:
+        bound.update(arg.arg for arg in a.posonlyargs + a.args
+                     + a.kwonlyargs + [a.vararg, a.kwarg] if arg)
+    todo = list(_inner(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            shared.update(node.names)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - shared
+
+
+def _qualified(node, module, bindings, local):
+    """The qualified name a Name or a Name.attr... chain reads, or None;
+    a bare name in `local` is a function's own."""
     if not isinstance(getattr(node, "ctx", None), ast.Load):
         return None  # a store or a delete is not a read
     if isinstance(node, ast.Name):
-        return bindings.get(node.id, f"{module}.{node.id}")
+        return None if node.id in local \
+            else bindings.get(node.id, f"{module}.{node.id}")
     if isinstance(node, ast.Attribute):
-        owner = _qualified(node.value, module, bindings)
+        owner = _qualified(node.value, module, bindings, local)
         return owner and f"{owner}.{node.attr}"
     return None
+
+
+def _reads(node, module, bindings, local=frozenset()):
+    """The qualified names read in a node, each bare name resolved in the
+    scopes that enclose it (`local`, the names they bind)."""
+    name = _qualified(node, module, bindings, local)
+    if name:
+        yield name
+    inner = list(_inner(node)) if isinstance(node, SCOPES) else []
+    scoped = local | _locals(node) if inner else local
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, module, bindings,
+                          scoped if any(child is c for c in inner)
+                          else local)
 
 
 def _dotted_strings(node):
@@ -97,8 +160,7 @@ def dead_definitions(src_root, bench_paths):
     for path, tree in trees.items():
         module = modules[path][0]
         for stmt in tree.body:
-            names = {_qualified(n, module, imports[module])
-                     for n in ast.walk(stmt)}
+            names = set(_reads(stmt, module, imports[module]))
             for name in _defined(stmt):
                 names.discard(f"{module}.{name}")
                 if path in src_paths:
@@ -137,15 +199,27 @@ def test_check_finds_a_dead_definition(tmp_path):
                    "def traced(): pass\n"
                    "def tanh(x): return x\n"
                    "def sub(a, b): return a - b\n"
-                   "def called(): pass\n")
+                   "def called(): LIMIT = 2; return LIMIT\n"
+                   "STEP = 1\n"
+                   "WIDTH = 2\n"
+                   "COUNT = 0\n"
+                   "def outer(STEP):\n"
+                   "    def inner(): return STEP\n"
+                   "    return inner, [WIDTH for WIDTH in range(STEP)]\n"
+                   "def bump():\n"
+                   "    global COUNT\n"
+                   "    COUNT = COUNT + 1\n")
     # np.tanh and a local `sub` only share a spelling with lib's functions,
-    # and a write to lib.LIMIT does not read it
+    # a write to lib.LIMIT does not read it, and neither do reads of the
+    # locals of lib's functions that are spelled LIMIT, STEP or WIDTH; a
+    # name declared global is the module's
     (tmp_path / "src" / "other.py").write_text(
         "import numpy as np\nimport lib\n"
-        "sub = 2\nlib.LIMIT = 4\nprint(np.tanh(sub), lib.called())\n")
+        "sub = 2\nlib.LIMIT = 4\n"
+        "print(np.tanh(sub), lib.called(), lib.outer, lib.bump)\n")
     bench = tmp_path / "bench" / "run.py"
     bench.write_text("from lib import Imported, Used\nUsed()\n"
                      "SPANS = [('lib.traced', 'a sentence')]\n")
     assert dead_definitions(tmp_path / "src", [bench]) == [
-        (lib, "Imported"), (lib, "LIMIT"), (lib, "Table"), (lib, "sub"),
-        (lib, "tanh"), (lib, "unused")]
+        (lib, "Imported"), (lib, "LIMIT"), (lib, "STEP"), (lib, "Table"),
+        (lib, "WIDTH"), (lib, "sub"), (lib, "tanh"), (lib, "unused")]

@@ -16,7 +16,7 @@ from smartpaste.minilang import compile_source
 from smartpaste.minilang.lexer import tokenize
 from smartpaste.minilang.parser import parse
 from smartpaste.models import (CONTEXT_ENCODERS, VARIANTS, Encoder, Hyper,
-                               ModelParams)
+                               ModelParams, usage_batch)
 from smartpaste.taskgen import make_instance
 
 from conftest import SUM_POSITIVE_TRUTH_NAMES
@@ -410,9 +410,10 @@ def test_ranking_records_no_tape(loop_instance, ctx_kind):
     assert all(p.grad is None for p in params.tensors())
     ph = inst.placeholders[0]
     ug = dataflow_uses(inst.program, {ph.token_index: None})
-    u = Encoder(params, inst.program,
-                placeholder_tokens=inst.placeholder_tokens
-                ).usage_reprs(ug, ph.token_index, ph.candidates)
+    enc = Encoder(params, inst.program,
+                  placeholder_tokens=inst.placeholder_tokens)
+    u = usage_batch([(enc, ug.flow, ph.token_index, v,
+                      ug.occurrences.get(v, ())) for v in ph.candidates])
     assert u.requires_grad and u._parents
 
 

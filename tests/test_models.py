@@ -23,8 +23,20 @@ from smartpaste.taskgen import (Placeholder, TaskInstance, extract_instances,
 from conftest import SUM_POSITIVE
 
 
+def view_usages(enc, ug, t, candidates):
+    """The usages of the candidates at token t, one per candidate, each
+    candidate's occurrences read from the view `ug` as they are."""
+    return [(enc, ug.flow, t, v, ug.occurrences.get(v, ()))
+            for v in candidates]
+
+
+def view_reprs(enc, ug, t, candidates):
+    """The `usage_batch` of `view_usages`: (H, number of candidates)."""
+    return usage_batch(view_usages(enc, ug, t, candidates))
+
+
 class PerVectorReference:
-    """The per-candidate forward over (H,) vectors that `usage_reprs`
+    """The per-candidate forward over (H,) vectors that `usage_batch`
     batches: contexts one position at a time, chain GRUs one step at a time,
     and the TreeGRU as a memoized recursion with element-wise max pooling.
     Type representations come from the encoder (eval mode: no dropout)."""
@@ -313,7 +325,7 @@ class TestContextRepresentation:
                                   inference.type_embed(a).data)
         ug = dataflow_uses(lattice_program, {hole: None})
         usage_batch([usage for enc in (training, inference)
-                     for usage in enc.usages(ug, hole, [a])])
+                     for usage in view_usages(enc, ug, hole, [a])])
         for enc in (inference, training):
             assert list(enc.positions) == [EPS] + _variable_tokens(
                 lattice_program)
@@ -477,7 +489,7 @@ def _grads(params, loss):
 
 
 class TestBatchedUsage:
-    """`usage_reprs` over K candidates against K single-candidate calls and
+    """`usage_batch` over K candidates against K single-candidate calls and
     against the per-vector recursion, values and gradients."""
 
     TOL = 1e-12
@@ -518,7 +530,7 @@ class TestBatchedUsage:
             weights = nn.constant(rng.normal(size=len(cands)))
 
             enc = Encoder(params, prog, placeholder_tokens=[t])
-            batched = enc.usage_reprs(ug, t, cands)
+            batched = view_reprs(enc, ug, t, cands)
             assert batched.shape == (6, len(cands))
             g_batched = _grads(params, nn.dot(nn.dot(probe, batched),
                                               weights))
@@ -608,7 +620,7 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
     """One `usage_batch` over the usages of interleaved groups of three
     encoders (one per program, and a second one of the first program with
     other placeholders; several placeholders per encoder) against one
-    `usage_reprs` per group on a fresh encoder: values and gradients to
+    `usage_batch` per group on a fresh encoder: values and gradients to
     1e-12.  The two encoders of one program see many candidates with equal
     occurrences, but their banks differ.  With zero context weights every
     context is the zero vector and the twin definitions of the second
@@ -635,11 +647,11 @@ def test_usage_batch_matches_per_group(variant, ctx_kind, zero_context):
     weights = nn.constant(rng.normal(size=sum(len(g[3]) for g in groups)))
 
     batched = usage_batch([usage for enc, ug, t, cands in groups
-                           for usage in enc.usages(ug, t, cands)])
+                           for usage in view_usages(enc, ug, t, cands)])
     g_batched = _grads(params, nn.dot(nn.dot(probe, batched), weights))
-    per_group = [Encoder(params, enc.program,
-                         placeholder_tokens=enc.placeholder_tokens
-                         ).usage_reprs(ug, t, cands)
+    per_group = [view_reprs(Encoder(params, enc.program,
+                                    placeholder_tokens=enc.placeholder_tokens),
+                            ug, t, cands)
                  for enc, ug, t, cands in groups]
     g_per_group = _grads(params, nn.dot(nn.dot(probe, nn.columns(per_group)),
                                         weights))
@@ -671,9 +683,8 @@ def _trial_usages(variant, ctx_kind="logbilinear", tree_depth=6):
     usages = []
     for mapping in (truth, moved):
         for ph in inst.placeholders:
-            usages += enc.usages(enc.flow.uses({**mapping,
-                                                ph.token_index: None}),
-                                 ph.token_index, ph.candidates)
+            view = enc.flow.uses({**mapping, ph.token_index: None})
+            usages += view_usages(enc, view, ph.token_index, ph.candidates)
     return params, usages
 
 
@@ -762,7 +773,7 @@ def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():
     ug = dataflow_uses(prog, override={a.index: None})
     params = ModelParams("avgg", Hyper(hidden=4), ["int"], [], seed=0)
     enc = Encoder(params, prog, placeholder_tokens=[a.index])
-    u = enc.usage_reprs(ug, a.index, [a.symbol])
+    u = view_reprs(enc, ug, a.index, [a.symbol])
     assert np.array_equal(u.data[:, 0], enc.type_embed(a.symbol).data)
 
 
@@ -780,7 +791,7 @@ def test_walk_deeper_than_the_recursion_limit():
     index.unroll(ug.relations(i)[0], [(35, 0)], enc.positions, 0, depth)
     assert set(index.levels) == set(range(1, depth + 1))
     with nn.no_tape():
-        u = enc.usage_reprs(ug, 35, [i])
+        u = view_reprs(enc, ug, 35, [i])
     assert u.shape == (4, 1) and np.isfinite(u.data).all()
 
 
@@ -799,7 +810,7 @@ def test_segment_max_runs_only_on_levels_with_several_edges(
                          ["int"], [], seed=3)
     enc = Encoder(params, views[0][0])
     usage_batch([usage for _, ug, t, cands in views
-                 for usage in enc.usages(ug, t, cands)])
+                 for usage in view_usages(enc, ug, t, cands)])
     assert bool(calls) == takes_max
 
 
@@ -907,8 +918,8 @@ class TestPersistence:
         cands = [s.id for s in prog.symbols]
         assert np.array_equal(e1.context_repr(use).data,
                               e2.context_repr(use).data)
-        assert np.array_equal(e1.usage_reprs(ug, use, cands).data,
-                              e2.usage_reprs(ug, use, cands).data)
+        assert np.array_equal(view_reprs(e1, ug, use, cands).data,
+                              view_reprs(e2, ug, use, cands).data)
         keys = [(use, v, ug.occurrences.get(v, ())) for v in cands]
         assert e1.scores(keys) == e2.scores(keys)
 
@@ -1057,7 +1068,9 @@ def test_dump_usage_vectors_format():
     enc = Encoder(params, prog)
     use = next(t.index for t in prog.tokens
                if t.symbol is not None and not t.is_def)
-    out = dump_usage_vectors(enc, ug, "id#0", use, [prog.symbols[0].id])
+    v = prog.symbols[0].id
+    out = dump_usage_vectors(enc, "id#0",
+                             [(use, v, ug.occurrences.get(v, ()))])
     fields = out.split("\t")
     assert fields[:4] == ["id#0", str(use), str(prog.symbols[0].id), "loc"]
     assert len(fields) == 4 + 4

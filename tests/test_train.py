@@ -13,7 +13,9 @@ from smartpaste import nn
 from smartpaste import train as train_module
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import supertype_closure
-from smartpaste.models import Encoder, Hyper, ModelParams, build_vocab
+from smartpaste.dataflow import dataflow_uses
+from smartpaste.models import (Encoder, Hyper, ModelParams, build_vocab,
+                               usage_batch)
 from smartpaste.taskgen import extract_instances
 from smartpaste.train import (ItemCache, NonFiniteLoss, TrainConfig, fit,
                               make_batches, make_items,
@@ -75,16 +77,22 @@ def lattice_instances():
 
 
 def reference_train_step(params, batch, adam, cache, lr, rng):
-    """The training step one item at a time: each item's own `usage_reprs`
-    (its own context batch and GRU steps) and its own c(t), walked in the
-    reference's own order.  Each item's encoder takes its type-dropout seed
-    from `rng` in batch order, as the batched step's do."""
+    """The training step one item at a time: each item's own `usage_batch`
+    (its own context batch and GRU steps) over a use graph built from
+    scratch with its placeholder unbound, not `cache`'s, and its own c(t),
+    walked in the reference's own order.  Each item's encoder takes its
+    type-dropout seed from `rng` in batch order, as the batched step's
+    do."""
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
                         training=True, rng=rng)
                 for item in batch]
-    usages = [enc.usage_reprs(cache.graph(item), item.token, item.candidates)
-              for item, enc in zip(batch, encoders)]
+    usages = []
+    for item, enc in zip(batch, encoders):
+        ug = dataflow_uses(item.instance.program, {item.token: None})
+        usages.append(usage_batch([
+            (enc, ug.flow, item.token, v, ug.occurrences.get(v, ()))
+            for v in item.candidates]))
     truth_idx = [item.candidates.index(item.truth) for item in batch]
     truth_vecs = [nn.gather(u, i) for u, i in zip(usages, truth_idx)]
     losses = []
@@ -134,6 +142,39 @@ class TestBatching:
         b = make_batches(items, 4, random.Random(3))
         assert [[id(x) for x in batch] for batch in a] == \
             [[id(x) for x in batch] for batch in b]
+
+
+class TestItemCache:
+    def test_items_of_one_program_share_its_truth_graph(self,
+                                                        tiny_instances):
+        """Every item of a program gets the same graph object, with every
+        token at its true symbol."""
+        items = make_items(tiny_instances)
+        cache = ItemCache()
+        graphs = {}
+        for item in items:
+            program = item.instance.program
+            graph = graphs.setdefault(id(program), cache.graph(item))
+            assert cache.graph(item) is graph
+            assert graph.occurrences == dataflow_uses(program).occurrences
+        assert len(graphs) < len(items)
+
+    def test_fit_builds_one_flow_per_training_program(self, loc_setup,
+                                                      monkeypatch):
+        """Two epochs of `fit` construct one `ProgramFlow` per training
+        program for their steps, reused across items and epochs."""
+        insts, types, lexemes = loc_setup
+        built = []
+        flow = train_module.ProgramFlow
+        monkeypatch.setattr(train_module, "ProgramFlow",
+                            lambda program: built.append(program)
+                            or flow(program))
+        result = fit(fresh_params(types, lexemes), insts, insts[:2],
+                     TrainConfig(epochs=2, batch_size=4, seed=2, patience=2))
+        assert result.epochs_run == 2
+        programs = {id(inst.program) for inst in insts}
+        assert len(programs) < len(make_items(insts))
+        assert sorted(map(id, built)) == sorted(programs)
 
 
 class TestTrainStep:
