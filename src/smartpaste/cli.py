@@ -14,7 +14,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import evaluation, generator, taskgen, train as training
-from .dataflow import dataflow_uses, dump_dataflow
+from .dataflow import dataflow_uses, dump_dataflow, occurrences
 from .infer import (DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, NoCandidates,
                     SpliceError, check_search, paste)
 from .minilang import compile_source
@@ -331,7 +331,7 @@ def _cmd_paste(args) -> int:
 def _cmd_dump_dataflow(args) -> int:
     with open(args.file) as f:
         program = compile_source(f.read(), file_id=args.file)
-    print(dump_dataflow(program, dataflow_uses(program)))
+    print(dump_dataflow(dataflow_uses(program)))
     return 0
 
 
@@ -345,7 +345,7 @@ def _cmd_dump_usage_vectors(args) -> int:
     for inst in instances:
         enc = Encoder(params, inst.program,
                       placeholder_tokens=inst.placeholder_tokens)
-        truth = enc.flow.uses().occurrences
+        truth = occurrences(inst.program)
         for ph in inst.placeholders:
             # the placeholder unbound, every other token at its truth
             print(dump_usage_vectors(enc, inst.instance_id, [

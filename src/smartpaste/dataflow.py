@@ -10,11 +10,11 @@ running set" and join by union.
 
 The relations of v depend only on where v occurs, so `ProgramFlow` builds a
 program's CFGs once and solves a symbol only when its relations are asked
-for, memoised by (v, occurrences of v).  A `UseGraph` is a view over it
-under one binding of the placeholders: each symbol's occurrences.  The
-usage encoders read neither: each usage they encode carries a token t, a
-candidate v, v's occurrences (`models.score_key` reads them from a view)
-and the flow that solves v's relations from them.
+for, memoised by (v, occurrences of v).  `occurrences` turns a binding of
+the placeholders into each symbol's occurrences, and a `UseGraph` is the
+view over a flow under one such binding.  A usage the encoders read is a
+token t, a candidate v and v's occurrences; the encoder's own flow solves
+v's relations from them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _span_tokens(span: Tuple[int, int]) -> List[int]:
     return list(range(span[0], span[1] + 1))
 
 
-def build_cfg(program: TypedProgram, fn: ast.FunctionDef) -> Cfg:
+def build_cfg(fn: ast.FunctionDef) -> Cfg:
     """Intra-procedural CFG; conditions and for-steps get their own nodes;
     short-circuit operators do not branch."""
     cfg = Cfg()
@@ -133,8 +133,7 @@ class UseGraph:
     The lexical relations need only `occurrences`; a symbol's data-flow
     relations are its `relations`, which `flow` solves and memoises by
     (symbol, occurrences), so every view with the same occurrences of a
-    symbol reads the same dicts.  A view the usage encoders read needs a
-    flow, which its usages carry.  `occ`, the token -> symbol map, is
+    symbol reads the same dicts.  `occ`, the token -> symbol map, is
     derived from `occurrences` on first read.  `df_in`/`df_out` are the
     relations flattened into dicts keyed by (token, symbol), which
     `din`/`dout` read: their first access solves every symbol.  Without a
@@ -207,30 +206,19 @@ def chain_bounds(occ: Sequence[int], t: int, n: int
     return max(i - n, 0), i, j, min(j + n, len(occ))
 
 
-def _by_symbol(occ: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:
-    """symbol -> its sorted token indices under the occurrence map."""
+def occurrences(program: TypedProgram,
+                override: Optional[Dict[int, Optional[int]]] = None
+                ) -> Dict[int, Tuple[int, ...]]:
+    """symbol -> its sorted token indices, with placeholder tokens rebound
+    per `override` (None unbinds), in order of each symbol's first
+    occurrence: one pass over the tokens in order."""
+    override = override or {}
     by_symbol: Dict[int, List[int]] = {}
-    for t in sorted(occ):
-        by_symbol.setdefault(occ[t], []).append(t)
-    return {v: tuple(ts) for v, ts in by_symbol.items()}
-
-
-def occurrence_map(program: TypedProgram,
-                   override: Optional[Dict[int, Optional[int]]] = None
-                   ) -> Dict[int, int]:
-    """token -> symbol occurrence map, optionally with placeholder tokens
-    rebound (value None removes a token from the map)."""
-    occ: Dict[int, int] = {}
     for tok in program.tokens:
-        if tok.symbol is not None:
-            occ[tok.index] = tok.symbol
-    if override:
-        for t, sid in override.items():
-            if sid is None:
-                occ.pop(t, None)
-            else:
-                occ[t] = sid
-    return occ
+        v = override.get(tok.index, tok.symbol)
+        if v is not None:
+            by_symbol.setdefault(v, []).append(tok.index)
+    return {v: tuple(ts) for v, ts in by_symbol.items()}
 
 
 def _function_symbols(program: TypedProgram, fn: ast.FunctionDef) -> List[int]:
@@ -250,7 +238,7 @@ class ProgramFlow:
         # symbol -> the forward and backward solver inputs of its function
         self._graphs: Dict[int, Tuple[tuple, tuple]] = {}
         for fn in program.ast.functions:
-            cfg = build_cfg(program, fn)
+            cfg = build_cfg(fn)
             preds = cfg.preds
             tokens = [n.tokens for n in cfg.nodes]
             directions = ((tokens, preds, cfg.succs, cfg.entry),
@@ -278,8 +266,7 @@ class ProgramFlow:
              ) -> UseGraph:
         """The use graph with placeholder tokens rebound per `override`
         (None unbinds)."""
-        return UseGraph(_by_symbol(occurrence_map(self.program, override)),
-                        self)
+        return UseGraph(occurrences(self.program, override), self)
 
 
 def dataflow_uses(program: TypedProgram,
@@ -325,7 +312,7 @@ def _solve(node_tokens: List[List[int]], edges_in: Dict[int, List[int]],
     return rel
 
 
-def dump_dataflow(program: TypedProgram, usegraph: UseGraph) -> str:
+def dump_dataflow(usegraph: UseGraph) -> str:
     """One tab-separated line per occurrence: token, symbol, lex_prev,
     lex_next, df_in, df_out (EPS printed as 'eps', absent as '-')."""
 

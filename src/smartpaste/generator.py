@@ -254,8 +254,7 @@ def _gen_tiny_function(rng: random.Random, fname: str, max_stmts: int,
 
 # --- assembly ---------------------------------------------------------------
 
-def _project_preamble(rng: random.Random, project_index: int,
-                      externs: List[str]) -> List[str]:
+def _project_preamble(project_index: int, externs: List[str]) -> List[str]:
     """Per-project nominal lattice plus the extern declarations a file uses."""
     base = f"Base{project_index}"
     mid = f"Mid{project_index}"
@@ -298,7 +297,7 @@ def generate_file(rng: random.Random, profile: str, project_index: int,
             raise ValueError(f"unknown profile {profile!r}")
         externs.extend(ex)
         bodies.append(body)
-    lines = _project_preamble(rng, project_index, externs)
+    lines = _project_preamble(project_index, externs)
     source = "\n".join(lines) + "\n\n" + "\n\n".join(bodies) + "\n"
     compile_source(source)  # every generated program must check
     return source

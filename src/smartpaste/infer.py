@@ -12,6 +12,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
+from .dataflow import occurrences
 from .minilang import ast, compile_source
 from .minilang.checker import CheckError, TypedProgram, check
 from .minilang.lexer import LexError, reconstruct, tokenize
@@ -52,7 +53,7 @@ def rank_placeholders(inst: TaskInstance, encoder: Encoder,
     leaves one unbound; one it does not name is a KeyError, ranked or not):
     the rows of a `_ScoreMatrix` over `phs`, scored in one `Encoder.scores`
     call.  Ties break toward the lowest symbol id."""
-    matrix = _ScoreMatrix(inst, encoder, phs)
+    matrix = _ScoreMatrix(inst, phs)
     _, probs, _ = _lockstep(encoder, [matrix.rows(binding)])[0]
     return matrix.rankings(probs)
 
@@ -73,7 +74,7 @@ def total_log_prob(inst: TaskInstance, encoder: Encoder,
     of the log conditional probability of the assigned symbol given all the
     others) and every placeholder's ranking under it: ICM's score matrix
     of that mapping alone."""
-    matrix = _ScoreMatrix(inst, encoder, inst.placeholders)
+    matrix = _ScoreMatrix(inst, inst.placeholders)
     state, = _lockstep(encoder, [matrix.state(mapping)])
     return state.total, dict(zip(inst.placeholder_tokens,
                                  matrix.rankings(state.probs)))
@@ -109,9 +110,8 @@ class _ScoreMatrix:
     A mapping binds every placeholder of the instance, ranked or not;
     `state` and `move` are ICM's, whose rows are every placeholder."""
 
-    def __init__(self, inst: TaskInstance, encoder: Encoder,
-                 phs: Sequence[Placeholder]):
-        self.flow = encoder.flow
+    def __init__(self, inst: TaskInstance, phs: Sequence[Placeholder]):
+        self.program = inst.program
         self.phs = phs
         self.tokens = inst.placeholder_tokens
         # per row: candidate -> its column
@@ -153,14 +153,14 @@ class _ScoreMatrix:
         """Every row's scores and probabilities, and each symbol's
         occurrences, with the placeholders bound per `mapping` (`None`
         leaves one unbound)."""
-        occurrences = self.flow.uses(
-            {t: mapping[t] for t in self.tokens}).occurrences
-        scores = yield [score_key(occurrences, mapping[ph.token_index],
+        bound = occurrences(self.program,
+                            {t: mapping[t] for t in self.tokens})
+        scores = yield [score_key(bound, mapping[ph.token_index],
                                   ph.token_index, v)
                         for ph in self.phs for v in ph.candidates]
         matrix = np.full(self.shape, -np.inf)
         matrix[self.cells] = scores
-        return matrix, self._normalise(matrix), occurrences
+        return matrix, self._normalise(matrix), bound
 
     def state(self, mapping: Dict[int, int]):
         """The state of a mapping, every row scored."""
@@ -275,7 +275,7 @@ def icm(inst: TaskInstance, params: ModelParams,
     if encoder is None:
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-    matrix = _ScoreMatrix(inst, encoder, inst.placeholders)
+    matrix = _ScoreMatrix(inst, inst.placeholders)
     row = {ph.token_index: s for s, ph in enumerate(matrix.phs)}
     sweep_order = sorted(row)
 

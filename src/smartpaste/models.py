@@ -327,8 +327,10 @@ class Encoder:
     the P positions in token order.  It is filled on first need, in one
     batch with the banks of the other encoders of a `usage_batch`.  The
     lexical and data-flow relations change during inference, so each
-    usage carries them: v's occurrences, and the flow that solves v's
-    relations from them.  `flow` is the encoder's own, for `scores`.
+    usage carries v's occurrences, and `flow`, the program's, solves v's
+    relations from them: the flow given (a training step passes the
+    program's flow in `ItemCache`, so its memo outlives the step's
+    encoders), or else one the encoder builds.
 
     Type representations are fixed for the encoder's lifetime too (a
     training encoder draws each symbol's subset once, from its seed and the
@@ -343,8 +345,8 @@ class Encoder:
     records a tape, so to differentiate, encode through a fresh encoder.
     Turning scores into rankings is `infer`'s.
 
-    `usage_batch` encodes a list of usages, (encoder, flow, t, v,
-    occurrences of v), one column each, built from `score_key`s.  It lays
+    `usage_batch` encodes a list of usages, an encoder and a `score_key`
+    (t, v, occurrences of v), one column each.  It lays
     each usage's chains and data-flow trees onto the fixed columns of the
     encoders' banks; no type-dropout draw depends on the order of the
     usages: a training encoder draws from its own seed, taken from `rng`
@@ -359,10 +361,12 @@ class Encoder:
     def __init__(self, params: ModelParams, program: TypedProgram,
                  placeholder_tokens: Iterable[int] = (),
                  training: bool = False,
-                 rng: Optional[random.Random] = None):
+                 rng: Optional[random.Random] = None,
+                 flow: Optional[ProgramFlow] = None):
         self.params = params
         self.hyper = params.hyper
         self.program = program
+        self.flow = flow if flow is not None else ProgramFlow(program)
         self.placeholder_tokens = set(placeholder_tokens)
         self.training = training
         self._seed = (rng if rng is not None else random.Random(0)
@@ -387,11 +391,6 @@ class Encoder:
         tokens = list(self.positions)[1:]
         out[tokens] = [self.positions[t] for t in tokens]
         return out
-
-    @cached_property
-    def flow(self) -> ProgramFlow:
-        """The program's data-flow relations, solved per symbol as asked."""
-        return ProgramFlow(self.program)
 
     # -- type representation --
 
@@ -447,21 +446,20 @@ class Encoder:
         """The usage representation of one candidate v at token t, v's
         occurrences read from `ug` as they are."""
         occ = ug.occurrences.get(v, ())
-        return nn.gather(usage_batch([(self, ug.flow, t, v, occ)]), 0)
+        return nn.gather(usage_batch([(self, t, v, occ)]), 0)
 
     def scores(self, keys: Sequence[Tuple[int, int, Tuple[int, ...]]]
                ) -> List[float]:
         """The score c(t) . u(t, v) of each (t, v, occurrences of v) key, in
         key order.  The keys missing from the memo are computed once each,
         in one `usage_batch` inside `nn.no_tape()` in order of first
-        appearance, with relations from the encoder's `flow`, and scored
-        against the bank's c(t) columns."""
+        appearance, and scored against the bank's c(t) columns."""
         memo = self._scores
         missing = dict.fromkeys(key for key in keys if key not in memo)
         if missing:
             with nn.no_tape():
                 u = np.ascontiguousarray(usage_batch(
-                    [(self, self.flow, *key) for key in missing]).data.T)
+                    [(self, *key) for key in missing]).data.T)
             c = self.bank.data.T[[self.positions[t] for t, _, _ in missing]]
             # one contiguous row sum per usage: unlike a BLAS product, its
             # rounding does not depend on the other columns of the batch,
@@ -470,9 +468,9 @@ class Encoder:
         return [memo[key] for key in keys]
 
 
-# One column of a usage batch, candidate v at token t: (encoder, the flow
-# that solves v's relations, t, v, occurrences of v).
-Usage = Tuple[Encoder, ProgramFlow, int, int, Tuple[int, ...]]
+# One column of a usage batch, candidate v at token t: the encoder, then
+# the score key (t, v, occurrences of v).
+Usage = Tuple[Encoder, int, int, Tuple[int, ...]]
 
 
 def score_key(occurrences: Dict[int, Tuple[int, ...]], own: Optional[int],
@@ -575,9 +573,9 @@ def usage_batch(usages: Sequence[Usage]) -> Tensor:
     column, so each depth is one GRU step per direction over the whole
     batch.  The data-flow trees of the usages of one (encoder, v,
     occurrences of v), which ICM's trial mappings mostly share, are one
-    `_TreeIndex.unroll` per direction under the relations its first
-    usage's flow solves, so each of their nodes is stepped once and its
-    gradient sums over its readers."""
+    `_TreeIndex.unroll` per direction under the relations the encoder's
+    `flow` solves, so each of their nodes is stepped once and its gradient
+    sums over its readers."""
     params = usages[0][0].params
     variant = params.variant
     n = params.hyper.chain_len
@@ -596,10 +594,10 @@ def usage_batch(usages: Sequence[Usage]) -> Tensor:
     chain_tokens: List[int] = []
     prev_lens: List[int] = []
     next_lens: List[int] = []
-    # (encoder, v, occurrences of v) -> the flow that solves v's relations
-    # and the (t, usage column) roots of its data-flow trees
-    unrolls: Dict[tuple, Tuple[ProgramFlow, List[Tuple[int, int]]]] = {}
-    for k, (enc, flow, t, v, occ) in enumerate(usages):
+    # (encoder, v, occurrences of v) -> the (t, usage column) roots of its
+    # data-flow trees
+    unrolls: Dict[tuple, List[Tuple[int, int]]] = {}
+    for k, (enc, t, v, occ) in enumerate(usages):
         leaf_cols.append(types.setdefault(enc.type_embed(v), len(types)))
         if lexical:
             lo, i, j, hi = chain_bounds(occ, t, n)
@@ -608,9 +606,9 @@ def usage_batch(usages: Sequence[Usage]) -> Tensor:
             prev_lens.append(i - lo)
             next_lens.append(hi - j)
         if df_trees:
-            unrolls.setdefault((enc, v, occ), (flow, []))[1].append((t, k))
-    for (enc, v, occ), (flow, roots) in unrolls.items():
-        for d, rel in zip(("prev", "next"), flow.relations(v, occ)):
+            unrolls.setdefault((enc, v, occ), []).append((t, k))
+    for (enc, v, occ), roots in unrolls.items():
+        for d, rel in zip(("prev", "next"), enc.flow.relations(v, occ)):
             trees[d].unroll(rel, roots, enc.positions, bases[enc],
                             params.hyper.tree_depth)
 
@@ -656,10 +654,10 @@ def usage_batch(usages: Sequence[Usage]) -> Tensor:
 def dump_usage_vectors(encoder: Encoder, instance_id: str,
                        keys: Sequence[tuple]) -> str:
     """Line-delimited (instance, token, symbol, variant, values) records, one
-    per score key (t, v, occurrences of v), encoded with the encoder's
-    `flow` in one `usage_batch` that records no tape."""
+    per score key (t, v, occurrences of v), encoded in one `usage_batch`
+    that records no tape."""
     with nn.no_tape():
-        u = usage_batch([(encoder, encoder.flow, *key) for key in keys]).data
+        u = usage_batch([(encoder, *key) for key in keys]).data
     lines = []
     for k, (t, v, _) in enumerate(keys):
         values = "\t".join(repr(x) for x in u[:, k].tolist())

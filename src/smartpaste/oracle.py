@@ -9,8 +9,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataflow import EPS, Cfg, UseGraph, _by_symbol, _function_symbols, \
-    build_cfg, occurrence_map
+from .dataflow import EPS, Cfg, UseGraph, _function_symbols, build_cfg, \
+    occurrences
 from .minilang.checker import TypedProgram
 
 
@@ -53,11 +53,11 @@ def oracle_dataflow(program: TypedProgram, loop_bound: int = 3,
                     cap: int = 200_000) -> UseGraph:
     """df_in/df_out by exhaustive path enumeration: the union over enumerated
     executions of the most recent (resp. next) occurrence at each token."""
-    ug = UseGraph(_by_symbol(occurrence_map(program, override)))
+    ug = UseGraph(occurrences(program, override))
     occ, df_in, df_out = ug.occ, ug.df_in, ug.df_out
 
     for fn in program.ast.functions:
-        cfg = build_cfg(program, fn)
+        cfg = build_cfg(fn)
         syms = _function_symbols(program, fn)
         for path in enumerate_paths(cfg, loop_bound, cap):
             tokens = [t for nid in path for t in cfg.nodes[nid].tokens]

@@ -2,8 +2,9 @@
 Adam, and early stopping on validation accuracy.
 
 A training step encodes its items' `models.score_key`s in their
-programs' use graphs in `ItemCache`, whose flows outlive the step's
-encoders, in one `models.usage_batch`.  Validation ranks as evaluation
+programs' use graphs in `ItemCache` in one `models.usage_batch`; each
+item's encoder takes its program's flow from there, so the relations it
+solves outlive the step.  Validation ranks as evaluation
 does: `truth_rankings` ranks all items of an instance in one
 `infer.rank_placeholders` call on one inference `Encoder`, as rows of
 ICM's score matrix."""
@@ -83,7 +84,8 @@ class ItemCache:
     its true symbol (`ProgramFlow(program).uses()`).  They are
     parameter-independent, so they are computed once and reused across
     epochs by every item of the program, whose step reads its usages from
-    them through `models.score_key` with its placeholder unbound."""
+    them through `models.score_key` with its placeholder unbound, and
+    whose encoder solves relations with the graph's flow."""
 
     def __init__(self):
         self._graphs: Dict[int, UseGraph] = {}
@@ -104,15 +106,16 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
     from `rng` in batch order), and all items go through one `usage_batch`:
     one tape for the whole batch, whose walk order moves no draw.  An item's
     usages are its candidates' `score_key`s in `cache`'s graph, its token
-    unbound from its truth, and carry the graph's flow, which outlives the
-    step's encoders."""
+    unbound from its truth, and its encoder takes the graph's flow, which
+    outlives the step."""
+    graphs = [cache.graph(item) for item in batch]
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
-                        training=True, rng=rng)
-                for item in batch]
+                        training=True, rng=rng, flow=ug.flow)
+                for item, ug in zip(batch, graphs)]
     reprs = usage_batch([
-        (enc, ug.flow, *score_key(ug.occurrences, item.truth, item.token, v))
-        for item, enc, ug in zip(batch, encoders, map(cache.graph, batch))
+        (enc, *score_key(ug.occurrences, item.truth, item.token, v))
+        for item, enc, ug in zip(batch, encoders, graphs)
         for v in item.candidates])
     starts = list(accumulate((len(item.candidates) for item in batch),
                              initial=0))

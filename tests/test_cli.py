@@ -734,8 +734,7 @@ class TestDumps:
             enc = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
             ug = dataflow_uses(inst.program, {item.token: None})
-            u = usage_batch([(enc, ug.flow, item.token, v,
-                              ug.occurrences.get(v, ()))
+            u = usage_batch([(enc, item.token, v, ug.occurrences.get(v, ()))
                              for v in item.candidates]).data
             for k, v in enumerate(item.candidates):
                 want[(item.token, v)] = u[:, k]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from smartpaste import dataflow, generator
 from smartpaste.dataflow import (EPS, ProgramFlow, build_cfg, dataflow_uses,
-                                 dump_dataflow, occurrence_map)
+                                 dump_dataflow, occurrences)
 from smartpaste.infer import icm, rank_placeholders
 from smartpaste.minilang import compile_source
 from smartpaste.models import Hyper, ModelParams, build_vocab
@@ -30,7 +30,7 @@ def sid(symbols, name):
 class TestCfg:
     def test_for_loop_shape(self, sum_positive_program):
         fn = sum_positive_program.ast.functions[0]
-        cfg = build_cfg(sum_positive_program, fn)
+        cfg = build_cfg(fn)
         kinds = {n.kind for n in cfg.nodes}
         assert {"entry", "exit", "cond", "step"} <= kinds
         cond = next(n for n in cfg.nodes if n.kind == "cond")
@@ -40,14 +40,14 @@ class TestCfg:
 
     def test_entry_holds_params(self, sum_positive_program):
         fn = sum_positive_program.ast.functions[0]
-        cfg = build_cfg(sum_positive_program, fn)
+        cfg = build_cfg(fn)
         entry = cfg.nodes[cfg.entry]
         assert entry.tokens == [6, 9]  # arr, lim
 
     def test_return_has_no_fallthrough(self):
         prog = compile_source(
             "int f(int a) { if (a > 0) return 1; return 2; }")
-        cfg = build_cfg(prog, prog.ast.functions[0])
+        cfg = build_cfg(prog.ast.functions[0])
         returns = [n for n in cfg.nodes if n.kind == "stmt" and n.tokens
                    and prog.tokens[n.tokens[0]].index in n.tokens]
         for n in cfg.nodes:
@@ -160,7 +160,7 @@ class TestOracleAgreement:
 
     def test_path_enumeration_respects_bound(self, sum_positive_program):
         fn = sum_positive_program.ast.functions[0]
-        cfg = build_cfg(sum_positive_program, fn)
+        cfg = build_cfg(fn)
         paths = enumerate_paths(cfg, loop_bound=2)
         step = next(n.id for n in cfg.nodes if n.kind == "step")
         assert paths and all(p.count(step) <= 3 for p in paths)
@@ -309,8 +309,7 @@ class TestStraightLineDegeneration:
 
 
 def test_dump_format(sum_positive_program):
-    out = dump_dataflow(sum_positive_program,
-                        dataflow_uses(sum_positive_program))
+    out = dump_dataflow(dataflow_uses(sum_positive_program))
     lines = out.strip().splitlines()
     assert len(lines) == len(SUM_POSITIVE_OCCURRENCES)
     first = lines[0].split("\t")
@@ -325,9 +324,9 @@ def test_dataflow_wellformed(seed):
     src = generator.generate_file(random.Random(seed), "tiny", 0, 0)
     prog = compile_source(src)
     ug = dataflow_uses(prog)
-    occ = occurrence_map(prog)
+    occ = occurrences(prog)
     for t, v in ug.occ.items():
-        occ_v = {u for u, w in occ.items() if w == v}
+        occ_v = set(occ[v])
         assert ug.din(t, v) <= occ_v | {EPS}
         assert ug.dout(t, v) <= occ_v | {EPS}
         prev, nxt = ug.lex_prev(t, v), ug.lex_next(t, v)

@@ -1,6 +1,8 @@
 """Every top-level function, class, constant and type alias under src/
 (a name assigned at the top of a module, dunder names aside) is named
-somewhere in src/ or bench/ outside its own definition.  Names resolve by
+somewhere in src/ or bench/ outside its own definition, and every
+parameter of a function under src/ (`self`, `cls`, `*args` and
+`**kwargs` aside) is read in its body or in a scope nested in it.  Names resolve by
 scope, then module: a bare name bound inside a function (an argument, an
 assignment or loop target, a nested def; `global` and `nonlocal` aside),
 lambda or comprehension is local there, any other is the defining
@@ -175,6 +177,34 @@ def dead_definitions(src_root, bench_paths):
     return sorted(site for name, site in defined.items() if name not in used)
 
 
+def _reads_name(node, name):
+    """Whether a node reads `name` as bound where the node is: outside the
+    nested scopes that bind a `name` of their own."""
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    inner = list(_inner(node)) if isinstance(node, SCOPES) else []
+    shadowed = bool(inner) and name in _locals(node)
+    return any(_reads_name(child, name) for child in ast.iter_child_nodes(node)
+               if not (shadowed and any(child is c for c in inner)))
+
+
+def unused_parameters(src_root):
+    """(path, function, parameter) of each parameter of a function or
+    lambda under src_root that neither its body nor a scope nested in it
+    reads; `self`, `cls`, `*args` and `**kwargs` aside."""
+    out = []
+    for path in sorted(Path(src_root).rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                a = fn.args
+                out += [(path, getattr(fn, "name", "<lambda>"), arg.arg)
+                        for arg in a.posonlyargs + a.args + a.kwonlyargs
+                        if arg.arg not in ("self", "cls") and not any(
+                            _reads_name(node, arg.arg) for node in _inner(fn))]
+    return sorted(out)
+
+
 def test_every_definition_is_named():
     bench = sorted((ROOT / "bench").rglob("*.py"))
     assert [(str(path.relative_to(ROOT)), name)
@@ -223,3 +253,40 @@ def test_check_finds_a_dead_definition(tmp_path):
     assert dead_definitions(tmp_path / "src", [bench]) == [
         (lib, "Imported"), (lib, "LIMIT"), (lib, "STEP"), (lib, "Table"),
         (lib, "WIDTH"), (lib, "sub"), (lib, "tanh"), (lib, "unused")]
+
+
+def test_every_parameter_is_read():
+    assert [(str(path.relative_to(ROOT)), fn, arg)
+            for path, fn, arg in unused_parameters(ROOT / "src")] == []
+
+
+def test_check_finds_an_unused_parameter(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used(a, b): return a + b\n"
+                   "def ignores(a, b): return a\n"
+                   "def nested(x, y):\n"
+                   "    def inner(): return x\n"
+                   "    def shadow(y): return y\n"
+                   "    return inner, shadow\n"
+                   "def default(x):\n"
+                   "    def inner(z=x): return z\n"
+                   "    return inner\n"
+                   "def comprehension(n): return [n for n in range(3)]\n"
+                   "def shared(v):\n"
+                   "    def inner():\n"
+                   "        nonlocal v\n"
+                   "        v = v + 1\n"
+                   "    return inner\n"
+                   "def rest(self, *args, **kwargs): return 0\n"
+                   "class C:\n"
+                   "    def m(self, unused, used): return used\n"
+                   "    @classmethod\n"
+                   "    def k(cls, *, flag): return 0\n"
+                   "pick = lambda u, w: u\n")
+    # a parameter read only by an inner function, or in an inner
+    # function's default, is read; one that an inner function or a
+    # comprehension rebinds before every read is not
+    assert unused_parameters(tmp_path) == [
+        (lib, "<lambda>", "w"), (lib, "comprehension", "n"),
+        (lib, "ignores", "b"), (lib, "k", "flag"), (lib, "m", "unused"),
+        (lib, "nested", "y")]

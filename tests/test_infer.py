@@ -336,7 +336,7 @@ def test_score_matrix_matches_rank_single(icm_instances, data):
                for p in inst.placeholders}
     enc = Encoder(params, inst.program,
                   placeholder_tokens=inst.placeholder_tokens)
-    matrix = infer._ScoreMatrix(inst, enc, inst.placeholders)
+    matrix = infer._ScoreMatrix(inst, inst.placeholders)
     state, = infer._lockstep(enc, [matrix.state(mapping)])
     states = [state]
     ph = data.draw(st.sampled_from(inst.placeholders))
@@ -412,8 +412,8 @@ def test_ranking_records_no_tape(loop_instance, ctx_kind):
     ug = dataflow_uses(inst.program, {ph.token_index: None})
     enc = Encoder(params, inst.program,
                   placeholder_tokens=inst.placeholder_tokens)
-    u = usage_batch([(enc, ug.flow, ph.token_index, v,
-                      ug.occurrences.get(v, ())) for v in ph.candidates])
+    u = usage_batch([(enc, ph.token_index, v, ug.occurrences.get(v, ()))
+                     for v in ph.candidates])
     assert u.requires_grad and u._parents
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import generator
-from smartpaste.dataflow import occurrence_map
+from smartpaste.dataflow import occurrences
 from smartpaste.minilang import ast, compile_source
 from smartpaste.minilang.checker import (
     LatticeCycleError, NameResolutionError, RedeclError, TypeCheckError,
@@ -126,8 +126,8 @@ class TestChecker:
         assert types == ["int[]", "int", "int", "int"]
 
     def test_occurrences(self, sum_positive_program):
-        assert sorted(occurrence_map(sum_positive_program)) == \
-            SUM_POSITIVE_OCCURRENCES
+        assert sorted(t for ts in occurrences(sum_positive_program).values()
+                      for t in ts) == SUM_POSITIVE_OCCURRENCES
 
     def test_defs_marked(self, sum_positive_program):
         defs = [t.index for t in sum_positive_program.tokens if t.is_def]

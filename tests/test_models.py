@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import models, nn
-from smartpaste.dataflow import EPS, dataflow_uses
+from smartpaste.dataflow import EPS, ProgramFlow, dataflow_uses
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
 from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
@@ -26,8 +26,7 @@ from conftest import SUM_POSITIVE
 def view_usages(enc, ug, t, candidates):
     """The usages of the candidates at token t, one per candidate, each
     candidate's occurrences read from the view `ug` as they are."""
-    return [(enc, ug.flow, t, v, ug.occurrences.get(v, ()))
-            for v in candidates]
+    return [(enc, t, v, ug.occurrences.get(v, ())) for v in candidates]
 
 
 def view_reprs(enc, ug, t, candidates):
@@ -718,7 +717,7 @@ def test_rank_computes_each_missing_score_once(monkeypatch):
     usage once, and a second call encodes nothing."""
     params, usages = _trial_usages("grud")
     enc = usages[0][0]
-    keys = [usage[2:] for usage in usages]
+    keys = [usage[1:] for usage in usages]
     columns = []
     batch = models.usage_batch
     monkeypatch.setattr(models, "usage_batch", lambda usages: (
@@ -753,8 +752,9 @@ def test_add_node_runs_once_per_distinct_node(monkeypatch):
             for child in rel[pos]:
                 walk(rel, key, child, d - 1)
 
-    for _, flow, t, v, occ in usages:
-        for direction, rel in zip(("prev", "next"), flow.relations(v, occ)):
+    for enc, t, v, occ in usages:
+        for direction, rel in zip(("prev", "next"),
+                                  enc.flow.relations(v, occ)):
             walk(rel, (v, occ, direction), t, depth)
 
     usage_batch(usages)
@@ -763,6 +763,21 @@ def test_add_node_runs_once_per_distinct_node(monkeypatch):
     for usage in usages:
         usage_batch([usage])
     assert sum(nodes) > len(distinct)
+
+
+def test_usage_batch_solves_with_the_encoders_flow():
+    """An encoder keeps the flow it is given, and a `grud` usage batch over
+    it reads v's relations through that flow: the batch fills its memo."""
+    prog = compile_source(SUM_POSITIVE)
+    flow = ProgramFlow(prog)
+    params = ModelParams("grud", Hyper(hidden=4, tree_depth=3),
+                         ["int", "int[]"], [], seed=0)
+    enc = Encoder(params, prog, flow=flow)
+    assert enc.flow is flow and not flow._memo
+    i = next(s.id for s in prog.symbols if s.name == "i")
+    ug = dataflow_uses(prog)
+    view_reprs(enc, ug, 35, [i])
+    assert list(flow._memo) == [(i, ug.occurrences[i])]
 
 
 def test_avgg_of_a_candidate_that_occurs_nowhere_is_its_type():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smartpaste import nn
+from smartpaste import dataflow, models, nn
 from smartpaste import train as train_module
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import supertype_closure
@@ -91,7 +91,7 @@ def reference_train_step(params, batch, adam, cache, lr, rng):
     for item, enc in zip(batch, encoders):
         ug = dataflow_uses(item.instance.program, {item.token: None})
         usages.append(usage_batch([
-            (enc, ug.flow, item.token, v, ug.occurrences.get(v, ()))
+            (enc, item.token, v, ug.occurrences.get(v, ()))
             for v in item.candidates]))
     truth_idx = [item.candidates.index(item.truth) for item in batch]
     truth_vecs = [nn.gather(u, i) for u, i in zip(usages, truth_idx)]
@@ -175,6 +175,37 @@ class TestItemCache:
         programs = {id(inst.program) for inst in insts}
         assert len(programs) < len(make_items(insts))
         assert sorted(map(id, built)) == sorted(programs)
+
+    def test_a_step_over_cached_programs_builds_no_flow(self, loc_setup,
+                                                        monkeypatch):
+        """A training step whose programs are all in `ItemCache` constructs
+        no `ProgramFlow`, neither where `train` binds the class nor where
+        `models` and `dataflow` do: each item's encoder solves relations
+        with its program's flow from the cache.  On an empty cache the
+        step builds one flow per program of the batch."""
+        insts, types, lexemes = loc_setup
+        params = fresh_params(types, lexemes, variant="grud")
+        batch = make_items(insts)[:6]
+        flow = dataflow.ProgramFlow
+        assert models.ProgramFlow is flow and train_module.ProgramFlow is flow
+        built = []
+        init = flow.__init__
+
+        def counted(self, program):
+            built.append(program)
+            init(self, program)
+
+        monkeypatch.setattr(flow, "__init__", counted)
+        cache = ItemCache()
+        adam = nn.AdamState(params.tensors())
+        train_step(params, batch, adam, cache, 1e-3, random.Random(0))
+        programs = list(dict.fromkeys(id(item.instance.program)
+                                      for item in batch))
+        assert len(programs) < len(batch)
+        assert list(map(id, built)) == programs
+        built.clear()
+        train_step(params, batch, adam, cache, 1e-3, random.Random(1))
+        assert built == []
 
 
 class TestTrainStep:
