@@ -8,13 +8,14 @@ occurrence); df_out is the forward mirror.  Computed per symbol by a standard
 fixed point over the CFG with transfer "an occurrence of v replaces the
 running set" and join by union.
 
-The relations of v depend only on where v occurs, so `ProgramFlow` builds a
-program's CFGs once and solves a symbol only when its relations are asked
-for, memoised by (v, occurrences of v).  `occurrences` turns a binding of
-the placeholders into each symbol's occurrences, and a `UseGraph` is the
-view over a flow under one such binding.  A usage the encoders read is a
-token t, a candidate v and v's occurrences; the encoder's own flow solves
-v's relations from them.
+The relations of v depend only on where v occurs, so `ProgramFlow` solves a
+symbol only when its relations are asked for, memoised by (v, occurrences
+of v), over the program's CFGs, which it builds on its first solve.
+`occurrences` turns a binding of the placeholders into each symbol's
+occurrences.  A usage the encoders read is a token t, a candidate v and v's
+occurrences; the encoder's own flow solves v's relations from them.  A
+`UseGraph` is a record of every relation under one binding, which
+`dataflow_uses` fills for `dump-dataflow` and the oracle checks.
 """
 
 from __future__ import annotations
@@ -126,68 +127,36 @@ def build_cfg(fn: ast.FunctionDef) -> Cfg:
     return cfg
 
 
+@dataclass
 class UseGraph:
-    """Per (token, symbol) lexical and data-flow usage relations for one
-    program under fixed occurrences: symbol -> its sorted token indices.
+    """A record of one program's usage relations under fixed occurrences
+    (symbol -> its sorted token indices): the data-flow relations flattened
+    into dicts keyed by (token, symbol), filled by `dataflow_uses` from one
+    `ProgramFlow` or by the path oracle from enumerated executions.  No
+    encoder reads one.  `occ`, the token -> symbol map, is derived from
+    `occurrences` on first read."""
 
-    The lexical relations need only `occurrences`; a symbol's data-flow
-    relations are its `relations`, which `flow` solves and memoises by
-    (symbol, occurrences), so every view with the same occurrences of a
-    symbol reads the same dicts.  `occ`, the token -> symbol map, is
-    derived from `occurrences` on first read.  `df_in`/`df_out` are the
-    relations flattened into dicts keyed by (token, symbol), which
-    `din`/`dout` read: their first access solves every symbol.  Without a
-    flow they start empty, for the caller to fill (the path oracle's
-    views, which are never encoded)."""
-
-    def __init__(self, occurrences: Dict[int, Tuple[int, ...]],
-                 flow: Optional["ProgramFlow"] = None):
-        self.occurrences = occurrences
-        self.flow = flow
-        self._flat: Optional[Tuple[dict, dict]] = \
-            None if flow is not None else ({}, {})  # (df_in, df_out)
+    occurrences: Dict[int, Tuple[int, ...]]
+    df_in: Dict[Tuple[int, int], FrozenSet[int]] = field(default_factory=dict)
+    df_out: Dict[Tuple[int, int], FrozenSet[int]] = \
+        field(default_factory=dict)
 
     @cached_property
     def occ(self) -> Dict[int, int]:
         """token -> symbol at that token."""
         return {t: v for v, ts in self.occurrences.items() for t in ts}
 
-    def relations(self, v: int) -> Tuple[Relation, Relation]:
-        """v's (df_in, df_out), each token -> set, from the flow's memo."""
-        return self.flow.relations(v, self.occurrences.get(v, ()))
-
-    def _flatten(self):
-        if self._flat is None:
-            df_in, df_out = {}, {}
-            for v in self.flow.symbols:
-                rel_in, rel_out = self.relations(v)
-                df_in.update(((t, v), s) for t, s in rel_in.items())
-                df_out.update(((t, v), s) for t, s in rel_out.items())
-            self._flat = (df_in, df_out)
-        return self._flat
-
-    @property
-    def df_in(self) -> Dict[Tuple[int, int], FrozenSet[int]]:
-        return self._flatten()[0]
-
-    @property
-    def df_out(self) -> Dict[Tuple[int, int], FrozenSet[int]]:
-        return self._flatten()[1]
-
-    def lex_chain(self, t: int, v: int, n: int, direction: str
-                  ) -> List[int]:
-        """Up to n occurrence positions of v before (prev) or after (next)
-        t, nearest last for prev chains (chronological) and nearest first
-        for next chains: a slice of v's sorted occurrences."""
-        occ = self.occurrences.get(v, ())
-        lo, i, j, hi = chain_bounds(occ, t, n)
-        return list(occ[lo:i] if direction == "prev" else occ[j:hi])
-
     def lex_prev(self, t: int, v: int) -> Optional[int]:
-        return (self.lex_chain(t, v, 1, "prev") or [None])[0]
+        """v's nearest occurrence before t: one step of a prev chain."""
+        occ = self.occurrences.get(v, ())
+        lo, i, _, _ = chain_bounds(occ, t, 1)
+        return occ[lo] if lo < i else None
 
     def lex_next(self, t: int, v: int) -> Optional[int]:
-        return (self.lex_chain(t, v, 1, "next") or [None])[0]
+        """v's nearest occurrence after t: one step of a next chain."""
+        occ = self.occurrences.get(v, ())
+        _, _, j, hi = chain_bounds(occ, t, 1)
+        return occ[j] if j < hi else None
 
     def din(self, t: int, v: int) -> FrozenSet[int]:
         return self.df_in.get((t, v), frozenset())
@@ -228,27 +197,31 @@ def _function_symbols(program: TypedProgram, fn: ast.FunctionDef) -> List[int]:
 
 
 class ProgramFlow:
-    """One program's CFGs, built once, and each symbol's data-flow
-    relations, solved on first request and memoised by the symbol's
-    occurrences: they depend on nothing else.  `uses` makes the view
-    under an override; every view of the program shares the flow."""
+    """One program's data-flow relations, each symbol's solved on first
+    request and memoised by the symbol's occurrences: they depend on
+    nothing else.  The CFGs they are solved over are built on the first
+    solve, so a flow that solves nothing builds none."""
 
     def __init__(self, program: TypedProgram):
         self.program = program
-        # symbol -> the forward and backward solver inputs of its function
-        self._graphs: Dict[int, Tuple[tuple, tuple]] = {}
-        for fn in program.ast.functions:
+        self._memo: Dict[Tuple[int, Tuple[int, ...]],
+                         Tuple[Relation, Relation]] = {}
+
+    @cached_property
+    def _graphs(self) -> Dict[int, Tuple[tuple, tuple]]:
+        """symbol -> the forward and backward solver inputs of its
+        function, in function order."""
+        graphs = {}
+        for fn in self.program.ast.functions:
             cfg = build_cfg(fn)
             preds = cfg.preds
             tokens = [n.tokens for n in cfg.nodes]
             directions = ((tokens, preds, cfg.succs, cfg.entry),
                           ([ts[::-1] for ts in tokens], cfg.succs, preds,
                            cfg.exit))
-            for v in _function_symbols(program, fn):
-                self._graphs[v] = directions
-        self.symbols = list(self._graphs)  # in function order
-        self._memo: Dict[Tuple[int, Tuple[int, ...]],
-                         Tuple[Relation, Relation]] = {}
+            for v in _function_symbols(self.program, fn):
+                graphs[v] = directions
+        return graphs
 
     def relations(self, v: int, occurrences: Tuple[int, ...]
                   ) -> Tuple[Relation, Relation]:
@@ -262,19 +235,20 @@ class ProgramFlow:
                 tuple(_solve(*d, at) for d in graphs)
         return self._memo[key]
 
-    def uses(self, override: Optional[Dict[int, Optional[int]]] = None
-             ) -> UseGraph:
-        """The use graph with placeholder tokens rebound per `override`
-        (None unbinds)."""
-        return UseGraph(occurrences(self.program, override), self)
-
 
 def dataflow_uses(program: TypedProgram,
                   override: Optional[Dict[int, Optional[int]]] = None
                   ) -> UseGraph:
-    """The may-analysis over every function's CFG, solved per symbol as
-    queried.  `override` rebinds placeholder tokens."""
-    return ProgramFlow(program).uses(override)
+    """The record of every relation of `program` with placeholder tokens
+    rebound per `override` (None unbinds): one `ProgramFlow` solves each
+    symbol scoped in a function, under its occurrences."""
+    ug = UseGraph(occurrences(program, override))
+    flow = ProgramFlow(program)
+    for v in flow._graphs:
+        for flat, rel in zip((ug.df_in, ug.df_out),
+                             flow.relations(v, ug.occurrences.get(v, ()))):
+            flat.update(((t, v), s) for t, s in rel.items())
+    return ug
 
 
 def _solve(node_tokens: List[List[int]], edges_in: Dict[int, List[int]],

@@ -1,10 +1,10 @@
 """Training: per-placeholder items, pooled in-batch softmax normalization,
 Adam, and early stopping on validation accuracy.
 
-A training step encodes its items' `models.score_key`s in their
-programs' use graphs in `ItemCache` in one `models.usage_batch`; each
-item's encoder takes its program's flow from there, so the relations it
-solves outlive the step.  Validation ranks as evaluation
+A training step encodes its items' `models.score_key`s under their
+programs' true occurrences in `ItemCache` in one `models.usage_batch`;
+each item's encoder takes its program's flow from there, so the relations
+it solves outlive the step.  Validation ranks as evaluation
 does: `truth_rankings` ranks all items of an instance in one
 `infer.rank_placeholders` call on one inference `Encoder`, as rows of
 ICM's score matrix."""
@@ -23,7 +23,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from . import nn
-from .dataflow import ProgramFlow, UseGraph
+from .dataflow import ProgramFlow, occurrences
 from .infer import rank_placeholders
 from .models import Encoder, ModelParams, score_key, usage_batch
 from .taskgen import TaskInstance
@@ -80,20 +80,20 @@ def make_batches(items: List[Item], batch_size: int,
 
 
 class ItemCache:
-    """The use graphs of training steps: one per program, every token at
-    its true symbol (`ProgramFlow(program).uses()`).  They are
-    parameter-independent, so they are computed once and reused across
-    epochs by every item of the program, whose step reads its usages from
-    them through `models.score_key` with its placeholder unbound, and
-    whose encoder solves relations with the graph's flow."""
+    """Each training program's flow and true occurrences, every token at
+    its true symbol.  Both are parameter-independent, so they are made
+    once and reused across epochs by every item of the program: its step
+    reads usages from the occurrences through `models.score_key` with its
+    placeholder unbound, and its encoder solves relations with the flow."""
 
     def __init__(self):
-        self._graphs: Dict[int, UseGraph] = {}
+        self._graphs: Dict[int, Tuple[ProgramFlow, dict]] = {}
 
-    def graph(self, item: Item) -> UseGraph:
+    def graph(self, item: Item) -> Tuple[ProgramFlow, dict]:
         program = item.instance.program
         if id(program) not in self._graphs:
-            self._graphs[id(program)] = ProgramFlow(program).uses()
+            self._graphs[id(program)] = (ProgramFlow(program),
+                                         occurrences(program))
         return self._graphs[id(program)]
 
 
@@ -104,18 +104,18 @@ def train_step(params: ModelParams, batch: List[Item], adam: nn.AdamState,
     batch; the loss is the mean softmax cross-entropy.  Every item has its
     own training `Encoder` (its placeholder tokens, and a type-dropout seed
     from `rng` in batch order), and all items go through one `usage_batch`:
-    one tape for the whole batch, whose walk order moves no draw.  An item's
-    usages are its candidates' `score_key`s in `cache`'s graph, its token
-    unbound from its truth, and its encoder takes the graph's flow, which
-    outlives the step."""
+    one tape for the whole batch, whose walk order moves no draw.  From
+    `cache`, an item's encoder takes its program's flow, which outlives
+    the step, and its usages are its candidates' `score_key`s under the
+    program's true occurrences, its token unbound from its truth."""
     graphs = [cache.graph(item) for item in batch]
     encoders = [Encoder(params, item.instance.program,
                         placeholder_tokens=item.instance.placeholder_tokens,
-                        training=True, rng=rng, flow=ug.flow)
-                for item, ug in zip(batch, graphs)]
+                        training=True, rng=rng, flow=flow)
+                for item, (flow, _) in zip(batch, graphs)]
     reprs = usage_batch([
-        (enc, *score_key(ug.occurrences, item.truth, item.token, v))
-        for item, enc, ug in zip(batch, encoders, graphs)
+        (enc, *score_key(truth, item.truth, item.token, v))
+        for item, enc, (_, truth) in zip(batch, encoders, graphs)
         for v in item.candidates])
     starts = list(accumulate((len(item.candidates) for item in batch),
                              initial=0))

@@ -1,5 +1,5 @@
 """The per-placeholder ranking the score matrix is checked against: one
-placeholder's candidates scored by the keys of a use graph built from
+placeholder's candidates scored by the keys of occurrences built from
 scratch with that placeholder unbound, a softmax, and a sort by
 probability, then symbol id.  It shares nothing with `infer` but
 `Encoder.scores`."""
@@ -7,6 +7,7 @@ probability, then symbol id.  It shares nothing with `infer` but
 import numpy as np
 
 from smartpaste import nn
+from smartpaste.dataflow import occurrences
 from smartpaste.models import Encoder
 
 
@@ -18,8 +19,8 @@ def reference_rank(params, inst, ph, binding, encoder=None):
     if encoder is None:
         encoder = Encoder(params, inst.program,
                           placeholder_tokens=inst.placeholder_tokens)
-    view = encoder.flow.uses({**binding, ph.token_index: None})
-    scores = encoder.scores([(ph.token_index, v, view.occurrences.get(v, ()))
+    view = occurrences(inst.program, {**binding, ph.token_index: None})
+    scores = encoder.scores([(ph.token_index, v, view.get(v, ()))
                              for v in ph.candidates])
     probs = nn.softmax_probs(np.array(scores))
     order = sorted(range(len(ph.candidates)),

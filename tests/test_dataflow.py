@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import dataflow, generator
-from smartpaste.dataflow import (EPS, ProgramFlow, build_cfg, dataflow_uses,
-                                 dump_dataflow, occurrences)
+from smartpaste.dataflow import (EPS, ProgramFlow, UseGraph, build_cfg,
+                                 dataflow_uses, dump_dataflow, occurrences)
 from smartpaste.infer import icm, rank_placeholders
 from smartpaste.minilang import compile_source
 from smartpaste.models import Hyper, ModelParams, build_vocab
@@ -16,6 +16,15 @@ from smartpaste.oracle import enumerate_paths, oracle_dataflow
 from smartpaste.taskgen import Placeholder, TaskInstance, make_instance
 
 from conftest import SUM_POSITIVE, SUM_POSITIVE_OCCURRENCES
+
+
+# A second function after the pasted loop's, which keeps its token indices.
+TWICE = """\
+int Twice(int x) {
+  int y = x + x;
+  return y;
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +190,7 @@ def test_oracle_agreement_under_overrides(seed, profile, rnd):
                 for t in rnd.sample(uses, min(len(uses), rnd.randint(0, 3)))}
     fast = dataflow_uses(prog, override=override)
     slow = oracle_dataflow(prog, loop_bound=3, override=override)
-    # the lazy per-symbol path first, before the dicts are flattened
+    # the oracle's keys first, then every key of either record
     for key, want in slow.df_in.items():
         assert fast.din(*key) == want, (override, key)
     for key, want in slow.df_out.items():
@@ -212,10 +221,9 @@ def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
     their own symbol or to any symbol) and ranked in random subsets, each
     with random candidates that hold the symbol it is bound to or not: in
     each key `rank_placeholders` asks to score, the candidate has the
-    occurrences of a use graph built from scratch with the ranked
-    placeholder unbound, and the flow solves them to that graph's
-    relations.  A binding that misses a placeholder,
-    ranked or not, is a KeyError."""
+    occurrences built from scratch with the ranked placeholder unbound,
+    and the flow solves them to the relations a fresh flow solves.  A
+    binding that misses a placeholder, ranked or not, is a KeyError."""
     prog = compile_source(
         generator.generate_file(random.Random(seed), profile, 0, 0))
     occurs = [t.index for t in prog.tokens if t.symbol is not None]
@@ -241,10 +249,10 @@ def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
             [(ph.token_index, v) for ph in phs for v in ph.candidates]
         for t, v, occ in encoder.keys:
             override = {**binding, t: None}
-            fresh = ProgramFlow(prog).uses(override)
-            assert occ == fresh.occurrences.get(v, ()), (override, v)
-            assert encoder.flow.relations(v, occ) == fresh.relations(v), \
-                (override, v)
+            fresh = occurrences(prog, override).get(v, ())
+            assert occ == fresh, (override, v)
+            assert encoder.flow.relations(v, occ) == \
+                ProgramFlow(prog).relations(v, fresh), (override, v)
         del binding[rnd.choice(tokens)]
         with pytest.raises(KeyError):
             rank_placeholders(inst, encoder, phs, binding)
@@ -253,14 +261,18 @@ def test_ranked_views_match_views_built_from_scratch(seed, profile, rnd):
 class TestProgramFlow:
     def test_views_follow_a_moved_placeholder(self, sum_positive_program,
                                               sum_positive_symbols):
-        """Token 35 moves from i to arr: two views of one flow agree with
-        fresh solves on both symbols and on the untouched sum, whose
-        relations the second view takes from the memo."""
+        """Token 35 moves from i to arr: two views filled from one flow
+        agree with fresh solves on both symbols and on the untouched sum,
+        whose relations the second view takes from the memo."""
         flow = ProgramFlow(sum_positive_program)
         i, arr, s = (sum_positive_symbols[n] for n in ("i", "arr", "sum"))
         views = []
         for override in ({35: i}, {35: arr}):
-            ug = flow.uses(override)
+            ug = UseGraph(occurrences(sum_positive_program, override))
+            for v in (i, arr, s):
+                for flat, rel in zip((ug.df_in, ug.df_out), flow.relations(
+                        v, ug.occurrences[v])):
+                    flat.update(((t, v), x) for t, x in rel.items())
             fresh = dataflow_uses(sum_positive_program, override=override)
             for v in (i, arr, s):
                 for t in range(len(sum_positive_program.tokens)):
@@ -269,7 +281,10 @@ class TestProgramFlow:
                         (override, t, v)
             views.append(ug)
         assert 35 in views[0].din(44, i) and 35 not in views[1].din(44, i)
-        assert views[1].relations(s) is views[0].relations(s)
+        occ = views[0].occurrences[s]
+        assert views[1].occurrences[s] == occ
+        assert flow.relations(s, occ) is flow.relations(s, occ)
+        assert len(flow._memo) == 5  # i and arr twice each, sum once
 
     @pytest.mark.parametrize("variant,solves", [
         ("loc", False), ("avgg", False), ("grug", False), ("grud", True),
@@ -290,6 +305,27 @@ class TestProgramFlow:
                              types, lexemes, seed=0)
         icm(inst, params, restarts=2, max_sweeps=2)
         assert bool(calls) == solves
+
+    @pytest.mark.parametrize("variant,builds", [
+        ("loc", False), ("avgg", False), ("grug", False), ("grud", True),
+        ("hybrid", True)])
+    def test_icm_builds_cfgs_only_for_variants_reading_relations(
+            self, monkeypatch, variant, builds):
+        """A flow builds its program's CFGs on its first solve: an ICM
+        with a `loc`, `avgg` or `grug` model builds none, and one with a
+        `grud` or `hybrid` model builds one per function, once."""
+        built = []
+        real_build = dataflow.build_cfg
+        monkeypatch.setattr(dataflow, "build_cfg",
+                            lambda fn: built.append(fn) or real_build(fn))
+        prog = compile_source(SUM_POSITIVE + TWICE)
+        inst = make_instance(prog, (17, 46))
+        types, lexemes = build_vocab([inst])
+        params = ModelParams(variant, Hyper(hidden=4, tree_depth=3),
+                             types, lexemes, seed=0)
+        icm(inst, params, restarts=2, max_sweeps=2)
+        assert len(prog.ast.functions) == 2
+        assert built == (prog.ast.functions if builds else [])
 
 
 class TestStraightLineDegeneration:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartpaste import models, nn
-from smartpaste.dataflow import EPS, ProgramFlow, dataflow_uses
+from smartpaste.dataflow import (EPS, ProgramFlow, chain_bounds,
+                                 dataflow_uses, occurrences)
 from smartpaste.minilang import compile_source
 from smartpaste.minilang.checker import UNK_TYPE, vars_in_scope
 from smartpaste.models import (CONTEXT_ENCODERS, Encoder, Hyper, ModelParams,
@@ -90,7 +91,7 @@ class PerVectorReference:
         return state(t, self.hyper.tree_depth)
 
     def chain(self, ug, t, v, direction):
-        # a scan of v's occurrences, independent of `lex_chain`'s slicing
+        # a scan of v's occurrences, independent of `chain_bounds`' slicing
         n = self.hyper.chain_len
         occ = ug.occurrences.get(v, ())
         if direction == "prev":
@@ -508,9 +509,10 @@ class TestBatchedUsage:
         """Chains cut short of the symbol's occurrences (the default
         chain_len, 14, is the test above): some view has a longer chain."""
         views = list(_placeholder_views(SUM_POSITIVE))[::2]
-        assert any(len(ug.lex_chain(t, v, len(prog.tokens), d)) > chain_len
+        assert any(len(chain) > chain_len
                    for prog, ug, t, cands in views for v in cands
-                   for d in ("prev", "next"))
+                   for chain in _chains(ug.occurrences.get(v, ()), t,
+                                        len(prog.tokens)))
         self._check(SUM_POSITIVE, variant, "logbilinear", 8, chain_len)
 
     def _check(self, src, variant, ctx_kind, depth, chain_len):
@@ -591,6 +593,13 @@ class TestBatchedUsage:
         assert abs(sum(p for _, p in ranked) - 1.0) < 1e-12
 
 
+def _chains(occ, t, n):
+    """The prev and next chains of length up to n at t that `usage_batch`
+    reads: two slices of v's sorted occurrences `occ`."""
+    lo, i, j, hi = chain_bounds(occ, t, n)
+    return list(occ[lo:i]), list(occ[j:hi])
+
+
 @pytest.mark.parametrize("chain_len", [1, 2, 14])
 def test_lex_chain_steps_the_lexical_relation(chain_len):
     """A chain is chain_len steps of `lex_prev` (then put in chronological
@@ -599,8 +608,9 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
     ug = dataflow_uses(prog, override={35: None})
     for t in range(-1, len(prog.tokens) + 1):
         for v in [s.id for s in prog.symbols] + [999]:
-            for direction, step in (("prev", ug.lex_prev),
-                                    ("next", ug.lex_next)):
+            chains = _chains(ug.occurrences.get(v, ()), t, chain_len)
+            for chain, direction, step in zip(
+                    chains, ("prev", "next"), (ug.lex_prev, ug.lex_next)):
                 want, cur = [], t
                 while len(want) < chain_len:
                     cur = step(cur, v)
@@ -609,7 +619,7 @@ def test_lex_chain_steps_the_lexical_relation(chain_len):
                     want.append(cur)
                 if direction == "prev":
                     want.reverse()
-                assert ug.lex_chain(t, v, chain_len, direction) == want
+                assert chain == want
 
 
 @pytest.mark.parametrize("zero_context", [False, True])
@@ -682,8 +692,9 @@ def _trial_usages(variant, ctx_kind="logbilinear", tree_depth=6):
     usages = []
     for mapping in (truth, moved):
         for ph in inst.placeholders:
-            view = enc.flow.uses({**mapping, ph.token_index: None})
-            usages += view_usages(enc, view, ph.token_index, ph.candidates)
+            view = occurrences(prog, {**mapping, ph.token_index: None})
+            usages += [(enc, ph.token_index, v, view.get(v, ()))
+                       for v in ph.candidates]
     return params, usages
 
 
@@ -803,7 +814,8 @@ def test_walk_deeper_than_the_recursion_limit():
     i = next(s.id for s in prog.symbols if s.name == "i")
     ug = dataflow_uses(prog)
     index = _TreeIndex(1)
-    index.unroll(ug.relations(i)[0], [(35, 0)], enc.positions, 0, depth)
+    index.unroll(enc.flow.relations(i, ug.occurrences[i])[0], [(35, 0)],
+                 enc.positions, 0, depth)
     assert set(index.levels) == set(range(1, depth + 1))
     with nn.no_tape():
         u = view_reprs(enc, ug, 35, [i])
@@ -870,7 +882,7 @@ class TestTreeIndex:
                              ["int", "int[]"], [], seed=0)
         index = _TreeIndex(1)
         enc = Encoder(params, prog)
-        rel = dataflow_uses(prog).relations(sid)[
+        rel = enc.flow.relations(sid, occurrences(prog)[sid])[
             0 if direction == "prev" else 1]
         index.unroll(rel, [(t, 0)], enc.positions, 0, depth)
         position = {col: x for x, col in enc.positions.items()}

@@ -147,8 +147,8 @@ class TestBatching:
 class TestItemCache:
     def test_items_of_one_program_share_its_truth_graph(self,
                                                         tiny_instances):
-        """Every item of a program gets the same graph object, with every
-        token at its true symbol."""
+        """Every item of a program gets the same (flow, occurrences) pair,
+        the flow of that program and every token at its true symbol."""
         items = make_items(tiny_instances)
         cache = ItemCache()
         graphs = {}
@@ -156,7 +156,9 @@ class TestItemCache:
             program = item.instance.program
             graph = graphs.setdefault(id(program), cache.graph(item))
             assert cache.graph(item) is graph
-            assert graph.occurrences == dataflow_uses(program).occurrences
+            flow, truth = graph
+            assert flow.program is program
+            assert truth == dataflow_uses(program).occurrences
         assert len(graphs) < len(items)
 
     def test_fit_builds_one_flow_per_training_program(self, loc_setup,
