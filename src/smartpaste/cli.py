@@ -376,6 +376,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             training.NonFiniteLoss, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:  # the front end and the CFG builder recurse
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """AST node definitions for MiniLang.
 
-Every node records its token span [lo, hi] (inclusive) into the token list it
-was parsed from; statement spans nest properly inside their parents.
+Every node but Program records its token span [lo, hi] (inclusive) into the
+token list it was parsed from; statement spans nest inside their parents.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Var(Expr):
 
 @dataclass
 class Literal(Expr):
-    value: object = None
     kind: str = ""  # int | bool | string
 
 
@@ -167,7 +166,7 @@ class FunctionDef(Node):
 
 
 @dataclass
-class Program(Node):
+class Program:
     type_decls: List[TypeDecl] = field(default_factory=list)
     extern_fns: List[ExternFn] = field(default_factory=list)
     functions: List[FunctionDef] = field(default_factory=list)

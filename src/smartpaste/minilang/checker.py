@@ -15,6 +15,13 @@ from .lexer import Token
 
 UNK_TYPE = "$unk"
 PRIMITIVES = ("int", "bool", "string")
+# binary operator -> (type of both operands, result type); == and != take
+# any two operands of one type
+BINARY_TYPES = {
+    **{op: ("int", "int") for op in ("+", "-", "*", "/", "%")},
+    **{op: ("int", "bool") for op in ("<", "<=", ">", ">=")},
+    **{op: ("bool", "bool") for op in ("&&", "||")},
+}
 
 
 class CheckError(Exception):
@@ -213,17 +220,15 @@ class _Checker:
     def check_stmt(self, stmt: ast.Stmt, env: Dict[str, Symbol],
                    fn: ast.FunctionDef, ret_t: str,
                    enclosing_span: Tuple[int, int]):
+        """Check `stmt` and add its declarations to `env`, scoped to the end
+        of `enclosing_span`.  A block, a for statement and each branch or
+        body of an if or while are checked in a copy of `env` (a for's body
+        in the for's copy), so their declarations end with them."""
         if isinstance(stmt, ast.Block):
-            introduced = []
+            inner = dict(env)
             for s in stmt.statements:
-                names = self.check_stmt(s, env, fn, ret_t, stmt.span)
-                introduced.extend(names or [])
-            # block-local declarations go out of scope here but their spans
-            # were already fixed to the enclosing block at declaration time
-            for name in introduced:
-                del env[name]
-            return []
-        if isinstance(stmt, ast.Decl):
+                self.check_stmt(s, inner, fn, ret_t, stmt.span)
+        elif isinstance(stmt, ast.Decl):
             dt = self.resolve_type(stmt.type)
             if stmt.init is not None:
                 it = self.check_expr(stmt.init, env)
@@ -232,8 +237,7 @@ class _Checker:
                              f"with {it}")
             scope = (stmt.span[0], enclosing_span[1])
             self.declare(stmt.name, dt, stmt.name_token, scope, env, fn)
-            return [stmt.name]
-        if isinstance(stmt, ast.Assign):
+        elif isinstance(stmt, ast.Assign):
             tt = self.check_expr(stmt.target, env)
             vt = self.check_expr(stmt.value, env)
             if stmt.op in ("+=", "-="):
@@ -243,58 +247,43 @@ class _Checker:
             else:
                 self.require(self.assignable(vt, tt),
                              f"cannot assign {vt} to {tt}")
-            return []
-        if isinstance(stmt, ast.IncDec):
+        elif isinstance(stmt, ast.IncDec):
             tt = self.check_expr(stmt.target, env)
             self.require(self.assignable(tt, "int"),
                          f"{stmt.op} requires an int variable, got {tt}")
-            return []
-        if isinstance(stmt, ast.If):
+        elif isinstance(stmt, ast.If):
             ct = self.check_expr(stmt.cond, env)
             self.require(self.assignable(ct, "bool"),
                          f"if condition must be bool, got {ct}")
-            self.check_nested(stmt.then, env, fn, ret_t)
-            if stmt.orelse is not None:
-                self.check_nested(stmt.orelse, env, fn, ret_t)
-            return []
-        if isinstance(stmt, ast.While):
+            for nested in (stmt.then, stmt.orelse):
+                if nested is not None:
+                    self.check_stmt(nested, dict(env), fn, ret_t, nested.span)
+        elif isinstance(stmt, ast.While):
             ct = self.check_expr(stmt.cond, env)
             self.require(self.assignable(ct, "bool"),
                          f"while condition must be bool, got {ct}")
-            self.check_nested(stmt.body, env, fn, ret_t)
-            return []
-        if isinstance(stmt, ast.For):
-            introduced = []
+            self.check_stmt(stmt.body, dict(env), fn, ret_t, stmt.body.span)
+        elif isinstance(stmt, ast.For):
+            # init and step declarations scope over the whole statement
+            inner = dict(env)
             if stmt.init is not None:
-                # init declarations scope over the whole for statement
-                introduced = self.check_stmt(stmt.init, env, fn, ret_t,
-                                             stmt.span) or []
+                self.check_stmt(stmt.init, inner, fn, ret_t, stmt.span)
             if stmt.cond is not None:
-                ct = self.check_expr(stmt.cond, env)
+                ct = self.check_expr(stmt.cond, inner)
                 self.require(self.assignable(ct, "bool"),
                              f"for condition must be bool, got {ct}")
             if stmt.step is not None:
-                self.check_stmt(stmt.step, env, fn, ret_t, stmt.span)
-            self.check_nested(stmt.body, env, fn, ret_t)
-            for name in introduced:
-                del env[name]
-            return []
-        if isinstance(stmt, ast.Return):
+                self.check_stmt(stmt.step, inner, fn, ret_t, stmt.span)
+            self.check_stmt(stmt.body, inner, fn, ret_t, stmt.body.span)
+        elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 vt = self.check_expr(stmt.value, env)
                 self.require(self.assignable(vt, ret_t),
                              f"cannot return {vt} from function returning {ret_t}")
-            return []
-        if isinstance(stmt, ast.ExprStmt):
+        elif isinstance(stmt, ast.ExprStmt):
             self.check_expr(stmt.expr, env)
-            return []
-        raise AssertionError(f"unhandled statement {stmt!r}")
-
-    def check_nested(self, stmt: ast.Stmt, env, fn, ret_t):
-        """A non-block nested statement scopes its own declarations to itself."""
-        names = self.check_stmt(stmt, env, fn, ret_t, stmt.span)
-        for name in names or []:
-            del env[name]
+        else:
+            raise AssertionError(f"unhandled statement {stmt!r}")
 
     # -- expressions --
 
@@ -322,26 +311,15 @@ class _Checker:
         if isinstance(e, ast.Binary):
             lt = self.check_expr(e.left, env)
             rt = self.check_expr(e.right, env)
-            if e.op in ("+", "-", "*", "/", "%"):
-                self.require(self.assignable(lt, "int") and
-                             self.assignable(rt, "int"),
-                             f"{e.op} requires int operands, got {lt}, {rt}")
-                return "int"
-            if e.op in ("<", "<=", ">", ">="):
-                self.require(self.assignable(lt, "int") and
-                             self.assignable(rt, "int"),
-                             f"{e.op} requires int operands, got {lt}, {rt}")
-                return "bool"
             if e.op in ("==", "!="):
                 self.require(UNK_TYPE in (lt, rt) or lt == rt,
                              f"{e.op} requires matching types, got {lt}, {rt}")
                 return "bool"
-            if e.op in ("&&", "||"):
-                self.require(self.assignable(lt, "bool") and
-                             self.assignable(rt, "bool"),
-                             f"{e.op} requires bool operands, got {lt}, {rt}")
-                return "bool"
-            raise AssertionError(f"unhandled operator {e.op!r}")
+            operand, result = BINARY_TYPES[e.op]
+            self.require(self.assignable(lt, operand) and
+                         self.assignable(rt, operand),
+                         f"{e.op} requires {operand} operands, got {lt}, {rt}")
+            return result
         if isinstance(e, ast.Index):
             bt = self.check_expr(e.base, env)
             it = self.check_expr(e.index, env)

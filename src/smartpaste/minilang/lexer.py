@@ -1,7 +1,10 @@
-"""Tokenizer for MiniLang source files (.ml0)."""
+"""Tokenizer for MiniLang source files (.ml0): one regular expression,
+built from the operator and punctuation tables, matches each token with
+the blanks and comments before it."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -10,7 +13,7 @@ KEYWORDS = {
     "return", "type", "implements", "extern", "fn",
 }
 
-# Longest-match first.
+# Longest-match first: the token pattern tries them in this order.
 OPERATORS = [
     "+=", "-=", "++", "--", "<=", ">=", "==", "!=", "&&", "||", "->",
     "+", "-", "*", "/", "%", "<", ">", "=", "!",
@@ -47,92 +50,49 @@ class Token:
         return f"Token({self.index}, {self.text!r}, {self.kind})"
 
 
+# One token and the trivia before it: blanks and // comments.  Group names
+# are the token kinds, "_" for "-"; an identifier is also a keyword or a
+# bool literal by its text.  `[^\W\d]` admits non-decimal numerals such as
+# "²", which `tokenize` rejects as an identifier's first character.
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]|//[^\n]*)*)"
+    r"(?:(?P<identifier>[^\W\d]\w*)|(?P<int_literal>\d+)"
+    r'|(?P<string_literal>"[^"\n]*")'
+    r"|(?P<operator>" + "|".join(map(re.escape, OPERATORS)) + ")"
+    r"|(?P<punctuation>[" + re.escape("".join(sorted(PUNCTUATION))) + "]))?")
+
+
 def tokenize(source: str) -> List[Token]:
-    """Split source into tokens; raises LexError on characters outside the
-    MiniLang alphabet.  Token indices are contiguous from 0."""
+    """Split source into tokens, one `_TOKEN` match each; raises LexError on
+    characters outside the MiniLang alphabet.  An identifier starts with a
+    letter or "_" and goes on with letters, digits or "_"; an int literal
+    is decimal digits.  A tab counts one column.  Token indices are
+    contiguous from 0."""
     tokens: List[Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(source)
-    pending = []  # leading trivia chars
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace and // comments are trivia
-        if ch in " \t\r\n":
-            pending.append(ch)
-            advance(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            j = i
-            while j < n and source[j] != "\n":
-                j += 1
-            pending.append(source[i:j])
-            advance(source[i:j])
-            i = j
-            continue
-
-        start_line, start_col = line, col
-        leading = "".join(pending)
-        pending = []
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            if text in ("true", "false"):
-                kind = "bool-literal"
-            elif text in KEYWORDS:
-                kind = "keyword"
-            else:
-                kind = "identifier"
-        elif ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            kind = "int-literal"
-        elif ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string literal", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", start_line, start_col)
-            j += 1
-            text = source[i:j]
-            kind = "string-literal"
-        elif ch in PUNCTUATION:
-            text = ch
-            kind = "punctuation"
-        else:
-            for op in OPERATORS:
-                if source.startswith(op, i):
-                    text = op
-                    kind = "operator"
-                    break
-            else:
-                raise LexError(f"illegal character {ch!r}", start_line, start_col)
-
-        tokens.append(Token(index=len(tokens), text=text, kind=kind,
-                            line=start_line, column=start_col, leading=leading))
-        advance(text)
-        i += len(text)
-
+    pos, line, line_start = 0, 1, 0
+    while True:
+        m = _TOKEN.match(source, pos)
+        leading, start = m.group(1), m.end(1)
+        if "\n" in leading:
+            line += leading.count("\n")
+            line_start = source.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        kind, text = m.lastgroup, m.group(m.lastindex)
+        if kind is None or (kind == "identifier"
+                            and not (text[0].isalpha() or text[0] == "_")):
+            if start == len(source):
+                break
+            ch = source[start]
+            raise LexError("unterminated string literal" if ch == '"'
+                           else f"illegal character {ch!r}", line, column)
+        if text in KEYWORDS:
+            kind = "bool-literal" if text in ("true", "false") else "keyword"
+        tokens.append(Token(index=len(tokens), text=text,
+                            kind=kind.replace("_", "-"), line=line,
+                            column=column, leading=leading))
+        pos = m.end()
     if tokens:
-        tokens[-1].trailing = "".join(pending)
+        tokens[-1].trailing = leading
     return tokens
 
 

@@ -68,11 +68,22 @@ class Parser:
                 self.pos)
         return self.advance()
 
+    def parenthesized(self, item) -> list:
+        """`( )` around zero or more comma-separated `item()`s."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.advance()
+                items.append(item())
+        self.expect(")")
+        return items
+
     # -- grammar --
 
     def parse_program(self) -> ast.Program:
         prog = ast.Program()
-        start = self.pos
         while self.peek() is not None:
             if self.at("type"):
                 prog.type_decls.append(self.parse_type_decl())
@@ -80,7 +91,6 @@ class Parser:
                 prog.extern_fns.append(self.parse_extern_fn())
             else:
                 prog.functions.append(self.parse_function())
-        prog.span = (start, max(start, self.pos - 1))
         return prog
 
     def parse_type_decl(self) -> ast.TypeDecl:
@@ -102,14 +112,7 @@ class Parser:
         self.expect("extern")
         self.expect("fn")
         name = self.expect_identifier().text
-        self.expect("(")
-        param_types = []
-        if not self.at(")"):
-            param_types.append(self.parse_type_ref())
-            while self.at(","):
-                self.advance()
-                param_types.append(self.parse_type_ref())
-        self.expect(")")
+        param_types = self.parenthesized(self.parse_type_ref)
         self.expect("->")
         ret = self.parse_type_ref()
         self.expect(";")
@@ -133,14 +136,7 @@ class Parser:
         start = self.pos
         ret = self.parse_type_ref()
         name = self.expect_identifier().text
-        self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self.parse_param())
-            while self.at(","):
-                self.advance()
-                params.append(self.parse_param())
-        self.expect(")")
+        params = self.parenthesized(self.parse_param)
         body = self.parse_block()
         return ast.FunctionDef(span=(start, self.pos - 1), return_type=ret,
                                name=name, params=params, body=body)
@@ -200,7 +196,7 @@ class Parser:
             self.expect("(")
             init = None
             if not self.at(";"):
-                init = self.parse_simple_statement(consume_semicolon=False)
+                init = self.parse_simple_statement()
             self.expect(";")
             cond = None
             if not self.at(";"):
@@ -208,7 +204,7 @@ class Parser:
             self.expect(";")
             step = None
             if not self.at(")"):
-                step = self.parse_simple_statement(consume_semicolon=False)
+                step = self.parse_simple_statement()
             self.expect(")")
             body = self.parse_statement()
             return ast.For(span=(start, self.pos - 1), init=init, cond=cond,
@@ -220,13 +216,14 @@ class Parser:
                 value = self.parse_expr()
             self.expect(";")
             return ast.Return(span=(start, self.pos - 1), value=value)
-        stmt = self.parse_simple_statement(consume_semicolon=True)
+        stmt = self.parse_simple_statement()
+        self.expect(";")
         stmt.span = (start, self.pos - 1)
         return stmt
 
-    def parse_simple_statement(self, consume_semicolon: bool) -> ast.Stmt:
+    def parse_simple_statement(self) -> ast.Stmt:
         """Declaration, assignment, compound assignment, inc/dec, or
-        expression statement."""
+        expression statement, without the `;` that ends it."""
         start = self.pos
         if self.starts_type():
             ty = self.parse_type_ref()
@@ -235,8 +232,6 @@ class Parser:
             if self.at("="):
                 self.advance()
                 init = self.parse_expr()
-            if consume_semicolon:
-                self.expect(";")
             return ast.Decl(span=(start, self.pos - 1), type=ty, name=nt.text,
                             name_token=nt.index, init=init)
         target = self.parse_expr()
@@ -244,8 +239,6 @@ class Parser:
             op = self.advance().text
             if not isinstance(target, ast.Var):
                 raise ParseError(f"{op} target must be a variable", self.pos - 1)
-            if consume_semicolon:
-                self.expect(";")
             return ast.IncDec(span=(start, self.pos - 1), target=target, op=op)
         if self.at("=") or self.at("+=") or self.at("-="):
             op = self.advance().text
@@ -253,12 +246,8 @@ class Parser:
                 raise ParseError("assignment target must be a variable or index",
                                  self.pos - 1)
             value = self.parse_expr()
-            if consume_semicolon:
-                self.expect(";")
             return ast.Assign(span=(start, self.pos - 1), target=target, op=op,
                               value=value)
-        if consume_semicolon:
-            self.expect(";")
         return ast.ExprStmt(span=(start, self.pos - 1), expr=target)
 
     # -- expressions --
@@ -300,17 +289,10 @@ class Parser:
         t = self.peek()
         if t is None:
             raise ParseError("expected expression", self.pos)
-        if t.kind == "int-literal":
+        if t.kind.endswith("-literal"):
             self.advance()
-            return ast.Literal(span=(start, start), value=int(t.text), kind="int")
-        if t.kind == "bool-literal":
-            self.advance()
-            return ast.Literal(span=(start, start), value=t.text == "true",
-                               kind="bool")
-        if t.kind == "string-literal":
-            self.advance()
-            return ast.Literal(span=(start, start), value=t.text[1:-1],
-                               kind="string")
+            return ast.Literal(span=(start, start),
+                               kind=t.kind.removesuffix("-literal"))
         if t.text == "(":
             self.advance()
             e = self.parse_expr()
@@ -320,14 +302,7 @@ class Parser:
         if t.kind == "identifier":
             self.advance()
             if self.at("("):
-                self.advance()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.at(","):
-                        self.advance()
-                        args.append(self.parse_expr())
-                self.expect(")")
+                args = self.parenthesized(self.parse_expr)
                 return ast.Call(span=(start, self.pos - 1), func=t.text,
                                 args=args)
             return ast.Var(span=(start, start), name=t.text, token=t.index)

@@ -24,6 +24,11 @@ SUM_POSITIVE_OCCURRENCES = [6, 9, 13, 20, 24, 26, 28, 33, 35, 40, 42, 44, 48]
 SUM_POSITIVE_USES = [24, 26, 28, 33, 35, 40, 42, 44]
 SUM_POSITIVE_TRUTH_NAMES = ["i", "lim", "i", "arr", "i", "sum", "arr", "i"]
 
+# A for statement whose step declares `y`, used after the loop: `y` is out
+# of scope there, so the program does not compile.
+LEAKING_STEP = ("int f(int n) { for (int i = 0; i < n; int y = 1) "
+                "{ n = n + 1; } y = 2; return y; }")
+
 
 @pytest.fixture(scope="session")
 def sum_positive_program():

@@ -24,7 +24,7 @@ from smartpaste.taskgen import (INSTANCE_FORMAT_VERSION, make_instance,
                                 read_instances, write_instances)
 from smartpaste.train import TrainConfig, make_items
 
-from conftest import SUM_POSITIVE
+from conftest import LEAKING_STEP, SUM_POSITIVE
 from test_infer import SNIPPET, TARGET
 
 
@@ -125,7 +125,9 @@ class TestExtract:
     @pytest.mark.parametrize("broken, message", [
         ("int f(int a) { return a }", "expected ';', found '}'"),
         ("int f(int a) { return b; }", "undeclared variable 'b'"),
-        ("int f(int a) { return a $ a; }", "")])
+        ("int f(int a) { return a $ a; }", ""),
+        (LEAKING_STEP, "undeclared variable 'y'"),
+        ("int f() { return 2²; }", "illegal character '²' at 1:19")])
     def test_broken_file_is_named(self, tmp_path, capsys, broken, message):
         """Among the files of a corpus, the error names the one that does
         not compile."""
@@ -820,3 +822,43 @@ class TestParser:
             main(["generate", "--out", "x"])
         assert e.value.code == 2
         assert "forty-two" in capsys.readouterr().err
+
+
+# Programs nested past the default recursion limit, one per shape the
+# recursive parser, checker and CFG builder follow.
+DEEP = {
+    "parentheses": "int f(int a) { return " + "(" * 150 + "a" + ")" * 150
+                   + "; }",
+    "indexes": "int f(int[] a) { return " + "a[" * 250 + "0" + "]" * 250
+               + "; }",
+    "blocks": "int f() { " + "{ " * 1000 + "}" * 1000 + " return 0; }",
+    "ifs": "int f(bool c) { " + "if (c) " * 1000 + "return 1; return 0; }",
+    "unary-minuses": "int f(int a) { return " + "- " * 2000 + "a; }",
+    "sum": "int f(int a) { return a" + " + a" * 2000 + "; }",
+}
+TOO_DEEP = "error: input nested too deeply\n"
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_extract_fails_with_a_message(self, tmp_path, capsys, shape):
+        (tmp_path / "corpus" / "proj").mkdir(parents=True)
+        (tmp_path / "corpus" / "proj" / "deep.ml0").write_text(DEEP[shape])
+        assert main(["extract", "--corpus", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert capsys.readouterr().err == TOO_DEEP
+
+    def test_dump_dataflow_fails_with_a_message(self, tmp_path, capsys):
+        src = tmp_path / "deep.ml0"
+        src.write_text(DEEP["parentheses"])
+        assert main(["dump-dataflow", "--file", str(src)]) == 1
+        assert capsys.readouterr().err == TOO_DEEP
+
+    def test_paste_fails_with_a_message(self, workspace, tmp_path, capsys):
+        (tmp_path / "target.ml0").write_text(TARGET)
+        (tmp_path / "snippet.ml0").write_text(
+            "sum = " + "(" * 150 + "arr[i]" + ")" * 150 + ";")
+        assert main(["paste", "--target", str(tmp_path / "target.ml0"),
+                     "--snippet", str(tmp_path / "snippet.ml0"), "--at",
+                     "3:3", "--model", workspace["model"]]) == 1
+        assert capsys.readouterr().err == TOO_DEEP

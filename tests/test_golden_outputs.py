@@ -1,7 +1,9 @@
 """Outputs are byte-identical to the ones `tests/golden_outputs.json`
 records: one round of each benchmark workload, run in process through the
 bench's workload classes, and the `dump-dataflow` and `dump-usage-vectors`
-output on a fixed small corpus.  A change that moves an output on purpose
+output on a fixed small corpus, what the MiniLang front end makes of
+generated programs and their mutants, and pastes whose rankings hold
+exact ties.  A change that moves an output on purpose
 regenerates the file with `tests/golden_outputs.py`."""
 
 import json
@@ -54,6 +56,20 @@ def test_dumps_match_golden(recorded, tmp_path):
     for name, want in recorded["dumps"].items():
         assert got[name] == want, f"{name}: digest {got[name]}, golden {want}"
     assert set(got) == set(recorded["dumps"])
+
+
+def test_front_end_matches_golden(recorded):
+    """Tokens, symbols, lattices and ASTs, or errors, of generated programs
+    and of mutants of them."""
+    check_versions(recorded)
+    assert golden.front_end_digest() == recorded["front_end"]
+
+
+def test_tied_pastes_match_golden(recorded):
+    """A fresh `loc` model scores same-type candidates alike, so these
+    pastes follow ICM's tie-break: the lowest symbol id."""
+    check_versions(recorded)
+    assert golden.loc_paste_digests() == recorded["loc_pastes"]
 
 
 def test_workload_wrappers_are_removed_when_a_round_fails(tmp_path,

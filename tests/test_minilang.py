@@ -12,7 +12,7 @@ from smartpaste.minilang.checker import (
 from smartpaste.minilang.lexer import LexError, reconstruct, tokenize
 from smartpaste.minilang.parser import ParseError, parse
 
-from conftest import SUM_POSITIVE, SUM_POSITIVE_OCCURRENCES
+from conftest import LEAKING_STEP, SUM_POSITIVE, SUM_POSITIVE_OCCURRENCES
 
 
 # --- lexer ------------------------------------------------------------------
@@ -50,6 +50,18 @@ class TestLexer:
     def test_unterminated_string(self):
         with pytest.raises(LexError):
             tokenize('string s = "oops;')
+
+    def test_non_decimal_digit_is_illegal(self):
+        """An int literal is decimal digits: "²" is a digit to
+        `str.isdigit` but not one `int()` reads."""
+        with pytest.raises(LexError) as e:
+            compile_source("int f() { return 2²; }")
+        assert str(e.value) == "illegal character '²' at 1:19"
+
+    def test_non_ascii_digits_and_letters(self):
+        assert [(t.text, t.kind) for t in tokenize("٣ x² é_1")] == [
+            ("٣", "int-literal"), ("x²", "identifier"),
+            ("é_1", "identifier")]
 
     def test_indices_contiguous(self):
         toks = tokenize(SUM_POSITIVE)
@@ -152,6 +164,34 @@ class TestChecker:
         compile_source(
             "int f(bool c) { if (c) { int a = 1; a++; } "
             "else { int a = 2; a--; } return 0; }")
+
+    def test_for_step_declaration_ends_with_the_loop(self):
+        with pytest.raises(NameResolutionError,
+                           match="undeclared variable 'y'"):
+            compile_source(LEAKING_STEP)
+
+    def test_for_step_declaration_is_in_scope_in_the_body(self):
+        program = compile_source(
+            "int f(int n) { for (int i = 0; i < n; int y = 1) "
+            "{ n = n + y; } return n; }")
+        y = next(s for s in program.symbols if s.name == "y")
+        loop = program.ast.functions[0].body.statements[0]
+        assert y.scope_span == (y.decl_token - 1, loop.span[1])
+        uses = [t.index for t in program.tokens
+                if t.symbol == y.id and not t.is_def]
+        assert [program.tokens[t].text for t in uses] == ["y"]
+
+    def test_nested_statement_declaration_ends_with_it(self):
+        """A declaration that is an if's or a while's whole body is scoped
+        to itself, so the name can be declared again after it."""
+        program = compile_source(
+            "int f(bool c) { if (c) int a = 1; else int a = 2; "
+            "while (c) int b = 3; int a = 4; int b = 5; return a + b; }")
+        spans = [(s.name, s.scope_span) for s in program.symbols]
+        assert spans == [("c", (0, 46)), ("a", (11, 15)), ("a", (17, 21)),
+                         ("b", (26, 30)), ("a", (31, 46)), ("b", (36, 46))]
+        with pytest.raises(NameResolutionError):
+            compile_source("int f(bool c) { if (c) int a = 1; return a; }")
 
     def test_undeclared_variable(self):
         with pytest.raises(NameResolutionError):

@@ -57,6 +57,19 @@ class TestExtraction:
         # the run decl+loop+return covers the whole body
         assert (12, 49) in spans
 
+    def test_truth_is_a_candidate_on_every_profile(self):
+        """A placeholder's truth is in scope at it: no declaration outlives
+        its scope (a for step's once did, and its later uses had no
+        candidate matching their truth)."""
+        for profile in generator.PROFILES:
+            for seed in (0, 1):
+                corpus = generator.generate_corpus(seed, 2, 2, profile)
+                for files in corpus.values():
+                    for _, src in files:
+                        for inst in extract_instances(compile_source(src)):
+                            for ph in inst.placeholders:
+                                assert ph.truth in ph.candidates, profile
+
     def test_extract_ids_unique(self, sum_positive_program):
         insts = extract_instances(sum_positive_program, 80)
         ids = [i.instance_id for i in insts]
